@@ -73,17 +73,39 @@ pub struct CliOptions {
     pub progress: bool,
 }
 
+/// The flags [`parse_cli`] accepts, printed when it rejects one.
+pub const CLI_FLAGS: &str =
+    "accepted flags: --quick, --json <dir>, --force, --resume <dir>, --monitor <addr>, --progress";
+
 /// Parses `--quick`, `--json <dir>`, `--force`, `--resume <dir>`,
-/// `--monitor <addr>` and `--progress` from an argument iterator
-/// (unrecognized arguments are ignored, as the binaries always did).
+/// `--monitor <addr>` and `--progress` from a program's arguments; the
+/// first element, the program name, is skipped.
+///
+/// Any other argument is an error: it is printed to stderr with the
+/// accepted flags ([`CLI_FLAGS`]) and the process exits with status 2,
+/// so a typo such as `--quik` never runs the paper-scale suite.
 ///
 /// # Panics
 ///
 /// Panics if `--json`, `--resume` or `--monitor` is not followed by
 /// its argument.
 pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
+    try_parse_cli(args).unwrap_or_else(|err| {
+        eprintln!("{err}\n{CLI_FLAGS}");
+        std::process::exit(2)
+    })
+}
+
+/// [`parse_cli`] without the exit: an unknown argument is an `Err`
+/// naming it.
+///
+/// # Panics
+///
+/// Panics if `--json`, `--resume` or `--monitor` is not followed by
+/// its argument.
+fn try_parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
     let mut options = CliOptions::default();
-    let mut iter = args.into_iter();
+    let mut iter = args.into_iter().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => options.quick = true,
@@ -103,10 +125,10 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
                 options.monitor = Some(addr);
             }
             "--progress" => options.progress = true,
-            _ => {}
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    options
+    Ok(options)
 }
 
 /// A reproduction run in progress: wraps every experiment driver call
@@ -816,8 +838,21 @@ mod tests {
         assert!(opts.quick);
         assert!(opts.force);
         assert_eq!(opts.json_dir.as_deref(), Some(Path::new("out/dir")));
-        let none = parse_cli(["bin", "--other"].map(String::from));
+        // The first argument is the program name, never a flag.
+        let none = parse_cli(["--quick"].map(String::from));
         assert_eq!(none, CliOptions::default());
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags() {
+        for args in [
+            &["bin", "--quik"][..],
+            &["bin", "--quick", "extra"],
+            &["bin", "-q"],
+        ] {
+            let err = try_parse_cli(args.iter().map(|a| a.to_string())).unwrap_err();
+            assert!(err.contains(args[args.len() - 1]), "{err}");
+        }
     }
 
     #[test]

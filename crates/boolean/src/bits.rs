@@ -3,6 +3,13 @@
 //! [`BitVec`] is a compact, fixed-length vector of bits backed by `u64`
 //! words. It is the universal input type of the workspace: PUF challenges,
 //! netlist input assignments and learning examples are all `BitVec`s.
+//!
+//! Crate-internal kernels sit next to it: `Columns` packs a labeled
+//! sample into 64-example column blocks for the word-parallel
+//! Boolean-analysis kernels, and `sign_select`, `row_sum` and
+//! `nonpositive_lanes` are the exact ±1 arithmetic those kernels share
+//! with the sequential per-example paths. [`transpose64`] is the block
+//! transpose behind both them and `mlam-puf`'s bit-sliced evaluator.
 
 use rand::Rng;
 use std::fmt;
@@ -313,6 +320,235 @@ impl BitVec {
     }
 }
 
+/// `w · (−1)^b` for the low bit `b` of `bit`, computed by flipping the
+/// IEEE-754 sign bit: equals `w * x.pm(i)` bit for bit (including
+/// signed zeros) when `bit` carries bit `i` of `x`, without a multiply
+/// or a branch.
+#[inline]
+pub(crate) fn sign_select(w: f64, bit: u64) -> f64 {
+    f64::from_bits(w.to_bits() ^ (bit << 63))
+}
+
+/// Sequential ±1 dot product `start + Σᵢ w[i]·x_i` over one example's
+/// row words ([`BitVec::words`] layout), added in index order exactly
+/// as `start + w[0]*x.pm(0) + w[1]*x.pm(1) + …` would.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if `row` is too short for `weights`.
+#[inline]
+pub(crate) fn row_sum(start: f64, weights: &[f64], row: &[u64]) -> f64 {
+    debug_assert!(row.len() * 64 >= weights.len(), "row shorter than weights");
+    let mut s = start;
+    for (ws, &word) in weights.chunks(64).zip(row) {
+        for (j, &w) in ws.iter().enumerate() {
+            s += sign_select(w, word >> j);
+        }
+    }
+    s
+}
+
+/// IEEE sign masks of four lanes, indexed by a nibble of a column
+/// word: entry `v`, lane `k` is `1 << 63` iff bit `k` of `v` is set.
+const NIBBLE_SIGNS: [[u64; 4]; 16] = {
+    let mut table = [[0u64; 4]; 16];
+    let mut v = 0;
+    while v < 16 {
+        let mut k = 0;
+        while k < 4 {
+            table[v][k] = ((v as u64 >> k) & 1) << 63;
+            k += 1;
+        }
+        v += 1;
+    }
+    table
+};
+
+/// Per-lane ±1 sums over a 64-example column block: lane `j` computes
+/// `start + Σ_t ±coefs[t]` in term order, adding `coefs[t]` when bit
+/// `j` of `words[t]` is 0 and `−coefs[t]` when it is 1. Returns the
+/// word whose bit `j` is set iff lane `j`'s sum is `<= 0.0`, i.e.
+/// logic 1 under `to_bool`.
+///
+/// Every lane adds in the same order as the sequential per-example
+/// loop, with the same [`sign_select`] terms, so each lane's sum is
+/// bit-identical to it. The lanes are independent: eight of them at a
+/// time stay in registers across all terms, taking their sign masks
+/// from a nibble table, so the adds vectorize across examples.
+///
+/// # Panics
+///
+/// Panics if `words` and `coefs` differ in length.
+pub(crate) fn nonpositive_lanes(start: f64, words: &[u64], coefs: &[f64]) -> u64 {
+    assert_eq!(words.len(), coefs.len(), "one coefficient per word");
+    let mut out = 0u64;
+    for tile in 0..8 {
+        let mut acc = [start; 8];
+        for (&word, &c) in words.iter().zip(coefs) {
+            let c = c.to_bits();
+            let byte = word >> (8 * tile);
+            let lo = &NIBBLE_SIGNS[(byte & 15) as usize];
+            let hi = &NIBBLE_SIGNS[((byte >> 4) & 15) as usize];
+            for k in 0..4 {
+                acc[k] += f64::from_bits(c ^ lo[k]);
+                acc[4 + k] += f64::from_bits(c ^ hi[k]);
+            }
+        }
+        for (k, &a) in acc.iter().enumerate() {
+            out |= u64::from(a <= 0.0) << (8 * tile + k);
+        }
+    }
+    out
+}
+
+/// In-place transpose of a 64×64 bit matrix in LSB-first convention:
+/// afterwards bit `c` of word `r` equals bit `r` of the original word
+/// `c` (Hacker's Delight §7-3, recursive block swap).
+#[inline]
+pub fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32usize;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0usize;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k + j] ^= t;
+            a[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
+/// A labeled sample packed into 64-example column blocks.
+///
+/// Block `b` holds examples `64b .. 64b + 64` as `n` column words —
+/// bit `j` of column `i` is bit `i` of example `64b + j` — plus one
+/// label word whose bit `j` is that example's label. Lanes past the end
+/// of the sample are zero in every word, so `labels ⊕ column` counts
+/// only real examples.
+///
+/// In this layout a sum of `±1` terms over the sample is a popcount,
+/// and a per-example float sum runs 64 examples side by side
+/// ([`nonpositive_lanes`]).
+#[derive(Debug)]
+pub(crate) struct Columns {
+    n: usize,
+    len: usize,
+    /// `n` words per block, block after block.
+    words: Vec<u64>,
+    /// One label word per block.
+    labels: Vec<u64>,
+}
+
+/// One 64-example block of a [`Columns`] sample.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ColumnBlock<'a> {
+    /// `n` column words: bit `j` of word `i` is bit `i` of lane `j`'s
+    /// example.
+    pub(crate) columns: &'a [u64],
+    /// Bit `j` is lane `j`'s label.
+    pub(crate) labels: u64,
+    /// Bit `j` is set iff lane `j` holds an example.
+    pub(crate) lanes: u64,
+}
+
+impl ColumnBlock<'_> {
+    /// XOR of the columns selected by `mask`: bit `j` is the parity
+    /// `χ_S` of lane `j` in the `{0,1}` world, as
+    /// [`BitVec::parity_masked`] computes it per example. Mask bits at
+    /// or past `n` select nothing.
+    #[inline]
+    pub(crate) fn parity(&self, mask: u64) -> u64 {
+        let mut m = if self.columns.len() >= 64 {
+            mask
+        } else {
+            mask & ((1u64 << self.columns.len()) - 1)
+        };
+        let mut p = 0;
+        while m != 0 {
+            p ^= self.columns[m.trailing_zeros() as usize];
+            m &= m - 1;
+        }
+        p
+    }
+}
+
+impl Columns {
+    /// Packs `examples` (in iteration order) over `n`-bit inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any example's length differs from `n`.
+    pub(crate) fn new<'a, I>(n: usize, examples: I) -> Self
+    where
+        I: IntoIterator<Item = &'a (BitVec, bool)>,
+    {
+        let mut cols = Columns {
+            n,
+            len: 0,
+            words: Vec::new(),
+            labels: Vec::new(),
+        };
+        let mut iter = examples.into_iter();
+        let mut block: Vec<&BitVec> = Vec::with_capacity(64);
+        let mut mat = [0u64; 64];
+        loop {
+            block.clear();
+            let mut labels = 0u64;
+            for (x, y) in iter.by_ref().take(64) {
+                assert_eq!(x.len(), n, "example length mismatch");
+                labels |= (*y as u64) << block.len();
+                block.push(x);
+            }
+            if block.is_empty() {
+                break;
+            }
+            for g in 0..n.div_ceil(64) {
+                for (l, slot) in mat.iter_mut().enumerate() {
+                    *slot = block.get(l).map_or(0, |x| x.words[g]);
+                }
+                transpose64(&mut mat);
+                cols.words.extend_from_slice(&mat[..(n - 64 * g).min(64)]);
+            }
+            cols.labels.push(labels);
+            cols.len += block.len();
+            if block.len() < 64 {
+                break;
+            }
+        }
+        cols
+    }
+
+    /// Input length `n`.
+    pub(crate) fn num_inputs(&self) -> usize {
+        self.n
+    }
+
+    /// Number of examples.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The blocks in sample order.
+    pub(crate) fn blocks(&self) -> impl ExactSizeIterator<Item = ColumnBlock<'_>> {
+        let len = self.len;
+        self.labels.iter().enumerate().map(move |(b, &labels)| {
+            let filled = len - 64 * b;
+            ColumnBlock {
+                columns: &self.words[b * self.n..(b + 1) * self.n],
+                labels,
+                lanes: if filled >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << filled) - 1
+                },
+            }
+        })
+    }
+}
+
 /// Iterator over the bits of a [`BitVec`].
 pub struct Iter<'a> {
     v: &'a BitVec,
@@ -518,6 +754,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn labeled(n: usize, m: usize, rng: &mut StdRng) -> Vec<(BitVec, bool)> {
+        (0..m)
+            .map(|_| (BitVec::random(n, rng), rng.gen_bool(0.5)))
+            .collect()
+    }
+
+    #[test]
+    fn columns_hold_each_example_bit_label_and_lane() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            for m in [0usize, 1, 63, 64, 65, 200] {
+                let data = labeled(n, m, &mut rng);
+                let cols = Columns::new(n, &data);
+                assert_eq!((cols.num_inputs(), cols.len()), (n, m));
+                assert_eq!(cols.blocks().len(), m.div_ceil(64));
+                for (b, block) in cols.blocks().enumerate() {
+                    let lanes = (m - 64 * b).min(64);
+                    assert_eq!(block.lanes.count_ones() as usize, lanes);
+                    assert_eq!(block.labels & !block.lanes, 0, "tail labels zero");
+                    for (i, &column) in block.columns.iter().enumerate() {
+                        assert_eq!(column & !block.lanes, 0, "tail lanes zero");
+                        for (j, (x, y)) in data[64 * b..64 * b + lanes].iter().enumerate() {
+                            assert_eq!((column >> j) & 1 == 1, x.get(i), "n={n} bit {i}");
+                            assert_eq!((block.labels >> j) & 1 == 1, *y);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "example length mismatch")]
+    fn columns_reject_a_wrong_length() {
+        Columns::new(4, &[(BitVec::zeros(5), true)]);
+    }
+
+    #[test]
+    fn block_parity_matches_parity_masked() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in [0usize, 1, 7, 63, 64] {
+            let data = labeled(n, 100, &mut rng);
+            let cols = Columns::new(n, &data);
+            for _ in 0..20 {
+                let mask: u64 = rng.gen();
+                for (b, block) in cols.blocks().enumerate() {
+                    let p = block.parity(mask);
+                    for (j, (x, _)) in data.iter().skip(64 * b).take(64).enumerate() {
+                        assert_eq!((p >> j) & 1 == 1, x.parity_masked(mask), "n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sign_select_is_a_pm_multiply() {
+        for w in [0.0, -0.0, 1.0, -3.5, f64::MIN_POSITIVE, f64::INFINITY] {
+            for bit in [0u64, 1, 2, 3] {
+                let pm = crate::to_pm(bit & 1 == 1);
+                assert_eq!(sign_select(w, bit).to_bits(), (w * pm).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn row_sum_and_lanes_match_the_per_bit_sum() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let data = labeled(n, 70, &mut rng);
+            let w: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
+            let start = rng.gen::<f64>() - 0.5;
+            let per_bit = |x: &BitVec| {
+                let mut s = start;
+                for (i, wi) in w.iter().enumerate() {
+                    s += wi * x.pm(i);
+                }
+                s
+            };
+            for (x, _) in &data {
+                assert_eq!(
+                    row_sum(start, &w, x.words()).to_bits(),
+                    per_bit(x).to_bits()
+                );
+            }
+            for (b, block) in Columns::new(n, &data).blocks().enumerate() {
+                let lanes = nonpositive_lanes(start, block.columns, &w);
+                for (j, (x, _)) in data.iter().skip(64 * b).take(64).enumerate() {
+                    assert_eq!((lanes >> j) & 1 == 1, per_bit(x) <= 0.0, "n={n}");
+                }
+            }
+        }
+        // No terms: every lane is `start`, and -0.0 counts as <= 0.
+        assert_eq!(nonpositive_lanes(-0.0, &[], &[]), u64::MAX);
+        assert_eq!(nonpositive_lanes(1.0, &[], &[]), 0);
     }
 
     #[test]

@@ -12,9 +12,28 @@
 //!   the truncated expansion — exactly what the LMN algorithm outputs),
 //! - [`estimate_coefficient`] / [`estimate_coefficients`]: Monte-Carlo
 //!   estimation of selected coefficients from uniform random samples,
-//!   the core primitive of the LMN algorithm.
+//!   the core primitive of the LMN algorithm;
+//! - [`estimate_coefficients_from_data`]: the same estimates from an
+//!   explicit labeled sample, as LMN learns from CRPs.
+//!
+//! # Packed kernels
+//!
+//! Both sample sweeps the LMN algorithm makes run over the sample
+//! packed into 64-example column blocks (`bits::Columns`), where the
+//! character `χ_S` of 64 examples is one XOR of `|S|` columns:
+//!
+//! - **Estimation.** `f̂(S)` sums one `±1` per example, an exact
+//!   integer in `f64`, so the sum is `len − 2·popcount(labels ⊕ χ_S)`
+//!   and the estimate is that divided by `len` — bit for bit what adding
+//!   the products one at a time gives.
+//! - **Evaluation.** [`SparseFourier`]'s
+//!   [`BooleanFunction::count_agreements`] sums 64 expansions side by
+//!   side, each adding the terms in [`SparseFourier::terms`] order from
+//!   `-0.0`, the same fold as [`SparseFourier::eval_real`] — so the
+//!   count equals the per-example one, and an empty expansion is `-0.0`,
+//!   logic 1, on both paths.
 
-use crate::bits::BitVec;
+use crate::bits::{nonpositive_lanes, sign_select, BitVec, Columns};
 use crate::function::BooleanFunction;
 use rand::Rng;
 
@@ -175,19 +194,16 @@ impl SparseFourier {
         self.terms.is_empty()
     }
 
-    /// Evaluates the real-valued expansion `Σ f̂(S)·χ_S(x)`.
+    /// Evaluates the real-valued expansion `Σ f̂(S)·χ_S(x)`: the terms
+    /// added in [`SparseFourier::terms`] order starting from `-0.0`
+    /// (the start of `f64`'s `Sum`), the definition
+    /// [`BooleanFunction::count_agreements`] shares 64 examples at a
+    /// time.
     pub fn eval_real(&self, x: &BitVec) -> f64 {
         let xm = x.to_u64();
-        self.terms
-            .iter()
-            .map(|&(s, c)| {
-                if (xm & s).count_ones() % 2 == 1 {
-                    -c
-                } else {
-                    c
-                }
-            })
-            .sum()
+        self.terms.iter().fold(-0.0, |acc, &(s, c)| {
+            acc + sign_select(c, u64::from((xm & s).count_ones()))
+        })
     }
 
     /// Squared weight `Σ f̂(S)²` over the stored terms.
@@ -214,6 +230,29 @@ impl BooleanFunction for SparseFourier {
     /// negative, matching the `χ(1) = -1` encoding.
     fn eval(&self, x: &BitVec) -> bool {
         crate::to_bool(self.eval_real(x))
+    }
+
+    /// Column kernel: per 64-example block, each term's character is
+    /// one XOR of columns and the 64 expansions are summed side by side
+    /// in [`SparseFourier::eval_real`]'s order, so the count equals the
+    /// per-example one exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an example's length differs from `num_inputs()`.
+    fn count_agreements(&self, data: &[(BitVec, bool)]) -> usize {
+        let coefs: Vec<f64> = self.terms.iter().map(|&(_, c)| c).collect();
+        let mut characters = vec![0u64; self.terms.len()];
+        Columns::new(self.n, data)
+            .blocks()
+            .map(|block| {
+                for (chi, &(s, _)) in characters.iter_mut().zip(&self.terms) {
+                    *chi = block.parity(s);
+                }
+                let predicted = nonpositive_lanes(-0.0, &characters, &coefs);
+                (!(predicted ^ block.labels) & block.lanes).count_ones() as usize
+            })
+            .sum()
     }
 }
 
@@ -302,10 +341,16 @@ where
 /// (challenge, response) instead of querying the function. Labels are in
 /// the Boolean encoding (`true` = logic 1 = −1).
 ///
-/// The sweep over the sample runs in fixed chunks of
-/// [`mlam_par::DEFAULT_CHUNK`] across `MLAM_THREADS` workers; per-chunk
-/// partial sums are folded in chunk order, so the estimates are
-/// bit-identical at any thread count.
+/// Each estimate is a sum of `±1` terms, so it is an exact integer:
+/// over the sample packed into column blocks, `Σ f(x)·χ_S(x)` is
+/// `len − 2·popcount(labels ⊕ XOR of the columns in S)`, divided by
+/// `len` at the end — the same values, bit for bit, as adding the
+/// products one by one, at any thread count.
+///
+/// # Panics
+///
+/// Panics if `n > 63`, `data` is empty, or an example's length differs
+/// from `n`.
 pub fn estimate_coefficients_from_data(
     n: usize,
     data: &[(BitVec, bool)],
@@ -313,32 +358,18 @@ pub fn estimate_coefficients_from_data(
 ) -> Vec<f64> {
     assert!(n <= 63);
     assert!(!data.is_empty(), "empty sample");
-    let partials = mlam_par::par_chunk_map(data, mlam_par::DEFAULT_CHUNK, |_, chunk| {
-        let mut sums = vec![0.0; masks.len()];
-        for (x, y) in chunk {
-            let fx = crate::to_pm(*y);
-            let xm = x.to_u64();
-            for (k, &mask) in masks.iter().enumerate() {
-                let chi = if (xm & mask).count_ones() % 2 == 1 {
-                    -1.0
-                } else {
-                    1.0
-                };
-                sums[k] += fx * chi;
-            }
-        }
-        sums
-    });
-    let mut sums = vec![0.0; masks.len()];
-    for part in partials {
-        for (s, p) in sums.iter_mut().zip(part) {
-            *s += p;
+    let cols = Columns::new(n, data);
+    let mut mismatches = vec![0u64; masks.len()];
+    for block in cols.blocks() {
+        for (m, &mask) in mismatches.iter_mut().zip(masks) {
+            *m += u64::from((block.labels ^ block.parity(mask)).count_ones());
         }
     }
-    for s in &mut sums {
-        *s /= data.len() as f64;
-    }
-    sums
+    let len = data.len() as i64;
+    mismatches
+        .into_iter()
+        .map(|m| (len - 2 * m as i64) as f64 / data.len() as f64)
+        .collect()
 }
 
 #[cfg(test)]

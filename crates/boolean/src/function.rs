@@ -38,6 +38,20 @@ pub trait BooleanFunction {
     fn eval_pm(&self, x: &BitVec) -> f64 {
         crate::to_pm(self.eval(x))
     }
+
+    /// Number of labeled examples `(x, y)` with `eval(x) == y`.
+    ///
+    /// The default evaluates example by example; implementations with
+    /// a word-parallel evaluator (e.g. [`crate::SparseFourier`])
+    /// override it and must return the same count.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if an example's length differs from
+    /// `self.num_inputs()`.
+    fn count_agreements(&self, data: &[(BitVec, bool)]) -> usize {
+        data.iter().filter(|(x, y)| self.eval(x) == *y).count()
+    }
 }
 
 impl<F: BooleanFunction + ?Sized> BooleanFunction for &F {
@@ -47,6 +61,9 @@ impl<F: BooleanFunction + ?Sized> BooleanFunction for &F {
     fn eval(&self, x: &BitVec) -> bool {
         (**self).eval(x)
     }
+    fn count_agreements(&self, data: &[(BitVec, bool)]) -> usize {
+        (**self).count_agreements(data)
+    }
 }
 
 impl<F: BooleanFunction + ?Sized> BooleanFunction for Box<F> {
@@ -55,6 +72,9 @@ impl<F: BooleanFunction + ?Sized> BooleanFunction for Box<F> {
     }
     fn eval(&self, x: &BitVec) -> bool {
         (**self).eval(x)
+    }
+    fn count_agreements(&self, data: &[(BitVec, bool)]) -> usize {
+        (**self).count_agreements(data)
     }
 }
 

@@ -48,6 +48,8 @@ pub mod fourier;
 pub mod function;
 pub mod ltf;
 pub mod noise;
+#[cfg(test)]
+mod reference;
 pub mod subsets;
 pub mod testing;
 pub mod wht;

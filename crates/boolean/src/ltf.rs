@@ -8,7 +8,7 @@
 //! (Chow's theorem) and which Section V-A approximates from CRPs to build
 //! the surrogate `f′` of Table II.
 
-use crate::bits::BitVec;
+use crate::bits::{row_sum, BitVec, Columns};
 use crate::function::BooleanFunction;
 use rand::Rng;
 
@@ -62,14 +62,11 @@ impl LinearThreshold {
         self.threshold
     }
 
-    /// The real-valued margin `w·x − θ` at an input (±1 encoding).
+    /// The real-valued margin `w·x − θ` at an input (±1 encoding),
+    /// summed from `−θ` in weight order.
     pub fn margin(&self, x: &BitVec) -> f64 {
         assert_eq!(x.len(), self.weights.len(), "input length mismatch");
-        let mut s = -self.threshold;
-        for (i, w) in self.weights.iter().enumerate() {
-            s += w * x.pm(i);
-        }
-        s
+        row_sum(-self.threshold, &self.weights, x.words())
     }
 
     /// Rescales weights and threshold to unit Euclidean norm
@@ -185,31 +182,41 @@ impl ChowParameters {
     /// exactly the paper's procedure of "approximating the Chow
     /// parameters using a small set of noiseless CRPs".
     ///
-    /// The sweep runs in fixed chunks of [`mlam_par::DEFAULT_CHUNK`]
-    /// across `MLAM_THREADS` workers, partials folded in chunk order —
-    /// bit-identical at any thread count.
+    /// Every term of these sums is `±1`, so each sum is an exact
+    /// integer: packed into column blocks, `Σ f(x)·x_i` is
+    /// `len − 2·popcount(labels ⊕ column_i)` (and `Σ f(x)` is
+    /// `len − 2·popcount(labels)`), then scaled by `1/len` — the same
+    /// values, bit for bit, as adding the `±1` products one by one, at
+    /// any thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty.
+    /// Panics if `data` is empty or an example's length differs from `n`.
     pub fn from_data(n: usize, data: &[(BitVec, bool)]) -> Self {
         assert!(!data.is_empty(), "empty sample");
-        let partials = mlam_par::par_chunk_map(data, mlam_par::DEFAULT_CHUNK, |_, chunk| {
-            let mut constant = 0.0;
-            let mut degree_one = vec![0.0; n];
-            for (x, y) in chunk {
-                let fx = crate::to_pm(*y);
-                constant += fx;
-                for (i, d) in degree_one.iter_mut().enumerate() {
-                    *d += fx * x.pm(i);
-                }
-            }
-            (constant, degree_one)
-        });
-        Self::fold_partials(n, partials, 1.0 / data.len() as f64)
+        Self::from_columns(&Columns::new(n, data))
     }
 
-    /// Folds per-chunk `(constant, degree_one)` partials in chunk order
+    /// [`ChowParameters::from_data`] over an already packed sample.
+    pub(crate) fn from_columns(cols: &Columns) -> Self {
+        let mut label_ones = 0u64;
+        let mut mismatches = vec![0u64; cols.num_inputs()];
+        for block in cols.blocks() {
+            label_ones += u64::from(block.labels.count_ones());
+            for (m, &column) in mismatches.iter_mut().zip(block.columns) {
+                *m += u64::from((block.labels ^ column).count_ones());
+            }
+        }
+        let len = cols.len() as i64;
+        let scale = 1.0 / cols.len() as f64;
+        let mean = |m: u64| (len - 2 * m as i64) as f64 * scale;
+        ChowParameters {
+            constant: mean(label_ones),
+            degree_one: mismatches.into_iter().map(mean).collect(),
+        }
+    }
+
+    /// Folds per-block `(constant, degree_one)` partials in block order
     /// and applies the normalization `scale`.
     fn fold_partials(n: usize, partials: Vec<(f64, Vec<f64>)>, scale: f64) -> Self {
         let mut constant = 0.0;

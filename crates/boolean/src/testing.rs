@@ -16,8 +16,23 @@
 //!   practical tester (the paper's MATLAB code) reports;
 //! - [`HalfspaceTester`], bundling both into an accept/reject verdict at
 //!   chosen `(ε, δ)`.
+//!
+//! # Kernels
+//!
+//! Each fit/hold-out split is packed once into 64-example column blocks
+//! (`bits::Columns`); nothing else is copied. On the fitting split, the
+//! Chow statistic is one popcount per column (its sums are exact
+//! integers, see [`ChowParameters::from_data`]), and each of the pocket
+//! perceptron's error passes — plus the held-out disagreement — sums 64
+//! margins side by side. The update pass stays sequential, because
+//! every example sees the weights the previous one left; it reads each
+//! example's row words ([`BitVec::words`]) and applies `±wᵢ` as a flip
+//! of the IEEE sign bit. Every margin, in either layout, is summed from
+//! `−θ` in weight order with terms equal bit for bit to `wᵢ·x.pm(i)`,
+//! so the [`TesterReport`] is bit-identical to the per-example, per-bit
+//! definition.
 
-use crate::bits::BitVec;
+use crate::bits::{nonpositive_lanes, row_sum, sign_select, BitVec, Columns};
 use crate::ltf::{ChowParameters, LinearThreshold};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -160,18 +175,19 @@ impl HalfspaceTester {
             let fit_len = ((shuffled.len() * 7) / 10).max(1);
             let (fit, held) = shuffled.split_at(fit_len);
             let held = if held.is_empty() { fit } else { held };
+            let fit_cols = Columns::new(n, fit.iter().copied());
 
             // 1. Chow statistic on the fitting split.
-            let fit_owned: Vec<(BitVec, bool)> = fit.iter().map(|(x, y)| (x.clone(), *y)).collect();
-            let chow = ChowParameters::from_data(n, &fit_owned);
+            let chow = ChowParameters::from_columns(&fit_cols);
             w1_sum += chow.level_one_weight();
 
             // 2. Candidate halfspace: Chow LTF + pocket-perceptron polish.
-            let candidate =
-                pocket_perceptron(n, &fit_owned, Some(chow.to_ltf()), self.polish_epochs);
+            let candidate = pocket(fit, &fit_cols, Some(chow.to_ltf()), self.polish_epochs);
 
             // 3. Distance = held-out disagreement of the candidate.
-            distance_sum += disagreement(&candidate, held);
+            let held_cols = Columns::new(n, held.iter().copied());
+            let wrong = errors(&held_cols, candidate.weights(), candidate.threshold());
+            distance_sum += wrong as f64 / held.len() as f64;
         }
         let w1 = w1_sum / self.splits as f64;
         let distance = distance_sum / self.splits as f64;
@@ -196,13 +212,16 @@ impl HalfspaceTester {
     }
 }
 
-/// Fraction of `data` on which `ltf` disagrees with the labels.
-fn disagreement(ltf: &LinearThreshold, data: &[&(BitVec, bool)]) -> f64 {
-    let wrong = data
-        .iter()
-        .filter(|(x, y)| crate::function::BooleanFunction::eval(ltf, x) != *y)
-        .count();
-    wrong as f64 / data.len() as f64
+/// Number of packed examples on which the halfspace `sgn(w·x − θ)`
+/// disagrees with the label: 64 margins at a time, each summed from
+/// `−θ` in weight order exactly as [`LinearThreshold::margin`] sums it.
+fn errors(cols: &Columns, w: &[f64], theta: f64) -> usize {
+    cols.blocks()
+        .map(|block| {
+            let predicted = nonpositive_lanes(-theta, block.columns, w);
+            ((predicted ^ block.labels) & block.lanes).count_ones() as usize
+        })
+        .sum()
 }
 
 /// Pocket perceptron: runs perceptron updates over the sample, keeping
@@ -211,12 +230,35 @@ fn disagreement(ltf: &LinearThreshold, data: &[&(BitVec, bool)]) -> f64 {
 /// lives in `mlam-learn`.
 ///
 /// `init` optionally seeds the weights (e.g. from Chow parameters).
+///
+/// # Panics
+///
+/// Panics if an example's length differs from `n`.
 pub fn pocket_perceptron(
     n: usize,
     data: &[(BitVec, bool)],
     init: Option<LinearThreshold>,
     epochs: usize,
 ) -> LinearThreshold {
+    let fit: Vec<&(BitVec, bool)> = data.iter().collect();
+    pocket(&fit, &Columns::new(n, data), init, epochs)
+}
+
+/// [`pocket_perceptron`] over `fit`, with `cols` the same examples
+/// packed for the error passes.
+///
+/// The update pass is sequential — each example sees the weights the
+/// previous one left — and reads every example's row words with
+/// [`row_sum`]. Each epoch's error count runs over the column blocks
+/// instead; it is an integer, so it does not depend on the order the
+/// blocks hold the examples in.
+fn pocket(
+    fit: &[&(BitVec, bool)],
+    cols: &Columns,
+    init: Option<LinearThreshold>,
+    epochs: usize,
+) -> LinearThreshold {
+    let n = cols.num_inputs();
     let (mut w, mut theta) = match init {
         Some(ltf) => {
             let mut w = ltf.weights().to_vec();
@@ -225,47 +267,26 @@ pub fn pocket_perceptron(
         }
         None => (vec![0.0; n], 0.0),
     };
+    let mut best_err = errors(cols, &w, theta);
     let mut best_w = w.clone();
     let mut best_theta = theta;
-    let mut best_err = usize::MAX;
-
-    let err_of = |w: &[f64], theta: f64| -> usize {
-        data.iter()
-            .filter(|(x, y)| {
-                let mut s = -theta;
-                for (i, wi) in w.iter().enumerate() {
-                    s += wi * x.pm(i);
-                }
-                crate::to_bool(s) != *y
-            })
-            .count()
-    };
-
-    let initial_err = err_of(&w, theta);
-    if initial_err < best_err {
-        best_err = initial_err;
-        best_w = w.clone();
-        best_theta = theta;
-    }
 
     for _ in 0..epochs {
         let mut updated = false;
-        for (x, y) in data {
-            let target = crate::to_pm(*y);
-            let mut s = -theta;
-            for (i, wi) in w.iter().enumerate() {
-                s += wi * x.pm(i);
-            }
-            let predicted = if s <= 0.0 { -1.0 } else { 1.0 };
-            if predicted != target {
-                for (i, wi) in w.iter_mut().enumerate() {
-                    *wi += target * x.pm(i);
+        for (x, y) in fit {
+            if (row_sum(-theta, &w, x.words()) <= 0.0) != *y {
+                // w += target·x with target = to_pm(y): a ±1 product.
+                let target = crate::to_pm(*y);
+                for (ws, &word) in w.chunks_mut(64).zip(x.words()) {
+                    for (j, wi) in ws.iter_mut().enumerate() {
+                        *wi += sign_select(target, word >> j);
+                    }
                 }
                 theta -= target;
                 updated = true;
             }
         }
-        let err = err_of(&w, theta);
+        let err = errors(cols, &w, theta);
         if err < best_err {
             best_err = err;
             best_w = w.clone();
@@ -284,6 +305,12 @@ mod tests {
     use crate::function::{BooleanFunction, FnFunction};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Fraction of `data` on which `ltf` disagrees with the labels.
+    fn disagreement(ltf: &LinearThreshold, data: &[(BitVec, bool)]) -> f64 {
+        let wrong = data.iter().filter(|(x, y)| ltf.eval(x) != *y).count();
+        wrong as f64 / data.len() as f64
+    }
 
     fn sample<F: BooleanFunction>(f: &F, m: usize, rng: &mut StdRng) -> Vec<(BitVec, bool)> {
         (0..m)
@@ -341,8 +368,7 @@ mod tests {
         let target = LinearThreshold::random(10, &mut rng);
         let data = sample(&target, 800, &mut rng);
         let fit = pocket_perceptron(10, &data, None, 400);
-        let refs: Vec<&(BitVec, bool)> = data.iter().collect();
-        assert_eq!(disagreement(&fit, &refs), 0.0);
+        assert_eq!(disagreement(&fit, &data), 0.0);
     }
 
     #[test]
@@ -352,8 +378,7 @@ mod tests {
         let data = sample(&target, 1500, &mut rng);
         let chow = ChowParameters::from_data(12, &data);
         let fit = pocket_perceptron(12, &data, Some(chow.to_ltf()), 3);
-        let refs: Vec<&(BitVec, bool)> = data.iter().collect();
-        assert!(disagreement(&fit, &refs) < 0.03);
+        assert!(disagreement(&fit, &data) < 0.03);
     }
 
     #[test]

@@ -133,8 +133,7 @@ impl LabeledSet {
     /// Panics if the set is empty.
     pub fn accuracy_of<H: BooleanFunction + ?Sized>(&self, h: &H) -> f64 {
         assert!(!self.is_empty(), "accuracy over an empty set");
-        let correct = self.items.iter().filter(|(x, y)| h.eval(x) == *y).count();
-        correct as f64 / self.items.len() as f64
+        h.count_agreements(&self.items) as f64 / self.items.len() as f64
     }
 
     /// Fraction of examples a hypothesis labels correctly, with the
@@ -148,11 +147,9 @@ impl LabeledSet {
     /// Panics if the set is empty.
     pub fn accuracy_of_par<H: BooleanFunction + Sync + ?Sized>(&self, h: &H) -> f64 {
         assert!(!self.is_empty(), "accuracy over an empty set");
-        let partials = mlam_par::par_chunk_map(
-            &self.items,
-            mlam_par::DEFAULT_CHUNK,
-            |_, chunk: &[(BitVec, bool)]| chunk.iter().filter(|(x, y)| h.eval(x) == *y).count(),
-        );
+        let partials = mlam_par::par_chunk_map(&self.items, mlam_par::DEFAULT_CHUNK, |_, chunk| {
+            h.count_agreements(chunk)
+        });
         partials.into_iter().sum::<usize>() as f64 / self.items.len() as f64
     }
 

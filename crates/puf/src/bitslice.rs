@@ -40,6 +40,7 @@
 use crate::arbiter::ArbiterPuf;
 use crate::feed_forward::FeedForwardArbiterPuf;
 use crate::interpose::InterposePuf;
+use mlam_boolean::bits::transpose64;
 use mlam_boolean::{BitVec, BooleanFunction};
 use mlam_telemetry::counter;
 
@@ -66,25 +67,6 @@ pub(crate) fn scalar_eval_batch<F: BooleanFunction + Sync>(
 ) -> Vec<bool> {
     counter!("puf.batch.scalar_evals", challenges.len());
     mlam_par::par_map(challenges, |c| f.eval(c))
-}
-
-/// In-place transpose of a 64×64 bit matrix in LSB-first convention:
-/// afterwards bit `c` of word `r` equals bit `r` of the original word
-/// `c` (Hacker's Delight §7-3, recursive block swap).
-fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k + j] ^= t;
-            a[k] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
 }
 
 /// Transposes a block of at most [`LANES`] `n`-bit challenges into

@@ -143,7 +143,8 @@ impl Solver {
         let mut lbd = 0u32;
         for l in lits {
             let lvl = self.level[l.var().index()] as usize;
-            // Levels run 1..=num_vars; stamp slot `lvl - 1`.
+            // Levels run 1..=num_vars + assumptions (`solve_assuming`
+            // sizes the stamps); stamp slot `lvl - 1`.
             if lvl > 0 && self.level_stamp[lvl - 1] != self.stamp {
                 self.level_stamp[lvl - 1] = self.stamp;
                 lbd += 1;

@@ -49,6 +49,12 @@ impl Solver {
     /// assert!(s.solve_assuming(&[Lit::pos(a)]).is_sat());
     /// ```
     pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SatResult {
+        // Every assumption opens a decision level, even one that is
+        // already true, so levels run up to `num_vars + assumptions`.
+        let levels = self.num_vars() + assumptions.len();
+        if self.level_stamp.len() < levels {
+            self.level_stamp.resize(levels, 0);
+        }
         let before = self.stats;
         if !assumptions.is_empty() {
             self.stats.assumption_solves += 1;

@@ -52,7 +52,9 @@ pub struct Solver {
     pub(crate) stats: SolverStats,
     /// Scratch for conflict analysis.
     pub(crate) seen: Vec<bool>,
-    /// Scratch for LBD computation: stamp per decision level.
+    /// Scratch for LBD computation: stamp per decision level (at least
+    /// `num_vars` entries; `solve_assuming` grows it to cover one level
+    /// per assumption as well).
     pub(crate) level_stamp: Vec<u64>,
     pub(crate) stamp: u64,
 }

@@ -2,16 +2,26 @@
 
 use mlam_sat::{Lit, SatResult, Solver};
 use proptest::prelude::*;
+use std::ops::RangeInclusive;
 
 /// Strategy: a random CNF over `n` variables with `m` clauses of 1–4
 /// literals each.
 fn cnf_strategy() -> impl Strategy<Value = (usize, Vec<Vec<i32>>)> {
-    (2usize..=9).prop_flat_map(|n| {
+    cnf_strategy_with(1..=4, |n| 1..=n * 4)
+}
+
+/// [`cnf_strategy`] with clause lengths drawn from `lens` and the
+/// clause count from `count(n)`.
+fn cnf_strategy_with(
+    lens: RangeInclusive<usize>,
+    count: fn(usize) -> RangeInclusive<usize>,
+) -> impl Strategy<Value = (usize, Vec<Vec<i32>>)> {
+    (2usize..=9).prop_flat_map(move |n| {
         let clause = prop::collection::vec(
             (1..=n as i32, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v }),
-            1..=4,
+            lens.clone(),
         );
-        let clauses = prop::collection::vec(clause, 1..=n * 4);
+        let clauses = prop::collection::vec(clause, count(n));
         (Just(n), clauses)
     })
 }
@@ -210,8 +220,82 @@ proptest! {
     }
 }
 
+/// Strategy: a random CNF over `n` variables, a count of extra
+/// variables (1–3) that appear in no clause, and an assumption list
+/// over the `n + extra` variables, as DIMACS literals, in one of three
+/// shapes beyond a consistent set of distinct variables: a literal
+/// assumed again and again, a literal with its negation, or only
+/// variables that appear in no clause. The CNF is 3-SAT with 3n–5n
+/// clauses: dense enough that the search still meets conflicts below
+/// the assumption levels, without the unit clauses that would settle it
+/// at the root.
+fn assumption_case_strategy() -> impl Strategy<Value = (usize, Vec<Vec<i32>>, usize, Vec<i32>)> {
+    cnf_strategy_with(3..=3, |n| 3 * n..=5 * n).prop_flat_map(|(n, clauses)| {
+        let lits = prop::collection::vec(
+            (1..=n as i32, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v }),
+            1..=3,
+        );
+        (Just(n), Just(clauses), 0u8..3, 1usize..=3, lits, 4usize..=8).prop_map(
+            |(n, clauses, shape, free, mut lits, copies)| {
+                match shape {
+                    // Duplicates. Each copy opens an empty decision
+                    // level, so the later assumptions and decisions sit
+                    // at levels past `num_vars`.
+                    0 => lits = [vec![lits[0]; copies], lits].concat(),
+                    // A complementary pair.
+                    1 => lits.push(-lits[0]),
+                    // Variables that appear in no clause.
+                    _ => {
+                        for l in &mut lits {
+                            let v = n as i32 + 1 + (l.abs() - 1) % free as i32;
+                            *l = v * l.signum();
+                        }
+                    }
+                }
+                (n, clauses, free, lits)
+            },
+        )
+    })
+}
+
+proptest! {
+    /// `solve_assuming` with duplicate, complementary or clause-free
+    /// assumptions agrees with brute force on the clause set extended
+    /// by the assumption units, respects every assumption in its
+    /// model, and leaves the unassumed instance untouched.
+    #[test]
+    fn unusual_assumptions_agree_with_brute_force(
+        (n, clauses, free, ints) in assumption_case_strategy(),
+    ) {
+        let num_vars = n + free;
+        let mut s = Solver::new();
+        let vars = s.new_vars(num_vars);
+        let lit = |l: i32| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0);
+        for clause in &clauses {
+            let lits: Vec<Lit> = clause.iter().map(|&l| lit(l)).collect();
+            s.add_clause(&lits);
+        }
+        let assumptions: Vec<Lit> = ints.iter().map(|&l| lit(l)).collect();
+        let expected = brute_force_sat_assuming(num_vars, &clauses, &ints);
+        match s.solve_assuming(&assumptions) {
+            SatResult::Sat(model) => {
+                prop_assert!(expected, "solver said SAT under {ints:?}, brute force UNSAT");
+                for &a in &assumptions {
+                    prop_assert!(model.lit_value(a), "assumption {a} violated by model");
+                }
+            }
+            SatResult::Unsat => prop_assert!(!expected, "solver said UNSAT under {ints:?}, brute force SAT"),
+        }
+        prop_assert_eq!(s.solve().is_sat(), brute_force_sat(num_vars, &clauses));
+    }
+}
+
+/// Regression: every assumption opens a decision level, even one that
+/// is already true, so four copies of one assumption push decision
+/// levels past `num_vars` — the conflict analysis of this UNSAT core
+/// must still find a stamp for each of them.
 #[test]
-fn scratch_duplicate_assumptions_level_overflow() {
+fn duplicate_assumptions_open_levels_past_num_vars() {
     let mut s = Solver::new();
     let a = s.new_var();
     let b = s.new_var();
@@ -221,5 +305,5 @@ fn scratch_duplicate_assumptions_level_overflow() {
     s.add_clause(&[Lit::neg(b), Lit::pos(c)]);
     s.add_clause(&[Lit::neg(b), Lit::neg(c)]);
     let r = s.solve_assuming(&[Lit::pos(a), Lit::pos(a), Lit::pos(a), Lit::pos(a)]);
-    println!("result sat: {:?}", r.is_sat());
+    assert_eq!(r, SatResult::Unsat);
 }

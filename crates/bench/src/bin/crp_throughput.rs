@@ -222,7 +222,7 @@ fn run_throughput(puf: &XorArbiterPuf, challenges: &[BitVec], trials: usize) -> 
 }
 
 fn main() {
-    let options = parse_cli(std::env::args());
+    let options = parse_cli(std::env::args(), &[]);
     let params = if options.quick {
         Params::quick()
     } else {

@@ -3,13 +3,18 @@
 //!
 //! Usage: `cargo run --release -p mlam-bench --bin repro_all
 //! [--quick] [--json <dir>] [--force] [--resume <dir>]
-//! [--monitor <addr>] [--progress]`
+//! [--monitor <addr>] [--progress] [--only <name>[,<name>...]]`
+//!
+//! `--only table3,locking` runs just those experiments of the registry
+//! `mlam_bench::EXPERIMENTS`, in registry order; each prints and
+//! records exactly what it does in the full run. An unknown name exits
+//! 2 and lists the registry's names.
 //!
 //! Experiments are fanned out across `MLAM_THREADS` worker threads
 //! (default: available parallelism; `1` runs inline). Results are
 //! bit-identical at any thread count: each experiment derives its own
-//! RNG from the fixed root seed and its index, and tables are printed
-//! in the fixed experiment order.
+//! RNG from the fixed root seed and its registry index, and tables are
+//! printed in the fixed experiment order.
 //!
 //! With `--json <dir>`, also writes `manifest.json`, `metrics.jsonl`,
 //! `events.jsonl` and one `<experiment>.json` per experiment; stdout
@@ -17,10 +22,11 @@
 //! that already holds a `manifest.json` is refused unless `--force`
 //! is given.
 //!
-//! Exits non-zero when any experiment driver fails. The remaining
-//! experiments still run; the failed ones are recorded as partial
-//! results marked `degraded: true` in the manifest and their
-//! checkpoint file.
+//! Malformed arguments exit with status 2 before anything runs (see
+//! `mlam_bench::parse_cli`). Exits 1 when any experiment driver
+//! fails. The remaining experiments still run; the failed ones are
+//! recorded as partial results marked `degraded: true` in the manifest
+//! and their checkpoint file.
 //!
 //! With `--resume <dir>`, continues an interrupted `--json <dir>` run:
 //! experiments with complete checkpoints for the same seed and
@@ -38,7 +44,7 @@
 //! wall-clock timing fields) are byte-identical with monitoring on or
 //! off. See OBSERVABILITY.md.
 
-use mlam_bench::{parse_cli, run_all, Session};
+use mlam_bench::{parse_cli, run_all, Session, EXPERIMENTS};
 
 // Heap gauges on /metrics need the tracking allocator installed at
 // link time; accounting stays off (one relaxed load per allocation)
@@ -47,7 +53,7 @@ use mlam_bench::{parse_cli, run_all, Session};
 static ALLOC: mlam_monitor::alloc::TrackingAlloc = mlam_monitor::alloc::TrackingAlloc;
 
 fn main() {
-    let options = parse_cli(std::env::args());
+    let options = parse_cli(std::env::args(), EXPERIMENTS);
     let mut session = Session::start("repro_all", &options);
     let failures = run_all(&mut session);
     session.finish();

@@ -1,7 +1,8 @@
 //! Shared harness for the benchmark binaries: CLI parsing, the
 //! telemetry [`Session`] that turns experiment runs into a
-//! [`RunManifest`], and [`run_all`] — the full reproduction sequence
-//! used by `repro_all` and the integration tests.
+//! [`RunManifest`], the registry of the paper's experiments
+//! ([`EXPERIMENTS`]) and [`run_all`], which runs it for `repro_all`
+//! and the integration tests.
 //!
 //! Output contract (the observability promise): everything a binary
 //! printed before telemetry existed still goes to stdout unchanged;
@@ -16,7 +17,20 @@
 //! kill interrupted, because each experiment is a pure function of
 //! `(seed, quick, index)`. See `HARNESS.md` for the full story.
 
+use mlam::experiments::ablations::{run_ablations, AblationParams};
+use mlam::experiments::ac0::{run_ac0, Ac0Params};
 use mlam::experiments::checkpoint::CheckpointState;
+use mlam::experiments::corollary2::{run_corollary2, Corollary2Params};
+use mlam::experiments::exact_vs_approx::{run_exact_vs_approx, ExactVsApproxParams};
+use mlam::experiments::interpose::{run_interpose, InterposeParams};
+use mlam::experiments::lockdown::{run_lockdown, LockdownParams};
+use mlam::experiments::locking::{run_locking, LockingParams};
+use mlam::experiments::rocknroll::{run_rocknroll, RocknRollParams};
+use mlam::experiments::sequential::{run_sequential, SequentialParams};
+use mlam::experiments::spectral::{run_spectral, SpectralParams};
+use mlam::experiments::{
+    run_table1, run_table2, run_table3, Table1Params, Table2Params, Table3Params,
+};
 use mlam::report::Table;
 use mlam::telemetry::curves::{self, CurveRecorder, CurveSink, CURVES_FILE};
 use mlam::telemetry::{self, ExperimentRecord, RunManifest};
@@ -71,61 +85,86 @@ pub struct CliOptions {
     pub monitor: Option<String>,
     /// Print progress/ETA lines to **stderr** as experiments complete.
     pub progress: bool,
+    /// Run only these experiments (`--only <name>[,<name>…]`), in
+    /// registry order; empty runs them all.
+    pub only: Vec<String>,
 }
 
 /// The flags [`parse_cli`] accepts, printed when it rejects one.
-pub const CLI_FLAGS: &str =
-    "accepted flags: --quick, --json <dir>, --force, --resume <dir>, --monitor <addr>, --progress";
+pub const CLI_FLAGS: &str = "accepted flags: --quick, --json <dir>, --force, --resume <dir>, \
+     --monitor <addr>, --progress, --only <name>[,<name>...]";
 
 /// Parses `--quick`, `--json <dir>`, `--force`, `--resume <dir>`,
-/// `--monitor <addr>` and `--progress` from a program's arguments; the
-/// first element, the program name, is skipped.
+/// `--monitor <addr>`, `--progress` and `--only <name>[,<name>…]` from
+/// a program's arguments; the first element, the program name, is
+/// skipped. `--only` may name the program's `experiments` (none, for a
+/// tool that runs one fixed experiment).
 ///
-/// Any other argument is an error: it is printed to stderr with the
-/// accepted flags ([`CLI_FLAGS`]) and the process exits with status 2,
-/// so a typo such as `--quik` never runs the paper-scale suite.
-///
-/// # Panics
-///
-/// Panics if `--json`, `--resume` or `--monitor` is not followed by
-/// its argument.
-pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
-    try_parse_cli(args).unwrap_or_else(|err| {
+/// Malformed input is an error, never a panic: an unknown argument, a
+/// flag without its value, an unknown or empty `--only` name, or
+/// `--resume` and `--json` naming different directories is printed to
+/// stderr with the accepted flags ([`CLI_FLAGS`]) and the process
+/// exits with status 2, so a typo such as `--quik` never runs the
+/// paper-scale suite.
+pub fn parse_cli<I: IntoIterator<Item = String>>(
+    args: I,
+    experiments: &[Experiment],
+) -> CliOptions {
+    try_parse_cli(args, experiments).unwrap_or_else(|err| {
         eprintln!("{err}\n{CLI_FLAGS}");
         std::process::exit(2)
     })
 }
 
-/// [`parse_cli`] without the exit: an unknown argument is an `Err`
-/// naming it.
-///
-/// # Panics
-///
-/// Panics if `--json`, `--resume` or `--monitor` is not followed by
-/// its argument.
-fn try_parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
+/// [`parse_cli`] without the exit: malformed input is an `Err`
+/// describing it.
+fn try_parse_cli<I: IntoIterator<Item = String>>(
+    args: I,
+    experiments: &[Experiment],
+) -> Result<CliOptions, String> {
     let mut options = CliOptions::default();
-    let mut iter = args.into_iter().skip(1);
-    while let Some(arg) = iter.next() {
+    let known = || {
+        let names: Vec<&str> = experiments.iter().map(|e| e.name).collect();
+        format!("experiments: [{}]", names.join(", "))
+    };
+    let mut args = args.into_iter().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} requires {what}"));
         match arg.as_str() {
             "--quick" => options.quick = true,
-            "--json" => {
-                let dir = iter.next().expect("--json requires a directory argument");
-                options.json_dir = Some(PathBuf::from(dir));
-            }
+            "--json" => options.json_dir = Some(PathBuf::from(value("a directory argument")?)),
             "--force" => options.force = true,
-            "--resume" => {
-                let dir = iter.next().expect("--resume requires a directory argument");
-                options.resume = Some(PathBuf::from(dir));
-            }
+            "--resume" => options.resume = Some(PathBuf::from(value("a directory argument")?)),
             "--monitor" => {
-                let addr = iter
-                    .next()
-                    .expect("--monitor requires an address argument (e.g. 127.0.0.1:9100)");
-                options.monitor = Some(addr);
+                options.monitor = Some(value("an address argument (e.g. 127.0.0.1:9100)")?);
             }
             "--progress" => options.progress = true,
+            "--only" => {
+                let list = value("a comma-separated list of experiments")
+                    .map_err(|missing| format!("{missing}; {}", known()))?;
+                for name in list.split(',') {
+                    if !experiments.iter().any(|e| e.name == name) {
+                        let problem = if name.is_empty() {
+                            "empty experiment name".to_string()
+                        } else {
+                            format!("unknown experiment `{name}`")
+                        };
+                        return Err(format!("--only {list:?}: {problem}; {}", known()));
+                    }
+                    options.only.push(name.to_string());
+                }
+            }
             other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    if let (Some(resume), Some(json)) = (&options.resume, &options.json_dir) {
+        if resume != json {
+            return Err(format!(
+                "--resume {} and --json {} point at different directories; \
+                 --resume already selects the output directory",
+                resume.display(),
+                json.display()
+            ));
         }
     }
     Ok(options)
@@ -139,6 +178,9 @@ pub struct Session {
     run_dir: Option<telemetry::RunDir>,
     store: Option<CheckpointStore>,
     resuming: bool,
+    /// `--only`: the experiments [`Session::run_batch`] runs (all of
+    /// them when empty).
+    only: Vec<String>,
     started: Instant,
     // Observability (all None/off unless --monitor/--progress asked):
     // lives entirely outside the telemetry registry, so none of it can
@@ -168,12 +210,13 @@ impl Session {
     /// instead (events append rather than truncate) and
     /// [`Session::run_batch`] skips every experiment whose checkpoint
     /// is complete and valid for this `(seed, quick)` configuration.
+    /// `--resume` selects the output directory; [`parse_cli`] refuses a
+    /// `--json` that names another one.
     ///
     /// # Panics
     ///
     /// Panics if the JSON output directory cannot be claimed (the
-    /// message names the offending path), or if `--json` and
-    /// `--resume` point at different directories.
+    /// message names the offending path).
     pub fn start(tool: &str, options: &CliOptions) -> Session {
         // Wire telemetry's thread-local context (counter scopes, span
         // parents) into the parallel runtime before any fan-out runs.
@@ -185,15 +228,6 @@ impl Session {
             manifest
                 .crate_versions
                 .push((name.to_string(), version.to_string()));
-        }
-        if let (Some(resume), Some(json)) = (&options.resume, &options.json_dir) {
-            assert!(
-                resume == json,
-                "--resume {} and --json {} point at different directories; \
-                 --resume already selects the output directory",
-                resume.display(),
-                json.display()
-            );
         }
         let resuming = options.resume.is_some();
         let output_dir = options.resume.as_ref().or(options.json_dir.as_ref());
@@ -273,6 +307,7 @@ impl Session {
             run_dir,
             store,
             resuming,
+            only: options.only.clone(),
             started: Instant::now(),
             progress,
             monitor,
@@ -364,14 +399,17 @@ impl Session {
 
     /// Runs a batch of experiments, fanned out across `MLAM_THREADS`
     /// workers (inline when `MLAM_THREADS=1`), then records, writes
-    /// and prints every result **in spec order** — stdout, the
+    /// and prints every result **in batch order** — stdout, the
     /// manifest and the `--json` files are identical at any thread
-    /// count.
+    /// count. Under `--only`, the experiments it does not name are
+    /// left out.
     ///
     /// Each experiment gets its own RNG seeded from
-    /// `split_seed(session seed, index)` and its own counter scope, so
-    /// neither randomness nor attribution couples experiments to their
-    /// schedule. A panicking driver does not abort the batch: the
+    /// `split_seed(session seed, index)`, `index` being its position in
+    /// `experiments` whatever `--only` selects, and its own counter
+    /// scope, so neither randomness nor attribution couples experiments
+    /// to their schedule or to the selection. A panicking driver does
+    /// not abort the batch: the
     /// experiment degrades to a partial record (`degraded: true`,
     /// wall-clock and counters up to the failure, no tables) in both
     /// the manifest and its checkpoint file, and the failure is
@@ -387,14 +425,20 @@ impl Session {
     /// mid-write), stale (other seed/quick) and degraded checkpoints
     /// are re-run from their original `split_seed(seed, index)`
     /// stream, which reproduces the interrupted run bit-for-bit.
-    pub fn run_batch(&mut self, specs: Vec<ExperimentSpec>) -> Vec<ExperimentFailure> {
+    pub fn run_batch(&mut self, experiments: &[Experiment]) -> Vec<ExperimentFailure> {
         telemetry::install_parallel_propagation();
         let root = self.seed();
         let quick = self.quick();
+        let selected: Vec<(usize, Experiment)> = experiments
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, e)| self.only.is_empty() || self.only.iter().any(|n| n == e.name))
+            .collect();
         if let Some(progress) = &self.progress {
-            progress.add_total(specs.len() as u64);
+            progress.add_total(selected.len() as u64);
         }
-        // Spec order must survive the skip/run split: each slot is
+        // Batch order must survive the skip/run split: each slot is
         // either a restored checkpoint or an index into the task list
         // handed to the pool, and results are drained back in order.
         enum Slot {
@@ -403,17 +447,17 @@ impl Session {
         }
         let mut slots = Vec::new();
         let mut tasks: Vec<Box<dyn FnOnce() -> BatchOutcome + Send>> = Vec::new();
-        for (index, spec) in specs.into_iter().enumerate() {
+        for (index, experiment) in selected {
             let checkpoint = self
                 .resuming
                 .then_some(self.store.as_ref())
                 .flatten()
-                .map(|store| store.load(spec.name()));
+                .map(|store| store.load(experiment.name));
             match checkpoint {
                 Some(CheckpointState::Complete(record)) if record.resumable(root, quick) => {
                     eprintln!(
                         "mlam: resume: skipping {} (checkpoint complete)",
-                        spec.name()
+                        experiment.name
                     );
                     // A restored experiment is done work: count it
                     // immediately so /progress reflects the resume.
@@ -427,7 +471,7 @@ impl Session {
                     telemetry::counter!("harness.checkpoint.stale", 1);
                     eprintln!(
                         "mlam: resume: re-running {} ({})",
-                        spec.name(),
+                        experiment.name,
                         if record.degraded {
                             "checkpoint degraded".to_string()
                         } else {
@@ -441,14 +485,14 @@ impl Session {
                 Some(CheckpointState::Corrupt) => {
                     eprintln!(
                         "mlam: resume: re-running {} (checkpoint corrupt — killed mid-write?)",
-                        spec.name()
+                        experiment.name
                     );
                 }
                 Some(CheckpointState::Missing) | None => {}
             }
             slots.push(Slot::Fresh);
             if self.curve_sinks.is_some() {
-                self.curve_fresh.insert(spec.name().to_string());
+                self.curve_fresh.insert(experiment.name.to_string());
             }
             // Workers carry their own store/progress handles so each
             // experiment checkpoints (and counts complete) the moment
@@ -459,7 +503,7 @@ impl Session {
             let progress = self.progress.clone();
             let curve_sinks = self.curve_sinks.clone();
             tasks.push(Box::new(move || {
-                run_spec(spec, root, quick, index, store, progress, curve_sinks)
+                run_experiment(experiment, root, quick, index, store, progress, curve_sinks)
             }) as Box<dyn FnOnce() -> BatchOutcome + Send>);
         }
         let mut fresh = mlam_par::par_run(tasks).into_iter();
@@ -564,33 +608,25 @@ impl Session {
     }
 }
 
-/// A boxed experiment driver: takes the experiment's own
-/// deterministically derived RNG, returns the tables to print and
-/// serialize.
-type DriverFn = Box<dyn FnOnce(&mut StdRng) -> Vec<Table> + Send>;
+/// An experiment driver: takes `quick` (the reduced parameter set) and
+/// the experiment's own RNG, returns the tables to print and serialize.
+type Driver = fn(quick: bool, rng: &mut StdRng) -> Vec<Table>;
 
-/// One experiment of a [`Session::run_batch`] fan-out: a name plus a
-/// driver closure that receives the experiment's own deterministically
-/// derived RNG and returns the tables to print and serialize.
-pub struct ExperimentSpec {
+/// One experiment of the reproduction: a name plus its driver.
+#[derive(Clone, Copy)]
+pub struct Experiment {
     name: &'static str,
-    run: DriverFn,
+    run: Driver,
 }
 
-impl ExperimentSpec {
-    /// Wraps a driver closure under the experiment's manifest name.
-    pub fn new(
-        name: &'static str,
-        run: impl FnOnce(&mut StdRng) -> Vec<Table> + Send + 'static,
-    ) -> ExperimentSpec {
-        ExperimentSpec {
-            name,
-            run: Box::new(run),
-        }
+impl Experiment {
+    /// Names a driver.
+    pub const fn new(name: &'static str, run: Driver) -> Experiment {
+        Experiment { name, run }
     }
 
-    /// The manifest/JSON name of this experiment.
-    pub fn name(&self) -> &str {
+    /// The manifest, `--only` and `<name>.json` name.
+    pub fn name(&self) -> &'static str {
         self.name
     }
 }
@@ -611,8 +647,9 @@ struct BatchOutcome {
     checkpoint_error: Option<String>,
 }
 
-/// Executes one spec on whichever worker the pool picked: independent
-/// RNG from `(root, index)`, own counter scope, panics contained.
+/// Executes one experiment on whichever worker the pool picked:
+/// independent RNG from `(root, index)`, own counter scope, panics
+/// contained.
 ///
 /// The checkpoint is saved *here*, as soon as the driver returns —
 /// streamed to disk while sibling experiments still run — so a resume
@@ -621,8 +658,8 @@ struct BatchOutcome {
 /// instant. The save (and its `harness.checkpoint.saved` increment)
 /// happens after the counter scope is drained, exactly as when the
 /// drain loop saved: attribution and `metrics.jsonl` are unchanged.
-fn run_spec(
-    spec: ExperimentSpec,
+fn run_experiment(
+    experiment: Experiment,
     root: u64,
     quick: bool,
     index: usize,
@@ -630,7 +667,7 @@ fn run_spec(
     progress: Option<Arc<Progress>>,
     curve_sinks: Option<Arc<Vec<Arc<dyn CurveSink>>>>,
 ) -> BatchOutcome {
-    let name = spec.name;
+    let name = experiment.name;
     let scope = telemetry::CounterScope::new();
     let started = Instant::now();
     let result = {
@@ -641,10 +678,9 @@ fn run_spec(
         let _curves = curve_sinks
             .as_ref()
             .map(|sinks| curves::enter_series(name, Arc::clone(sinks)));
-        let run = spec.run;
-        std::panic::catch_unwind(AssertUnwindSafe(move || {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut rng = StdRng::seed_from_u64(mlam_par::split_seed(root, index as u64));
-            run(&mut rng)
+            (experiment.run)(quick, &mut rng)
         }))
     };
     let seconds = started.elapsed().as_secs_f64();
@@ -697,149 +733,97 @@ fn write_json<T: serde::Serialize>(path: &Path, value: &T) {
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
-/// Runs every experiment — fanned out across `MLAM_THREADS` workers —
-/// printing each table to stdout in the fixed order `repro_all` always
-/// has, while the session records timing, counters and (under
-/// `--json`) structured results.
+/// `$params::quick()` when `$quick`, else `$params::paper()`.
+macro_rules! params {
+    ($params:ty, $quick:expr) => {
+        if $quick {
+            <$params>::quick()
+        } else {
+            <$params>::paper()
+        }
+    };
+}
+
+/// The paper's experiments, in the order `repro_all` runs and prints
+/// them. An experiment's index here is its `split_seed` index, so
+/// `repro_all --only <name>` reproduces that experiment of the full run
+/// bit for bit.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("table1", |quick, rng| {
+        let r = run_table1(&params!(Table1Params, quick), rng);
+        vec![r.to_table(), r.empirical_table()]
+    }),
+    Experiment::new("table2", |quick, rng| {
+        vec![run_table2(&params!(Table2Params, quick), rng).to_table()]
+    }),
+    Experiment::new("table3", |quick, rng| {
+        vec![run_table3(&params!(Table3Params, quick), rng).to_table()]
+    }),
+    Experiment::new("corollary2", |quick, rng| {
+        vec![run_corollary2(&params!(Corollary2Params, quick), rng).to_table()]
+    }),
+    Experiment::new("locking", |quick, rng| {
+        vec![run_locking(&params!(LockingParams, quick), rng).to_table()]
+    }),
+    Experiment::new("sequential", |quick, rng| {
+        vec![run_sequential(&params!(SequentialParams, quick), rng).to_table()]
+    }),
+    Experiment::new("exact_vs_approx", |quick, rng| {
+        vec![run_exact_vs_approx(&params!(ExactVsApproxParams, quick), rng).to_table()]
+    }),
+    Experiment::new("ac0", |quick, rng| {
+        vec![run_ac0(&params!(Ac0Params, quick), rng).to_table()]
+    }),
+    Experiment::new("spectral", |quick, rng| {
+        vec![run_spectral(&params!(SpectralParams, quick), rng).to_table()]
+    }),
+    Experiment::new("interpose", |quick, rng| {
+        vec![run_interpose(&params!(InterposeParams, quick), rng).to_table()]
+    }),
+    Experiment::new("rocknroll", |quick, rng| {
+        vec![run_rocknroll(&params!(RocknRollParams, quick), rng).to_table()]
+    }),
+    Experiment::new("lockdown", |quick, rng| {
+        vec![run_lockdown(&params!(LockdownParams, quick), rng).to_table()]
+    }),
+    Experiment::new("ablations", |quick, rng| {
+        run_ablations(&params!(AblationParams, quick), rng).to_tables()
+    }),
+];
+
+/// Runs the experiments of [`EXPERIMENTS`] (under `--only`, those it
+/// names) — fanned out across `MLAM_THREADS` workers — printing each
+/// table to stdout in registry order, while the session records timing,
+/// counters and (under `--json`) structured results.
 ///
 /// Every experiment seeds its own RNG from `split_seed(session seed,
-/// experiment index)`, so outputs are bit-identical at any thread
-/// count. Returns the experiments whose drivers panicked (empty on a
-/// clean run); callers that exit should propagate a non-zero status
-/// when the list is non-empty.
+/// registry index)`, so outputs are bit-identical at any thread count
+/// and for any selection. Returns the experiments whose drivers
+/// panicked (empty on a clean run); callers that exit should propagate
+/// a non-zero status when the list is non-empty.
 pub fn run_all(session: &mut Session) -> Vec<ExperimentFailure> {
-    use mlam::experiments::ablations::{run_ablations, AblationParams};
-    use mlam::experiments::ac0::{run_ac0, Ac0Params};
-    use mlam::experiments::corollary2::{run_corollary2, Corollary2Params};
-    use mlam::experiments::exact_vs_approx::{run_exact_vs_approx, ExactVsApproxParams};
-    use mlam::experiments::interpose::{run_interpose, InterposeParams};
-    use mlam::experiments::lockdown::{run_lockdown, LockdownParams};
-    use mlam::experiments::locking::{run_locking, LockingParams};
-    use mlam::experiments::rocknroll::{run_rocknroll, RocknRollParams};
-    use mlam::experiments::sequential::{run_sequential, SequentialParams};
-    use mlam::experiments::spectral::{run_spectral, SpectralParams};
-    use mlam::experiments::{
-        run_table1, run_table2, run_table3, Table1Params, Table2Params, Table3Params,
-    };
-
     let _span = telemetry::span("bench.run_all")
         .attr("quick", session.quick())
         .attr("threads", mlam_par::threads());
-    let quick = session.quick();
-
-    let t1 = if quick {
-        Table1Params::quick()
-    } else {
-        Table1Params::paper()
-    };
-    let t2 = if quick {
-        Table2Params::quick()
-    } else {
-        Table2Params::paper()
-    };
-    let t3 = if quick {
-        Table3Params::quick()
-    } else {
-        Table3Params::paper()
-    };
-    let c2 = if quick {
-        Corollary2Params::quick()
-    } else {
-        Corollary2Params::paper()
-    };
-    let lk = if quick {
-        LockingParams::quick()
-    } else {
-        LockingParams::paper()
-    };
-    let sq = if quick {
-        SequentialParams::quick()
-    } else {
-        SequentialParams::paper()
-    };
-    let ea = if quick {
-        ExactVsApproxParams::quick()
-    } else {
-        ExactVsApproxParams::paper()
-    };
-    let a0 = if quick {
-        Ac0Params::quick()
-    } else {
-        Ac0Params::paper()
-    };
-    let sp = if quick {
-        SpectralParams::quick()
-    } else {
-        SpectralParams::paper()
-    };
-    let ip = if quick {
-        InterposeParams::quick()
-    } else {
-        InterposeParams::paper()
-    };
-    let rr = if quick {
-        RocknRollParams::quick()
-    } else {
-        RocknRollParams::paper()
-    };
-    let ld = if quick {
-        LockdownParams::quick()
-    } else {
-        LockdownParams::paper()
-    };
-    let ab = if quick {
-        AblationParams::quick()
-    } else {
-        AblationParams::paper()
-    };
-
-    let specs = vec![
-        ExperimentSpec::new("table1", move |rng| {
-            let r = run_table1(&t1, rng);
-            vec![r.to_table(), r.empirical_table()]
-        }),
-        ExperimentSpec::new("table2", move |rng| vec![run_table2(&t2, rng).to_table()]),
-        ExperimentSpec::new("table3", move |rng| vec![run_table3(&t3, rng).to_table()]),
-        ExperimentSpec::new("corollary2", move |rng| {
-            vec![run_corollary2(&c2, rng).to_table()]
-        }),
-        ExperimentSpec::new("locking", move |rng| vec![run_locking(&lk, rng).to_table()]),
-        ExperimentSpec::new("sequential", move |rng| {
-            vec![run_sequential(&sq, rng).to_table()]
-        }),
-        ExperimentSpec::new("exact_vs_approx", move |rng| {
-            vec![run_exact_vs_approx(&ea, rng).to_table()]
-        }),
-        ExperimentSpec::new("ac0", move |rng| vec![run_ac0(&a0, rng).to_table()]),
-        ExperimentSpec::new("spectral", move |rng| {
-            vec![run_spectral(&sp, rng).to_table()]
-        }),
-        ExperimentSpec::new("interpose", move |rng| {
-            vec![run_interpose(&ip, rng).to_table()]
-        }),
-        ExperimentSpec::new("rocknroll", move |rng| {
-            vec![run_rocknroll(&rr, rng).to_table()]
-        }),
-        ExperimentSpec::new("lockdown", move |rng| {
-            vec![run_lockdown(&ld, rng).to_table()]
-        }),
-        ExperimentSpec::new("ablations", move |rng| run_ablations(&ab, rng).to_tables()),
-    ];
-    session.run_batch(specs)
+    session.run_batch(EXPERIMENTS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+        try_parse_cli(args.iter().map(|a| a.to_string()), EXPERIMENTS)
+    }
+
     #[test]
     fn cli_parses_quick_and_json() {
-        let opts = parse_cli(["bin", "--quick", "--json", "out/dir", "--force"].map(String::from));
+        let opts = parse(&["bin", "--quick", "--json", "out/dir", "--force"]).unwrap();
         assert!(opts.quick);
         assert!(opts.force);
         assert_eq!(opts.json_dir.as_deref(), Some(Path::new("out/dir")));
         // The first argument is the program name, never a flag.
-        let none = parse_cli(["--quick"].map(String::from));
+        let none = parse(&["--quick"]).unwrap();
         assert_eq!(none, CliOptions::default());
     }
 
@@ -850,9 +834,37 @@ mod tests {
             &["bin", "--quick", "extra"],
             &["bin", "-q"],
         ] {
-            let err = try_parse_cli(args.iter().map(|a| a.to_string())).unwrap_err();
+            let err = parse(args).unwrap_err();
             assert!(err.contains(args[args.len() - 1]), "{err}");
         }
+    }
+
+    #[test]
+    fn cli_checks_only_names_against_the_registry() {
+        let opts = parse(&["bin", "--only", "locking,table3", "--only", "ac0"]).unwrap();
+        assert_eq!(opts.only, ["locking", "table3", "ac0"]);
+        for (args, problem) in [
+            (&["bin", "--only"][..], "--only requires a"),
+            (&["bin", "--only", ""], "empty experiment name"),
+            (&["bin", "--only", "table3,"], "empty experiment name"),
+            (&["bin", "--only", "tabel3"], "unknown experiment `tabel3`"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(problem), "{err}");
+            // Every --only error lists what could have been selected.
+            assert!(EXPERIMENTS.iter().all(|e| err.contains(e.name)), "{err}");
+        }
+        // A tool without experiments to select refuses every name.
+        let err = try_parse_cli(["bin", "--only", "table3"].map(String::from), &[]).unwrap_err();
+        assert!(err.contains("unknown experiment `table3`"), "{err}");
+    }
+
+    #[test]
+    fn cli_rejects_resume_and_json_naming_different_directories() {
+        let err = parse(&["bin", "--resume", "a", "--json", "b"]).unwrap_err();
+        assert!(err.contains("different directories"), "{err}");
+        let same = parse(&["bin", "--resume", "a", "--json", "a"]).unwrap();
+        assert_eq!(same.resume, same.json_dir);
     }
 
     #[test]
@@ -879,33 +891,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--json requires a directory")]
+    #[should_panic(expected = "value: \"--json requires a directory argument\"")]
     fn cli_rejects_dangling_json_flag() {
-        parse_cli(["bin", "--json"].map(String::from));
+        parse(&["bin", "--json"]).unwrap();
     }
 
     #[test]
     fn cli_parses_resume() {
-        let opts = parse_cli(["bin", "--resume", "out/run", "--quick"].map(String::from));
+        let opts = parse(&["bin", "--resume", "out/run", "--quick"]).unwrap();
         assert_eq!(opts.resume.as_deref(), Some(Path::new("out/run")));
         assert!(opts.quick);
     }
 
     #[test]
     fn cli_parses_monitor_and_progress() {
-        let opts =
-            parse_cli(["bin", "--monitor", "127.0.0.1:9100", "--progress"].map(String::from));
+        let opts = parse(&["bin", "--monitor", "127.0.0.1:9100", "--progress"]).unwrap();
         assert_eq!(opts.monitor.as_deref(), Some("127.0.0.1:9100"));
         assert!(opts.progress);
-        let none = parse_cli(["bin"].map(String::from));
+        let none = parse(&["bin"]).unwrap();
         assert_eq!(none.monitor, None);
         assert!(!none.progress);
     }
 
     #[test]
-    #[should_panic(expected = "--monitor requires an address")]
+    #[should_panic(expected = "value: \"--monitor requires an address")]
     fn cli_rejects_dangling_monitor_flag() {
-        parse_cli(["bin", "--monitor"].map(String::from));
+        parse(&["bin", "--monitor"]).unwrap();
     }
 
     #[test]
@@ -925,9 +936,9 @@ mod tests {
                 .expect("--monitor implies progress state"),
         );
         assert_eq!(progress.completed(), 0);
-        let failures = session.run_batch(vec![
-            ExperimentSpec::new("monitored_a", |_| vec![Table::new("A", &["v"])]),
-            ExperimentSpec::new("monitored_b", |_| vec![Table::new("B", &["v"])]),
+        let failures = session.run_batch(&[
+            Experiment::new("monitored_a", |_, _| vec![Table::new("A", &["v"])]),
+            Experiment::new("monitored_b", |_, _| vec![Table::new("B", &["v"])]),
         ]);
         assert!(failures.is_empty());
         // Workers streamed completions and checkpoints: both are on
@@ -941,9 +952,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--resume requires a directory")]
+    #[should_panic(expected = "value: \"--resume requires a directory argument\"")]
     fn cli_rejects_dangling_resume_flag() {
-        parse_cli(["bin", "--resume"].map(String::from));
+        parse(&["bin", "--resume"]).unwrap();
     }
 
     #[test]
@@ -956,25 +967,23 @@ mod tests {
             ..CliOptions::default()
         };
 
-        let specs = || {
-            vec![
-                ExperimentSpec::new("resume_a", |rng| {
-                    use rand::Rng;
-                    mlam::telemetry::counter!("bench.test.resume_a", 5);
-                    let roll: u64 = rng.gen();
-                    vec![Table::new(format!("A {roll}"), &["v"])]
-                }),
-                ExperimentSpec::new("resume_b", |rng| {
-                    use rand::Rng;
-                    mlam::telemetry::counter!("bench.test.resume_b", 7);
-                    let roll: u64 = rng.gen();
-                    vec![Table::new(format!("B {roll}"), &["v"])]
-                }),
-            ]
-        };
+        let experiments = [
+            Experiment::new("resume_a", |_, rng| {
+                use rand::Rng;
+                mlam::telemetry::counter!("bench.test.resume_a", 5);
+                let roll: u64 = rng.gen();
+                vec![Table::new(format!("A {roll}"), &["v"])]
+            }),
+            Experiment::new("resume_b", |_, rng| {
+                use rand::Rng;
+                mlam::telemetry::counter!("bench.test.resume_b", 7);
+                let roll: u64 = rng.gen();
+                vec![Table::new(format!("B {roll}"), &["v"])]
+            }),
+        ];
 
         let mut first = Session::start("test-resume", &options);
-        assert!(first.run_batch(specs()).is_empty());
+        assert!(first.run_batch(&experiments).is_empty());
         let full = first.finish();
 
         // Simulate a kill after resume_a: resume_b's checkpoint and the
@@ -988,7 +997,7 @@ mod tests {
             ..CliOptions::default()
         };
         let mut second = Session::start("test-resume", &resumed_options);
-        assert!(second.run_batch(specs()).is_empty());
+        assert!(second.run_batch(&experiments).is_empty());
         let resumed = second.finish();
 
         // Identical per-experiment records: restored for a, re-run
@@ -1020,9 +1029,9 @@ mod tests {
             ..CliOptions::default()
         };
         let mut session = Session::start("test-degrade", &options);
-        let failures = session.run_batch(vec![
-            ExperimentSpec::new("degrade_ok", |_| vec![]),
-            ExperimentSpec::new("degrade_boom", |_| {
+        let failures = session.run_batch(&[
+            Experiment::new("degrade_ok", |_, _| vec![]),
+            Experiment::new("degrade_boom", |_, _| {
                 mlam::telemetry::counter!("bench.test.degrade_partial", 2);
                 panic!("injected failure")
             }),
@@ -1057,13 +1066,14 @@ mod tests {
             ..CliOptions::default()
         };
         let mut session = Session::start("test-curves", &options);
-        let failures = session.run_batch(vec![ExperimentSpec::new("curve_x", |_| {
+        let curve_x = Experiment::new("curve_x", |_, _| {
             telemetry::counter!("oracle.example_queries", 10);
             curves::checkpoint("demo", 1, 0.5, None);
             telemetry::counter!("oracle.example_queries", 22);
             curves::checkpoint("demo", 2, 0.75, None);
             Vec::new()
-        })]);
+        });
+        let failures = session.run_batch(&[curve_x]);
         assert!(failures.is_empty());
         session.finish();
         let series = curves::read_curves_jsonl(&dir.join(CURVES_FILE)).unwrap();
@@ -1085,22 +1095,20 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let specs = || {
-            vec![
-                ExperimentSpec::new("curve_keep", |_| {
-                    telemetry::counter!("oracle.example_queries", 4);
-                    curves::checkpoint("demo", 1, 0.25, None);
-                    Vec::new()
-                }),
-                ExperimentSpec::new("curve_redo", |_| {
-                    telemetry::counter!("oracle.example_queries", 8);
-                    curves::checkpoint("demo", 1, 0.5, None);
-                    Vec::new()
-                }),
-            ]
-        };
+        let experiments = [
+            Experiment::new("curve_keep", |_, _| {
+                telemetry::counter!("oracle.example_queries", 4);
+                curves::checkpoint("demo", 1, 0.25, None);
+                Vec::new()
+            }),
+            Experiment::new("curve_redo", |_, _| {
+                telemetry::counter!("oracle.example_queries", 8);
+                curves::checkpoint("demo", 1, 0.5, None);
+                Vec::new()
+            }),
+        ];
         let mut first = Session::start("test-curves-resume", &options);
-        assert!(first.run_batch(specs()).is_empty());
+        assert!(first.run_batch(&experiments).is_empty());
         first.finish();
         let full = std::fs::read(dir.join(CURVES_FILE)).unwrap();
 
@@ -1114,7 +1122,7 @@ mod tests {
             ..CliOptions::default()
         };
         let mut second = Session::start("test-curves-resume", &resumed_options);
-        assert!(second.run_batch(specs()).is_empty());
+        assert!(second.run_batch(&experiments).is_empty());
         second.finish();
         let merged = std::fs::read(dir.join(CURVES_FILE)).unwrap();
         assert_eq!(merged, full, "resume must reproduce curves.jsonl");

@@ -5,24 +5,8 @@
 //! per-experiment query counters.
 
 use mlam::telemetry::{Event, MetricLine, RunManifest};
-use mlam_bench::{run_all, CliOptions, ExperimentJson, Session};
+use mlam_bench::{run_all, CliOptions, ExperimentJson, Session, EXPERIMENTS};
 use std::path::Path;
-
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "corollary2",
-    "locking",
-    "sequential",
-    "exact_vs_approx",
-    "ac0",
-    "spectral",
-    "interpose",
-    "rocknroll",
-    "lockdown",
-    "ablations",
-];
 
 fn run_once(dir: &Path) -> RunManifest {
     let options = CliOptions {
@@ -60,7 +44,8 @@ fn quick_json_run_is_complete_and_deterministic() {
         .iter()
         .map(|e| e.name.as_str())
         .collect();
-    assert_eq!(names, EXPERIMENTS);
+    let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name()).collect();
+    assert_eq!(names, registry);
     assert!(manifest_a.experiments.iter().all(|e| e.seconds >= 0.0));
     let totals = manifest_a.counter_totals();
     assert!(
@@ -80,7 +65,7 @@ fn quick_json_run_is_complete_and_deterministic() {
 
     // One structured result file per experiment, consistent with the
     // manifest record.
-    for (i, name) in EXPERIMENTS.iter().enumerate() {
+    for (i, name) in registry.iter().enumerate() {
         let path = dir_a.join(format!("{name}.json"));
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
@@ -115,7 +100,7 @@ fn quick_json_run_is_complete_and_deterministic() {
             serde_json::from_str(line).unwrap_or_else(|e| panic!("bad event line {line}: {e}"))
         })
         .collect();
-    for name in EXPERIMENTS {
+    for name in &registry {
         let span = format!("experiment.{name}");
         // The ablations driver's span is experiment.ablations, etc.
         assert!(

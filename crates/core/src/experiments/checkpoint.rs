@@ -40,6 +40,10 @@ pub struct TableJson {
     /// Rows as objects keyed by column header
     /// ([`Table::to_json_rows`]).
     pub rows: serde_json::Value,
+    /// Lines printed under the rows ([`Table::notes`]), such as the
+    /// table's verdict.
+    #[serde(default)]
+    pub notes: Vec<String>,
 }
 
 impl TableJson {
@@ -49,6 +53,7 @@ impl TableJson {
             title: table.title().to_string(),
             header: table.header().to_vec(),
             rows: table.to_json_rows(),
+            notes: table.notes().to_vec(),
         }
     }
 }

@@ -74,7 +74,7 @@ pub struct ExactVsApproxResult {
 }
 
 impl ExactVsApproxResult {
-    /// Renders the sweep.
+    /// Renders the sweep, with the detected pitfall as its note.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Exact vs approximate inference on SARLock point-function locking",
@@ -93,6 +93,10 @@ impl ExactVsApproxResult {
                 pct(r.appsat_accuracy),
             ]);
         }
+        t.note(match &self.detected_pitfall {
+            Some(pitfall) => format!("detected pitfall: {pitfall}"),
+            None => "detected pitfall: none".to_string(),
+        });
         t
     }
 }
@@ -204,6 +208,8 @@ mod tests {
             result.detected_pitfall,
             Some(Pitfall::ExactVersusApproximate)
         );
+        let note = format!("detected pitfall: {}", Pitfall::ExactVersusApproximate);
+        assert_eq!(result.to_table().notes(), [note]);
     }
 
     #[test]

@@ -82,7 +82,8 @@ pub struct InterposeResult {
 }
 
 impl InterposeResult {
-    /// Renders the comparison.
+    /// Renders the comparison, with the CMA-ES evaluation count as its
+    /// note.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Interpose PUF (1,1): representation decides the attack outcome",
@@ -96,6 +97,7 @@ impl InterposeResult {
             "composed: CMA-ES over both layers jointly".into(),
             pct(self.composed_accuracy),
         ]);
+        t.note(format!("CMA-ES fitness evaluations: {}", self.evaluations));
         t
     }
 }
@@ -281,6 +283,7 @@ mod tests {
     fn table_renders() {
         let mut rng = StdRng::seed_from_u64(3);
         let r = run_interpose(&InterposeParams::quick(), &mut rng);
-        assert!(r.to_table().to_string().contains("CMA-ES"));
+        let note = format!("CMA-ES fitness evaluations: {}", r.evaluations);
+        assert!(r.to_table().to_string().ends_with(&format!("  {note}\n")));
     }
 }

@@ -91,7 +91,7 @@ pub struct RocknRollResult {
 }
 
 impl RocknRollResult {
-    /// Renders the sweep.
+    /// Renders the sweep, with the comparability verdict as its note.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
             format!(
@@ -113,6 +113,10 @@ impl RocknRollResult {
                 pct(r.lmn_accuracy),
             ]);
         }
+        t.note(format!(
+            "comparable with the distribution-free hardness claim of [9]? {}",
+            self.comparable_with_hardness_claim
+        ));
         t
     }
 }
@@ -182,6 +186,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let result = run_rocknroll(&RocknRollParams::quick(), &mut rng);
         assert!(!result.comparable_with_hardness_claim);
+        assert_eq!(
+            result.to_table().notes(),
+            ["comparable with the distribution-free hardness claim of [9]? false"]
+        );
     }
 
     #[test]

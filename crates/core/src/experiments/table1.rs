@@ -85,7 +85,8 @@ pub struct Table1Result {
 }
 
 impl Table1Result {
-    /// Renders the analytic part in the paper's layout.
+    /// Renders the analytic part in the paper's layout, with the shape
+    /// check as its note.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Table I: CRP upper bounds for PAC learning n-bit k-XOR Arbiter PUFs",
@@ -108,6 +109,13 @@ impl Table1Result {
                 eng(b.learnpoly_bound),
             ]);
         }
+        t.note(format!(
+            "shape check: VC(uniform) < Perceptron(arbitrary) for k>=2: {}",
+            self.bounds
+                .iter()
+                .filter(|b| b.k >= 2)
+                .all(|b| b.general_bound < b.perceptron_bound)
+        ));
         t
     }
 
@@ -231,6 +239,10 @@ mod tests {
         assert!(!result.empirical.is_empty());
         let t = result.to_table();
         assert_eq!(t.num_rows(), 4);
+        assert_eq!(
+            t.notes(),
+            ["shape check: VC(uniform) < Perceptron(arbitrary) for k>=2: true"]
+        );
     }
 
     #[test]

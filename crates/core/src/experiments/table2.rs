@@ -61,7 +61,8 @@ pub struct Table2Result {
 }
 
 impl Table2Result {
-    /// Renders in the paper's layout (rows = CRP budgets, columns = n).
+    /// Renders in the paper's layout (rows = CRP budgets, columns = n),
+    /// with the [plateau gains](Self::plateau_gains) as its note.
     pub fn to_table(&self) -> Table {
         let mut header: Vec<String> = vec!["# CRPs (Chow + training)".into()];
         header.extend(self.params.ns.iter().map(|n| n.to_string()));
@@ -75,6 +76,15 @@ impl Table2Result {
             row.extend(self.accuracy[i].iter().map(|a| pct(*a)));
             t.row(&row);
         }
+        let gains: Vec<String> = self
+            .plateau_gains()
+            .iter()
+            .map(|g| format!("{:+.2} pp", g * 100.0))
+            .collect();
+        t.note(format!(
+            "plateau gains (last budget - first budget, per n): {}",
+            gains.join(", ")
+        ));
         t
     }
 
@@ -186,5 +196,6 @@ mod tests {
         assert_eq!(t.num_rows(), 2);
         let text = t.to_string();
         assert!(text.contains("CRPs"));
+        assert_eq!(t.notes()[0].matches(" pp").count(), result.params.ns.len());
     }
 }

@@ -1,16 +1,18 @@
 //! Lightweight table formatting for experiment output.
 //!
-//! Every experiment driver renders its result through [`Table`], so the
-//! benchmark binaries print the same row/column layout the paper uses.
+//! Every experiment driver renders its result through [`Table`], so
+//! `repro_all` prints the same row/column layout the paper uses.
 
 use std::fmt;
 
-/// A simple column-aligned text table with a title.
+/// A simple column-aligned text table with a title, and notes printed
+/// under the rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Table {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    notes: Vec<String>,
 }
 
 impl Table {
@@ -20,6 +22,7 @@ impl Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -40,6 +43,13 @@ impl Table {
         self.row(&cells)
     }
 
+    /// Appends a note: a line printed under the rows, such as the
+    /// verdict the table supports.
+    pub fn note(&mut self, text: impl Into<String>) -> &mut Self {
+        self.notes.push(text.into());
+        self
+    }
+
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -58,6 +68,11 @@ impl Table {
     /// The column headers.
     pub fn header(&self) -> &[String] {
         &self.header
+    }
+
+    /// The notes, in order.
+    pub fn notes(&self) -> &[String] {
+        &self.notes
     }
 
     /// Renders as GitHub-flavored Markdown. Literal `|` in headers and
@@ -82,6 +97,9 @@ impl Table {
                 "| {} |\n",
                 row.iter().map(esc).collect::<Vec<_>>().join(" | ")
             ));
+        }
+        for note in &self.notes {
+            out.push_str(&format!("\n{note}\n"));
         }
         out
     }
@@ -129,6 +147,9 @@ impl fmt::Display for Table {
         line(f, &rule)?;
         for row in &self.rows {
             line(f, row)?;
+        }
+        for note in &self.notes {
+            writeln!(f, "  {note}")?;
         }
         Ok(())
     }
@@ -193,6 +214,15 @@ mod tests {
     #[should_panic(expected = "cell count mismatch")]
     fn wrong_row_width_panics() {
         Table::new("T", &["a", "b"]).row_display(&[1]);
+    }
+
+    #[test]
+    fn notes_follow_the_rows() {
+        let mut t = Table::new("T", &["x"]);
+        t.row_display(&["1"]).note("verdict: ok");
+        assert_eq!(t.to_string().lines().last(), Some("  verdict: ok"));
+        assert!(t.to_markdown().ends_with("| 1 |\n\nverdict: ok\n"));
+        assert_eq!(t.notes(), ["verdict: ok"]);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl Solver {
         result
     }
 
-    /// Alias of [`solve_assuming`](Solver::solve_assuming), kept for
-    /// the pre-incremental API spelling.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_assuming(assumptions)
-    }
-
     fn search(&mut self, assumptions: &[Lit]) -> SatResult {
         if self.unsat {
             return SatResult::Unsat;

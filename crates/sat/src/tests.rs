@@ -141,8 +141,8 @@ fn assumptions_are_not_permanent() {
     // Contradictory assumptions -> UNSAT, but instance recovers.
     assert!(!s.solve_assuming(&[Lit::pos(a), Lit::neg(a)]).is_sat());
     assert!(s.solve().is_sat());
-    // The legacy spelling routes to the same entry point.
-    assert!(s.solve_with_assumptions(&[Lit::pos(a)]).is_sat());
+    // ... and solves under assumptions again.
+    assert!(s.solve_assuming(&[Lit::pos(a)]).is_sat());
 }
 
 #[test]

@@ -96,7 +96,7 @@ proptest! {
             s.add_clause(&lits);
         }
         let assumption = Lit::new(vars[(a - 1).min(n - 1)], neg);
-        let _ = s.solve_with_assumptions(&[assumption]);
+        let _ = s.solve_assuming(&[assumption]);
         prop_assert_eq!(s.solve().is_sat(), expected);
     }
 
@@ -114,7 +114,7 @@ proptest! {
         }
         let v = vars[idx % n];
         let assumption = Lit::new(v, neg);
-        if let SatResult::Sat(model) = s.solve_with_assumptions(&[assumption]) {
+        if let SatResult::Sat(model) = s.solve_assuming(&[assumption]) {
             prop_assert_eq!(model.value(v), !neg);
         }
     }

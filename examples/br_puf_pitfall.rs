@@ -2,7 +2,7 @@
 //! build the Chow-parameter LTF surrogate, watch its accuracy plateau,
 //! and let the halfspace tester certify the representation mismatch.
 //!
-//! Run with: `cargo run --release -p mlam-examples --example br_puf_pitfall`
+//! Run with: `cargo run --release -p mlam --example br_puf_pitfall`
 
 use mlam::boolean::testing::{HalfspaceTester, Verdict};
 use mlam::experiments::table3::spectral_distance_lower_bound;

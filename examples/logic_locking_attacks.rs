@@ -2,7 +2,7 @@
 //! (chosen inputs), AppSAT (chosen + random, approximate) and the pure
 //! random-example PAC attack — Sections II-A and IV-A, executable.
 //!
-//! Run with: `cargo run --release -p mlam-examples --example logic_locking_attacks`
+//! Run with: `cargo run --release -p mlam --example logic_locking_attacks`
 
 use mlam::locking::appsat::{appsat, AppSatConfig};
 use mlam::locking::combinational::lock_xor;

@@ -2,7 +2,7 @@
 //! run through the comparability detector, each annotated with the
 //! experiment in this repository that demonstrates it empirically.
 //!
-//! Run with: `cargo run -p mlam-examples --example pitfall_audit`
+//! Run with: `cargo run -p mlam --example pitfall_audit`
 
 use mlam::adversary::{
     AccessModel, AdversaryModel, DistributionModel, InferenceGoal, RepresentationModel,
@@ -32,7 +32,7 @@ fn main() {
         "1. Distribution axis — XOR APUF hardness [9] vs RocknRoll attack [17]",
         &AdversaryModel::distribution_free_claim(),
         &AdversaryModel::uniform_example_attack(),
-        "cargo run -p mlam-bench --bin rocknroll (75 % accuracy at k >> ln n)",
+        "cargo run -p mlam-bench --bin repro_all -- --only rocknroll (75 % accuracy at k >> ln n)",
     );
 
     // 2. Access: random-example security vs a membership-query attacker.
@@ -46,7 +46,7 @@ fn main() {
         "2. Access axis — random-example security claim vs membership queries (Cor. 2)",
         &random_claim,
         &AdversaryModel::membership_query_attack(),
-        "cargo run -p mlam-bench --bin corollary2 (exact recovery, poly(n) queries)",
+        "cargo run -p mlam-bench --bin repro_all -- --only corollary2 (exact recovery, poly(n) queries)",
     );
 
     // 3. Representation: a proper-class hardness claim vs an improper
@@ -61,7 +61,7 @@ fn main() {
         "3. Representation axis — 'BR PUFs resist LTF learners' vs improper attacks",
         &proper_claim,
         &AdversaryModel::uniform_example_attack(),
-        "cargo run -p mlam-bench --bin ablations (proper 56 % vs improper 88 %)",
+        "cargo run -p mlam-bench --bin repro_all -- --only ablations (proper 56 % vs improper 88 %)",
     );
 
     // 4. Exact vs approximate inference.
@@ -79,7 +79,7 @@ fn main() {
         "4. Inference goal — exact-resilient locking (SARLock) vs approximate attacks",
         &exact_claim,
         &approx_attack,
-        "cargo run -p mlam-bench --bin exact_vs_approx (2^k DIPs vs instant 97 %)",
+        "cargo run -p mlam-bench --bin repro_all -- --only exact_vs_approx (2^k DIPs vs instant 97 %)",
     );
 
     // 5. The sound case: matching settings ARE comparable.

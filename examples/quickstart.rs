@@ -1,7 +1,7 @@
 //! Quickstart: simulate a PUF, attack it, and let the adversary-model
 //! machinery explain which security claims the result does (not) touch.
 //!
-//! Run with: `cargo run -p mlam-examples --example quickstart`
+//! Run with: `cargo run -p mlam --example quickstart`
 
 use mlam::adversary::AdversaryModel;
 use mlam::attack::run_example_attack;

@@ -2,7 +2,7 @@
 //! HARPOON-obfuscated FSM as a DFA and read the unlock sequence off the
 //! learned model.
 //!
-//! Run with: `cargo run -p mlam-examples --example sequential_lstar`
+//! Run with: `cargo run -p mlam --example sequential_lstar`
 
 use mlam::locking::sequential::{lstar_attack, Fsm, ObfuscatedFsm};
 use rand::rngs::StdRng;

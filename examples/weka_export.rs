@@ -2,7 +2,7 @@
 //! paper's own Table II tooling consumed ("the Perceptron algorithm
 //! embedded in Weka [27]").
 //!
-//! Run with: `cargo run -p mlam-examples --example weka_export`
+//! Run with: `cargo run -p mlam --example weka_export`
 
 use mlam::puf::arff::{from_arff, to_arff};
 use mlam::puf::crp::collect_stable;

@@ -2,7 +2,7 @@
 //! the Table I story, empirically: logistic regression and CMA-ES on
 //! random examples, and the bounds that do (not) constrain them.
 //!
-//! Run with: `cargo run --release -p mlam-examples --example xor_apuf_attack`
+//! Run with: `cargo run --release -p mlam --example xor_apuf_attack`
 
 use mlam::bounds::TableOne;
 use mlam::learn::cma_es::{fit_xor_delay_model, CmaEsOptions};

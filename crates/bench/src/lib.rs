@@ -48,7 +48,8 @@ pub use mlam::experiments::checkpoint::{CheckpointStore, ExperimentJson, TableJs
 /// The fixed root seed every reproduction binary uses.
 pub const REPRO_SEED: u64 = 0xDA7E_2020;
 
-/// Workspace crates whose (shared) version is recorded in the manifest.
+/// Workspace crates whose (shared) version is recorded in the manifest:
+/// every package under `crates/`.
 const WORKSPACE_CRATES: &[&str] = &[
     "mlam",
     "mlam-bench",
@@ -56,10 +57,13 @@ const WORKSPACE_CRATES: &[&str] = &[
     "mlam-harness",
     "mlam-learn",
     "mlam-locking",
+    "mlam-monitor",
     "mlam-netlist",
     "mlam-par",
     "mlam-puf",
+    "mlam-sat",
     "mlam-telemetry",
+    "mlam-trace",
 ];
 
 /// Options shared by all benchmark binaries.
@@ -322,12 +326,6 @@ impl Session {
     /// active (testing and endpoint consumers; `None` otherwise).
     pub fn progress(&self) -> Option<&Arc<Progress>> {
         self.progress.as_ref()
-    }
-
-    /// The address the monitor endpoint actually bound (resolves a
-    /// `--monitor 127.0.0.1:0` ephemeral-port request), when active.
-    pub fn monitor_addr(&self) -> Option<std::net::SocketAddr> {
-        self.monitor.as_ref().map(|handle| handle.addr())
     }
 
     /// The root seed binaries should feed their RNG from.
@@ -1150,5 +1148,26 @@ mod tests {
         assert_eq!(exp.counters["bench.test.session_counter"], 3);
         assert!(manifest.total_seconds >= exp.seconds);
         assert!(!manifest.crate_versions.is_empty());
+    }
+
+    #[test]
+    fn workspace_crates_match_the_packages_under_crates() {
+        let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let packages: BTreeSet<String> = std::fs::read_dir(&crates_dir)
+            .expect("crates/ is readable")
+            .filter_map(|entry| {
+                let manifest = entry.expect("crates/ entry").path().join("Cargo.toml");
+                std::fs::read_to_string(manifest).ok()
+            })
+            // `[package]` opens every manifest, so its name comes first.
+            .map(|manifest| {
+                let name = manifest.lines().find_map(|l| l.strip_prefix("name = "));
+                name.expect("[package] has a name")
+                    .trim_matches('"')
+                    .to_string()
+            })
+            .collect();
+        let listed: BTreeSet<String> = WORKSPACE_CRATES.iter().map(|c| c.to_string()).collect();
+        assert_eq!(listed, packages);
     }
 }

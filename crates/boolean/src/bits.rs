@@ -8,8 +8,8 @@
 //! sample into 64-example column blocks for the word-parallel
 //! Boolean-analysis kernels, and `sign_select`, `row_sum` and
 //! `nonpositive_lanes` are the exact ±1 arithmetic those kernels share
-//! with the sequential per-example paths. [`transpose64`] is the block
-//! transpose behind both them and `mlam-puf`'s bit-sliced evaluator.
+//! with the sequential per-example paths. `transpose64` is the 64×64
+//! block transpose `Columns` is built with.
 
 use rand::Rng;
 use std::fmt;
@@ -267,7 +267,7 @@ impl BitVec {
     /// the last word are always zero.
     ///
     /// This is the raw layout consumed by word-parallel kernels such as
-    /// the bit-sliced PUF evaluators.
+    /// the Φ transform and the packed ±1 sums.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -405,7 +405,7 @@ pub(crate) fn nonpositive_lanes(start: f64, words: &[u64], coefs: &[f64]) -> u64
 /// afterwards bit `c` of word `r` equals bit `r` of the original word
 /// `c` (Hacker's Delight §7-3, recursive block swap).
 #[inline]
-pub fn transpose64(a: &mut [u64; 64]) {
+pub(crate) fn transpose64(a: &mut [u64; 64]) {
     let mut j = 32usize;
     let mut m: u64 = 0x0000_0000_FFFF_FFFF;
     while j != 0 {
@@ -754,6 +754,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn transpose64_matches_naive() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let original: [u64; 64] = std::array::from_fn(|_| rng.gen());
+        let mut t = original;
+        transpose64(&mut t);
+        for (r, &row) in t.iter().enumerate() {
+            for (c, &col) in original.iter().enumerate() {
+                assert_eq!((row >> c) & 1, (col >> r) & 1, "element ({r},{c})");
+            }
+        }
+        transpose64(&mut t);
+        assert_eq!(t, original, "transpose must be an involution");
     }
 
     fn labeled(n: usize, m: usize, rng: &mut StdRng) -> Vec<(BitVec, bool)> {

@@ -85,8 +85,9 @@ pub fn to_bench(netlist: &Netlist) -> String {
 ///
 /// # Errors
 ///
-/// Returns an error on malformed lines, unknown gate kinds, undefined
-/// signal references, duplicate definitions, or combinational cycles.
+/// Returns an error on malformed lines, unknown gate kinds, gates with
+/// the wrong number of inputs for their kind, undefined signal
+/// references, duplicate definitions, or combinational cycles.
 pub fn from_bench(text: &str) -> Result<Netlist, ParseBenchError> {
     struct RawGate {
         kind: GateKind,
@@ -153,9 +154,8 @@ pub fn from_bench(text: &str) -> Result<Netlist, ParseBenchError> {
                 .map(|s| s.trim().to_string())
                 .filter(|s| !s.is_empty())
                 .collect();
-            if inputs.is_empty() {
-                return Err(ParseBenchError::new(lineno, "gate without inputs"));
-            }
+            kind.check_arity(inputs.len())
+                .map_err(|rule| ParseBenchError::new(lineno, rule))?;
             if gates.contains_key(&name) {
                 return Err(ParseBenchError::new(
                     lineno,
@@ -304,6 +304,21 @@ t = AND(a, b)
         let text = "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n";
         let err = from_bench(text).expect_err("unknown kind");
         assert!(err.to_string().contains("unknown gate kind"), "{err}");
+    }
+
+    #[test]
+    fn rejects_wrong_arity_on_its_line() {
+        for (gate, rule) in [
+            ("y = NOT(a, b)", "NOT takes exactly one input, got 2"),
+            ("y = BUF(a, a)", "BUF takes exactly one input, got 2"),
+            ("y = MUX(a, b)", "MUX takes three inputs [sel, a, b], got 2"),
+            ("y = AND()", "AND needs at least one input"),
+        ] {
+            let text = format!("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n{gate}\n");
+            let err = from_bench(&text).expect_err(gate);
+            assert_eq!(err.line(), 4, "{gate}");
+            assert_eq!(err.to_string(), format!("line 4: {rule}"));
+        }
     }
 
     #[test]

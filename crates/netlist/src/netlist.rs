@@ -88,6 +88,19 @@ impl GateKind {
         }
     }
 
+    /// Checks that the kind takes `n` inputs: `Not`/`Buf` exactly 1,
+    /// `Mux` exactly 3, the rest at least 1. The error names the rule.
+    pub(crate) fn check_arity(self, n: usize) -> Result<(), String> {
+        match self {
+            GateKind::Not | GateKind::Buf if n != 1 => {
+                Err(format!("{self} takes exactly one input, got {n}"))
+            }
+            GateKind::Mux if n != 3 => Err(format!("MUX takes three inputs [sel, a, b], got {n}")),
+            _ if n == 0 => Err(format!("{self} needs at least one input")),
+            _ => Ok(()),
+        }
+    }
+
     /// The `.bench`-style mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -270,13 +283,8 @@ impl NetlistBuilder {
         for n in &inputs {
             assert!(n.0 < limit, "gate references a net that does not exist yet");
         }
-        match kind {
-            GateKind::Not | GateKind::Buf => {
-                assert_eq!(inputs.len(), 1, "{kind} takes exactly one input")
-            }
-            GateKind::Mux => assert_eq!(inputs.len(), 3, "MUX takes [sel, a, b]"),
-            _ => assert!(!inputs.is_empty(), "{kind} needs at least one input"),
-        }
+        kind.check_arity(inputs.len())
+            .unwrap_or_else(|rule| panic!("{rule}"));
         self.gates.push(Gate { kind, inputs });
         Net(limit)
     }

@@ -6,7 +6,55 @@ use mlam_netlist::cnf::{tseitin_encode, Cnf};
 use mlam_netlist::generate::{parity_tree, random_circuit, ripple_adder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// `.bench` text from the format's own tokens, lines in random order:
+/// 1–3 `INPUT`s, 1–4 gates of every kind whose 1–4 arguments name
+/// declared signals (so wrong arities and cycles occur), 1–2
+/// `OUTPUT`s, and up to two stray `(`, `)`, `,`, `#` or `=`, each a
+/// line of its own or appended to one.
+fn token_bench(rng: &mut StdRng) -> String {
+    const KINDS: [&str; 9] = [
+        "AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUF", "MUX",
+    ];
+    const STRAYS: [&str; 5] = ["(", ")", ",", "#", "="];
+    let inputs = rng.gen_range(1..=3);
+    let gates = rng.gen_range(1..=4);
+    let signals: Vec<String> = (0..inputs)
+        .map(|i| format!("i{i}"))
+        .chain((0..gates).map(|g| format!("g{g}")))
+        .collect();
+    let mut lines: Vec<String> = (0..inputs).map(|i| format!("INPUT(i{i})")).collect();
+    for g in 0..gates {
+        let kind = KINDS.choose(rng).expect("kinds");
+        let args: Vec<&str> = (0..rng.gen_range(1..=4))
+            .map(|_| signals.choose(rng).expect("signals").as_str())
+            .collect();
+        lines.push(format!("g{g} = {kind}({})", args.join(", ")));
+    }
+    for _ in 0..rng.gen_range(1..=2) {
+        lines.push(format!("OUTPUT({})", signals.choose(rng).expect("signals")));
+    }
+    for _ in 0..rng.gen_range(0..=2) {
+        let stray = *STRAYS.choose(rng).expect("strays");
+        match rng.gen_range(0..=lines.len()) {
+            k if k == lines.len() => lines.push(stray.to_string()),
+            k => lines[k].push_str(stray),
+        }
+    }
+    lines.shuffle(rng);
+    lines.join("\n")
+}
+
+/// `from_bench` returns instead of panicking, and a netlist it accepts
+/// comes back unchanged from its own `to_bench` text.
+fn assert_bench_parses_or_errs(text: &str) {
+    if let Ok(net) = from_bench(text) {
+        let again = from_bench(&to_bench(&net));
+        assert_eq!(again, Ok(net), "re-parse of an accepted netlist");
+    }
+}
 
 proptest! {
     /// Random circuits round-trip through the `.bench` text format.
@@ -85,5 +133,17 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let c = random_circuit(4, gates, 1, &mut rng);
         prop_assert!(c.depth() <= c.num_gates());
+    }
+
+    /// Token-built `.bench` text parses or errs, never panics.
+    #[test]
+    fn bench_tokens_never_panic(seed in any::<u64>()) {
+        assert_bench_parses_or_errs(&token_bench(&mut StdRng::seed_from_u64(seed)));
+    }
+
+    /// Arbitrary bytes parse or err, never panic.
+    #[test]
+    fn bench_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        assert_bench_parses_or_errs(&String::from_utf8_lossy(&bytes));
     }
 }

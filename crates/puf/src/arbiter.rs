@@ -126,15 +126,6 @@ impl PufModel for ArbiterPuf {
         };
         delta + eta < 0.0
     }
-
-    /// Bit-sliced ideal batch evaluation (bit-identical to the scalar
-    /// path, see [`crate::bitslice`]).
-    fn eval_batch(&self, challenges: &[BitVec]) -> Vec<bool> {
-        if crate::bitslice::scalar_forced() {
-            return crate::bitslice::scalar_eval_batch(self, challenges);
-        }
-        crate::bitslice::eval_arbiter_batch(&self.weights, challenges)
-    }
 }
 
 /// Box–Muller standard normal (crate-local copy to avoid a cross-crate

@@ -6,8 +6,10 @@
 //! whose response is unanimous (or majority-stable), and record the
 //! majority response.
 
+use crate::challenge::random_challenges;
 use crate::PufModel;
 use mlam_boolean::BitVec;
+use mlam_telemetry::counter;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -218,30 +220,19 @@ impl<'de> Deserialize<'de> for CrpSet {
 /// Collects `count` CRPs at uniformly random challenges using **ideal**
 /// (noise-free) evaluations.
 ///
-/// Challenges are drawn sequentially from `rng` (consuming exactly the
-/// same stream as always), then evaluated as one
-/// [`PufModel::eval_batch`] across `MLAM_THREADS` workers — the
-/// returned set is bit-identical at any thread count.
+/// Challenges are drawn sequentially from `rng`, then labelled by the
+/// ideal `eval` fanned out across `MLAM_THREADS` workers, so the set is
+/// bit-identical at any thread count. `puf.batch.scalar_evals` counts
+/// the evaluations.
 pub fn collect_uniform<P: PufModel + Sync, R: Rng + ?Sized>(
     puf: &P,
     count: usize,
     rng: &mut R,
 ) -> CrpSet {
     let n = puf.challenge_bits();
-    let challenges: Vec<BitVec> = (0..count).map(|_| BitVec::random(n, rng)).collect();
-    collect_uniform_batch(puf, challenges)
-}
-
-/// Evaluates caller-supplied challenges as one [`PufModel::eval_batch`]
-/// and packages the results as a [`CrpSet`].
-///
-/// This is the entry point for callers that draw their challenges
-/// themselves (biased, correlated, or replayed sets) but still want the
-/// bit-sliced batch path the linear-delay models provide; responses are
-/// ideal (noise-free) and bit-identical at any thread count.
-pub fn collect_uniform_batch<P: PufModel + Sync>(puf: &P, challenges: Vec<BitVec>) -> CrpSet {
-    let n = puf.challenge_bits();
-    let responses = puf.eval_batch(&challenges);
+    let challenges = random_challenges(n, count, rng);
+    counter!("puf.batch.scalar_evals", challenges.len());
+    let responses = mlam_par::par_map(&challenges, |c| puf.eval(c));
     CrpSet::from_crps(
         n,
         challenges
@@ -407,24 +398,23 @@ mod tests {
         assert!(!set.is_empty());
     }
 
-    fn assert_batch_matches_eval<P: PufModel + Sync>(puf: &P, challenges: &[BitVec], ctx: &str) {
-        let batch = puf.eval_batch(challenges);
-        assert_eq!(batch.len(), challenges.len(), "{ctx}");
-        for (i, (c, r)) in challenges.iter().zip(&batch).enumerate() {
-            assert_eq!(puf.eval(c), *r, "{ctx}: challenge {i}");
+    fn assert_collect_matches_eval<P: PufModel + Sync>(puf: &P, count: usize, ctx: &str) {
+        let set = collect_uniform(puf, count, &mut StdRng::seed_from_u64(count as u64));
+        assert_eq!(set.len(), count, "{ctx}");
+        for (i, (c, r)) in set.iter().enumerate() {
+            assert_eq!(puf.eval(c), r, "{ctx}: challenge {i}");
         }
     }
 
     #[test]
-    fn eval_batch_matches_sequential_eval() {
+    fn collect_uniform_matches_sequential_eval() {
         use crate::bistable_ring::{BistableRingPuf, BrPufConfig};
         use crate::feed_forward::FeedForwardArbiterPuf;
         use crate::interpose::InterposePuf;
         use crate::xor_arbiter::XorArbiterPuf;
 
         let mut rng = StdRng::seed_from_u64(7);
-        // Batch sizes straddle the 64-lane block width (tails included),
-        // challenge lengths straddle the 64-bit word width.
+        // Challenge lengths straddle the 64-bit word width of `BitVec`.
         for &(n, count) in &[
             (24usize, 300usize),
             (64, 64),
@@ -434,37 +424,21 @@ mod tests {
             (130, 70),
         ] {
             let ctx = format!("n={n} count={count}");
-            let challenges: Vec<BitVec> = (0..count).map(|_| BitVec::random(n, &mut rng)).collect();
 
             let arb = ArbiterPuf::sample(n, 0.0, &mut rng);
-            assert_batch_matches_eval(&arb, &challenges, &format!("arbiter {ctx}"));
+            assert_collect_matches_eval(&arb, count, &format!("arbiter {ctx}"));
 
             let xor = XorArbiterPuf::sample(n, 3, 0.0, &mut rng);
-            assert_batch_matches_eval(&xor, &challenges, &format!("xor {ctx}"));
+            assert_collect_matches_eval(&xor, count, &format!("xor {ctx}"));
 
             let ff = FeedForwardArbiterPuf::sample_spread(n, 2, 3, 0.0, &mut rng);
-            assert_batch_matches_eval(&ff, &challenges, &format!("feed-forward {ctx}"));
+            assert_collect_matches_eval(&ff, count, &format!("feed-forward {ctx}"));
 
             let ipuf = InterposePuf::sample(n, 2, 2, 0.0, &mut rng);
-            assert_batch_matches_eval(&ipuf, &challenges, &format!("interpose {ctx}"));
+            assert_collect_matches_eval(&ipuf, count, &format!("interpose {ctx}"));
 
-            // The bistable ring has no linear representation: it takes
-            // the scalar fallback, which must agree as well.
             let br = BistableRingPuf::sample(n, BrPufConfig::calibrated(n), &mut rng);
-            assert_batch_matches_eval(&br, &challenges, &format!("bistable-ring {ctx}"));
-        }
-    }
-
-    #[test]
-    fn collect_uniform_batch_matches_scalar_eval() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let puf = ArbiterPuf::sample(66, 0.0, &mut rng);
-        let challenges: Vec<BitVec> = (0..150).map(|_| BitVec::random(66, &mut rng)).collect();
-        let set = collect_uniform_batch(&puf, challenges.clone());
-        assert_eq!(set.len(), 150);
-        for ((c, r), orig) in set.iter().zip(&challenges) {
-            assert_eq!(c, orig, "challenge order must be preserved");
-            assert_eq!(puf.eval(c), r);
+            assert_collect_matches_eval(&br, count, &format!("bistable-ring {ctx}"));
         }
     }
 

@@ -110,16 +110,6 @@ impl FeedForwardArbiterPuf {
         &self.loops
     }
 
-    /// Per-stage α parameters (for the bit-sliced batch evaluator).
-    pub(crate) fn alphas(&self) -> &[f64] {
-        &self.alphas
-    }
-
-    /// Per-stage β parameters (for the bit-sliced batch evaluator).
-    pub(crate) fn betas(&self) -> &[f64] {
-        &self.betas
-    }
-
     /// The delay difference at the final arbiter (noise-free).
     pub fn delay_difference(&self, challenge: &BitVec) -> f64 {
         let n = self.alphas.len();
@@ -159,16 +149,6 @@ impl PufModel for FeedForwardArbiterPuf {
             0.0
         };
         self.delay_difference(challenge) + eta < 0.0
-    }
-
-    /// Bit-sliced ideal batch evaluation: the stage recursion runs on
-    /// 64 lanes at once, loop taps overwrite the target select words
-    /// (see [`crate::bitslice`]).
-    fn eval_batch(&self, challenges: &[BitVec]) -> Vec<bool> {
-        if crate::bitslice::scalar_forced() {
-            return crate::bitslice::scalar_eval_batch(self, challenges);
-        }
-        crate::bitslice::eval_feed_forward_batch(self, challenges)
     }
 }
 

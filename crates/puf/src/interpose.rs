@@ -104,16 +104,6 @@ impl PufModel for InterposePuf {
         let r_up = self.upper.eval_noisy(challenge, rng);
         self.lower.eval_noisy(&self.interpose(challenge, r_up), rng)
     }
-
-    /// Bit-sliced ideal batch evaluation: the upper response mask is
-    /// interposed as a whole slice word into the lower layer's block
-    /// (see [`crate::bitslice`]).
-    fn eval_batch(&self, challenges: &[BitVec]) -> Vec<bool> {
-        if crate::bitslice::scalar_forced() {
-            return crate::bitslice::scalar_eval_batch(self, challenges);
-        }
-        crate::bitslice::eval_interpose_batch(self, challenges)
-    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,6 @@
 pub mod arbiter;
 pub mod arff;
 pub mod bistable_ring;
-pub mod bitslice;
 pub mod challenge;
 pub mod correlated;
 pub mod crp;
@@ -85,22 +84,6 @@ pub trait PufModel: BooleanFunction {
     fn eval_noisy<R: Rng + ?Sized>(&self, challenge: &BitVec, rng: &mut R) -> bool
     where
         Self: Sized;
-
-    /// Evaluates the **ideal** response on every challenge, fanned out
-    /// across `MLAM_THREADS` worker threads.
-    ///
-    /// Each evaluation is a pure function of the challenge, so the
-    /// result equals mapping [`BooleanFunction::eval`] sequentially —
-    /// bit-identical at any thread count. Linear-delay models override
-    /// this with the bit-sliced kernels of [`bitslice`] (same
-    /// responses, ~an order of magnitude faster); the default is the
-    /// counted scalar fallback used by non-linear simulators.
-    fn eval_batch(&self, challenges: &[BitVec]) -> Vec<bool>
-    where
-        Self: Sized + Sync,
-    {
-        bitslice::scalar_eval_batch(self, challenges)
-    }
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@
 //! pure function of `(root seed, candidate index)` and runs are
 //! bit-identical at any thread count.
 //!
-//! The **ideal** response ([`mlam_boolean::BooleanFunction::eval`] and
-//! [`PufModel::eval_batch`]) stays fault-free by design: it is the
-//! ground-truth concept attacks are measured against, not a physical
-//! measurement.
+//! The **ideal** response ([`mlam_boolean::BooleanFunction::eval`], and
+//! so [`crate::crp::collect_uniform`]) stays fault-free by design: it
+//! is the ground-truth concept attacks are measured against, not a
+//! physical measurement.
 
 use crate::PufModel;
 use mlam_boolean::{BitVec, BooleanFunction};
@@ -106,7 +106,7 @@ impl<P: BooleanFunction> BooleanFunction for UnreliablePuf<P> {
     }
 }
 
-impl<P: PufModel + Sync> PufModel for UnreliablePuf<P> {
+impl<P: PufModel> PufModel for UnreliablePuf<P> {
     fn challenge_bits(&self) -> usize {
         self.inner.challenge_bits()
     }
@@ -139,22 +139,13 @@ impl<P: PufModel + Sync> PufModel for UnreliablePuf<P> {
         counter!("harness.retry.exhausted", 1);
         last.expect("max_attempts is at least 1")
     }
-
-    /// Ideal batch evaluation — delegates to the wrapped device's
-    /// (possibly bit-sliced) fault-free path.
-    fn eval_batch(&self, challenges: &[BitVec]) -> Vec<bool>
-    where
-        Self: Sized + Sync,
-    {
-        self.inner.eval_batch(challenges)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arbiter::ArbiterPuf;
-    use crate::crp::{collect_noisy, collect_stable, collect_stable_par};
+    use crate::crp::{collect_noisy, collect_stable, collect_stable_par, collect_uniform};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -171,11 +162,10 @@ mod tests {
     fn ideal_paths_are_fault_free() {
         let dev = device(0.5, 0.5, 2);
         let mut rng = StdRng::seed_from_u64(2);
-        let challenges: Vec<BitVec> = (0..200).map(|_| BitVec::random(48, &mut rng)).collect();
-        let batch = dev.eval_batch(&challenges);
-        for (c, r) in challenges.iter().zip(&batch) {
-            assert_eq!(dev.eval(c), *r);
-            assert_eq!(dev.inner().eval(c), *r);
+        let ideal = collect_uniform(&dev, 200, &mut rng);
+        for (c, r) in ideal.iter() {
+            assert_eq!(dev.eval(c), r);
+            assert_eq!(dev.inner().eval(c), r);
         }
     }
 

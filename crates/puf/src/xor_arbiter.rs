@@ -100,15 +100,6 @@ impl PufModel for XorArbiterPuf {
             .iter()
             .fold(false, |acc, chain| acc ^ chain.eval_noisy(challenge, rng))
     }
-
-    /// Bit-sliced ideal batch evaluation: one Φ sign scan per 64-lane
-    /// block shared by all chains (see [`crate::bitslice`]).
-    fn eval_batch(&self, challenges: &[BitVec]) -> Vec<bool> {
-        if crate::bitslice::scalar_forced() {
-            return crate::bitslice::scalar_eval_batch(self, challenges);
-        }
-        crate::bitslice::eval_xor_arbiter_batch(&self.chains, challenges)
-    }
 }
 
 #[cfg(test)]

@@ -61,10 +61,11 @@ impl DimacsInstance {
 /// # Errors
 ///
 /// Returns an error on a malformed header, literals out of range,
-/// clauses not terminated by `0`, or garbage tokens.
+/// clauses not terminated by `0`, or garbage tokens. The header's
+/// clause count must parse as a number but is not checked against the
+/// clauses (most solvers tolerate a mismatch).
 pub fn parse_dimacs(text: &str) -> Result<DimacsInstance, ParseDimacsError> {
     let mut num_vars: Option<usize> = None;
-    let mut declared_clauses = 0usize;
     let mut clauses = Vec::new();
     let mut current: Vec<i32> = Vec::new();
 
@@ -87,8 +88,8 @@ pub fn parse_dimacs(text: &str) -> Result<DimacsInstance, ParseDimacsError> {
                     .parse()
                     .map_err(|_| ParseDimacsError::new(lineno, "bad variable count"))?,
             );
-            declared_clauses = parts[2]
-                .parse()
+            parts[2]
+                .parse::<usize>()
                 .map_err(|_| ParseDimacsError::new(lineno, "bad clause count"))?;
             continue;
         }
@@ -114,9 +115,6 @@ pub fn parse_dimacs(text: &str) -> Result<DimacsInstance, ParseDimacsError> {
         return Err(ParseDimacsError::new(0, "unterminated final clause"));
     }
     let num_vars = num_vars.ok_or_else(|| ParseDimacsError::new(0, "missing header"))?;
-    if clauses.len() != declared_clauses {
-        // Tolerated by most solvers; we accept but could warn. Accept.
-    }
     Ok(DimacsInstance { num_vars, clauses })
 }
 

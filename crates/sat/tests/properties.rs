@@ -1,7 +1,9 @@
 //! Property-based tests of the CDCL solver against brute force.
 
+use mlam_sat::dimacs::{parse_dimacs, to_dimacs};
 use mlam_sat::{Lit, SatResult, Solver};
 use proptest::prelude::*;
+use proptest::prop::sample::Index;
 use std::ops::RangeInclusive;
 
 /// Strategy: a random CNF over `n` variables with `m` clauses of 1–4
@@ -287,6 +289,68 @@ proptest! {
             SatResult::Unsat => prop_assert!(!expected, "solver said UNSAT under {ints:?}, brute force SAT"),
         }
         prop_assert_eq!(s.solve().is_sat(), brute_force_sat(num_vars, &clauses));
+    }
+}
+
+/// Tokens an edit inserts into DIMACS text: a terminator, comment and
+/// header markers, garbage, an `i32` overflow, and a literal out of
+/// range for the at most 6 variables [`token_dimacs`] declares.
+const DIMACS_STRAYS: [&str; 6] = ["0", "c", "p", "%", "2147483648", "-7"];
+
+/// DIMACS text from the format's own tokens: a `p cnf V C` header
+/// (well-formed, short, of another format, or after the clauses) and
+/// clause lines, mostly `0`-terminated, into which up to two edits
+/// insert a [`DIMACS_STRAYS`] token.
+fn token_dimacs() -> impl Strategy<Value = String> {
+    (1i32..=6).prop_flat_map(|vars| {
+        let literal = (1..=vars, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v });
+        let clause = prop::collection::vec(literal, 0..=4);
+        // One clause line in eight is left without its `0` terminator.
+        let line = (clause, 0usize..8).prop_map(|(lits, end)| -> Vec<String> {
+            let terminator = (end > 0).then(|| "0".to_string());
+            lits.iter().map(i32::to_string).chain(terminator).collect()
+        });
+        let edit = (0..DIMACS_STRAYS.len(), any::<Index>(), any::<Index>());
+        let lines = prop::collection::vec(line, 0..=6);
+        let edits = prop::collection::vec(edit, 0..=2);
+        (0usize..6, 0usize..8, lines, edits).prop_map(move |(shape, count, mut lines, edits)| {
+            let header = match shape {
+                3 => format!("p cnf {vars}"),
+                4 => format!("p dnf {vars} {count}"),
+                _ => format!("p cnf {vars} {count}"),
+            };
+            lines.insert(if shape == 5 { lines.len() } else { 0 }, vec![header]);
+            for (stray, at_line, pos) in edits {
+                let k = at_line.index(lines.len());
+                let line = &mut lines[k];
+                line.insert(pos.index(line.len() + 1), DIMACS_STRAYS[stray].to_string());
+            }
+            let lines: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+            lines.join("\n")
+        })
+    })
+}
+
+/// `parse_dimacs` returns instead of panicking, and an instance it
+/// accepts comes back unchanged from its own `to_dimacs` text.
+fn assert_dimacs_parses_or_errs(text: &str) {
+    if let Ok(inst) = parse_dimacs(text) {
+        let again = parse_dimacs(&to_dimacs(inst.num_vars, &inst.clauses));
+        assert_eq!(again, Ok(inst), "re-parse of an accepted instance");
+    }
+}
+
+proptest! {
+    /// Token-built DIMACS text parses or errs, never panics.
+    #[test]
+    fn dimacs_tokens_never_panic(text in token_dimacs()) {
+        assert_dimacs_parses_or_errs(&text);
+    }
+
+    /// Arbitrary bytes parse or err, never panic.
+    #[test]
+    fn dimacs_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        assert_dimacs_parses_or_errs(&String::from_utf8_lossy(&bytes));
     }
 }
 

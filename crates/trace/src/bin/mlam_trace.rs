@@ -45,9 +45,9 @@ USAGE:
         beyond the threshold (default 0.2 = +20%, noise floor
         --min-wall-ms, default 100) exit 1 unless --warn-only.
         --ignore-counter (repeatable) excludes counters whose name
-        starts with the prefix from the drift check — for deliberate
-        A/B runs whose path-attribution counters differ by design
-        (e.g. puf.batch. between the scalar and bit-sliced CRP paths).
+        starts with the prefix from the drift check — for bookkeeping
+        counters that may differ by design (e.g. harness.retry., the
+        retry-policy counters of a fault sweep).
         --json replaces the table with a machine-readable payload
         (verdict, per-counter deltas, wall rows) whose exit_code field
         mirrors the process exit code.

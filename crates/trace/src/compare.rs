@@ -21,11 +21,10 @@ pub struct CompareOptions {
     /// Absolute wall-clock noise floor in seconds: smaller deltas are
     /// never flagged, whatever the ratio.
     pub min_wall_s: f64,
-    /// Counter-name prefixes excluded from the drift check. For
-    /// deliberate A/B comparisons across implementation paths (e.g. the
-    /// bit-sliced vs scalar CRP evaluator), the path-attribution
-    /// counters (`puf.batch.`) differ by construction while every
-    /// behavior counter must still match bit for bit.
+    /// Counter-name prefixes excluded from the drift check: bookkeeping
+    /// counters that may differ by design while every behavior counter
+    /// must still match bit for bit (e.g. `harness.retry.`, the
+    /// retry-policy counters a fault sweep's baseline check excludes).
     pub ignore_counters: Vec<String>,
 }
 

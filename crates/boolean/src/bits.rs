@@ -4,12 +4,14 @@
 //! words. It is the universal input type of the workspace: PUF challenges,
 //! netlist input assignments and learning examples are all `BitVec`s.
 //!
-//! Crate-internal kernels sit next to it: `Columns` packs a labeled
-//! sample into 64-example column blocks for the word-parallel
-//! Boolean-analysis kernels, and `sign_select`, `row_sum` and
-//! `nonpositive_lanes` are the exact ±1 arithmetic those kernels share
-//! with the sequential per-example paths. `transpose64` is the 64×64
-//! block transpose `Columns` is built with.
+//! Kernels sit next to it. [`sign_select`] and [`NIBBLE_SIGNS`] are the
+//! exact ±1 arithmetic every packed kernel in the workspace shares with
+//! the per-bit loops it replaced (`mlam-learn`'s feature matrices use
+//! them too). Crate-internal: `Columns` packs a labeled sample into
+//! 64-example column blocks for the word-parallel Boolean-analysis
+//! kernels, `row_sum` and `nonpositive_lanes` add ±1 terms one example
+//! or 64 examples at a time, and `transpose64` is the 64×64 block
+//! transpose `Columns` is built with.
 
 use rand::Rng;
 use std::fmt;
@@ -324,8 +326,16 @@ impl BitVec {
 /// IEEE-754 sign bit: equals `w * x.pm(i)` bit for bit (including
 /// signed zeros) when `bit` carries bit `i` of `x`, without a multiply
 /// or a branch.
+///
+/// ```
+/// use mlam_boolean::bits::sign_select;
+/// use mlam_boolean::to_pm;
+///
+/// assert_eq!(sign_select(2.5, 0b10).to_bits(), (2.5 * to_pm(false)).to_bits());
+/// assert_eq!(sign_select(0.0, 1).to_bits(), (0.0 * to_pm(true)).to_bits());
+/// ```
 #[inline]
-pub(crate) fn sign_select(w: f64, bit: u64) -> f64 {
+pub fn sign_select(w: f64, bit: u64) -> f64 {
     f64::from_bits(w.to_bits() ^ (bit << 63))
 }
 
@@ -348,9 +358,13 @@ pub(crate) fn row_sum(start: f64, weights: &[f64], row: &[u64]) -> f64 {
     s
 }
 
-/// IEEE sign masks of four lanes, indexed by a nibble of a column
-/// word: entry `v`, lane `k` is `1 << 63` iff bit `k` of `v` is set.
-const NIBBLE_SIGNS: [[u64; 4]; 16] = {
+/// IEEE sign masks of four lanes, indexed by a nibble of a packed sign
+/// word: entry `v`, lane `k` is `1 << 63` iff bit `k` of `v` is set, so
+/// `f64::from_bits(w.to_bits() ^ NIBBLE_SIGNS[v][k])` is
+/// [`sign_select`]`(w, v >> k)`. A kernel that holds several lanes in
+/// registers reads their masks from here instead of shifting each one
+/// out of the word.
+pub const NIBBLE_SIGNS: [[u64; 4]; 16] = {
     let mut table = [[0u64; 4]; 16];
     let mut v = 0;
     while v < 16 {

@@ -208,6 +208,9 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn scratch(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mlam_ckpt_{label}_{}", std::process::id()));
@@ -310,5 +313,164 @@ mod tests {
         let rec: ExperimentJson = serde_json::from_str(json).unwrap();
         assert!(!rec.degraded);
         assert!(rec.resumable(1, true));
+    }
+
+    /// A record with counters, notes and table cells drawn from `seed`:
+    /// quotes, backslashes, control characters and non-ASCII text
+    /// included, so every escape path of the writer is exercised.
+    fn rich_record(name: &str, seed: u64) -> ExperimentJson {
+        const PIECES: [&str; 8] = ["0.95", "\"", "\\", "\n\t", "\u{1}", "Φ", "k=4, n=64", ""];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text = |rng: &mut StdRng| -> String {
+            (0..rng.gen_range(0..4))
+                .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+                .collect()
+        };
+        let mut table = Table::new(text(&mut rng), &["model", "accuracy"]);
+        for _ in 0..rng.gen_range(0..4) {
+            table.row(&[text(&mut rng), text(&mut rng)]);
+        }
+        table.note(text(&mut rng));
+        ExperimentJson {
+            name: name.into(),
+            seed: rng.gen(),
+            quick: rng.gen(),
+            seconds: rng.gen_range(0.0..1e4),
+            degraded: rng.gen(),
+            counters: (0..rng.gen_range(0..5))
+                .map(|i| (format!("oracle.c{i}"), rng.gen()))
+                .collect(),
+            tables: vec![TableJson::from_table(&table)],
+        }
+    }
+
+    /// Writes `bytes` as the record of `name` and loads it back.
+    fn load_bytes(store: &CheckpointStore, name: &str, bytes: &[u8]) -> CheckpointState {
+        std::fs::write(store.record_path(name), bytes).unwrap();
+        store.load(name)
+    }
+
+    /// The saved text of `record`, as `save` writes it.
+    fn saved_text(store: &CheckpointStore, record: &ExperimentJson) -> Vec<u8> {
+        store.save(record).unwrap();
+        std::fs::read(store.record_path(&record.name)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A record saved untouched loads as `Complete` and equal.
+        #[test]
+        fn untouched_records_load_complete(seed in any::<u64>()) {
+            let dir = scratch("prop_untouched");
+            let store = CheckpointStore::new(&dir);
+            let record = rich_record("exp", seed);
+            store.save(&record).unwrap();
+            prop_assert_eq!(store.load("exp"), CheckpointState::Complete(record));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// Arbitrary bytes load as `Corrupt` or, if they happen to be a
+        /// record of this name, `Complete`; never `Missing`, never a
+        /// panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            let dir = scratch("prop_bytes");
+            let store = CheckpointStore::new(&dir);
+            match load_bytes(&store, "exp", &bytes) {
+                CheckpointState::Corrupt => {}
+                CheckpointState::Complete(record) => prop_assert_eq!(record.name, "exp"),
+                CheckpointState::Missing => panic!("an existing file loaded as missing"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// Every truncation of a saved record is `Corrupt`, except the
+        /// ones that cut only trailing whitespace.
+        #[test]
+        fn truncated_records_are_corrupt(seed in any::<u64>(), cut in any::<prop::sample::Index>()) {
+            let dir = scratch("prop_truncated");
+            let store = CheckpointStore::new(&dir);
+            let record = rich_record("exp", seed);
+            let text = saved_text(&store, &record);
+            let body = text.trim_ascii_end().len();
+            let cut = cut.index(text.len());
+            let expected = if cut >= body {
+                CheckpointState::Complete(record)
+            } else {
+                CheckpointState::Corrupt
+            };
+            prop_assert_eq!(load_bytes(&store, "exp", &text[..cut]), expected);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// A single-byte edit of a saved record never panics: it loads
+        /// as `Corrupt` or as a `Complete` record of this name, and an
+        /// edit that writes the same byte back changes nothing.
+        #[test]
+        fn single_byte_edits_never_panic(
+            seed in any::<u64>(),
+            at in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+        ) {
+            let dir = scratch("prop_edit");
+            let store = CheckpointStore::new(&dir);
+            let record = rich_record("exp", seed);
+            let mut text = saved_text(&store, &record);
+            let at = at.index(text.len());
+            let unchanged = text[at] == byte;
+            text[at] = byte;
+            match load_bytes(&store, "exp", &text) {
+                CheckpointState::Complete(found) if unchanged => prop_assert_eq!(found, record),
+                CheckpointState::Complete(found) => prop_assert_eq!(found.name, "exp"),
+                CheckpointState::Corrupt => prop_assert!(!unchanged, "an unedited record is complete"),
+                CheckpointState::Missing => panic!("an existing file loaded as missing"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// Nesting in a record's free-form `rows` value parses up to the
+        /// vendored parser's depth cap (128) and is `Corrupt` past it,
+        /// whether or not the brackets close.
+        #[test]
+        fn deep_nesting_is_corrupt_not_a_panic(depth in 0usize..400, closed in any::<bool>()) {
+            let dir = scratch("prop_nesting");
+            let store = CheckpointStore::new(&dir);
+            let text = format!(
+                r#"{{"name": "exp", "seed": 1, "quick": true, "seconds": 1.5,
+                "counters": {{"oracle.example_queries": 7}},
+                "tables": [{{"title": "t", "header": [], "rows": {}null{}, "notes": []}}]}}"#,
+                "[".repeat(depth),
+                "]".repeat(if closed { depth } else { 0 }),
+            );
+            let state = load_bytes(&store, "exp", text.as_bytes());
+            // The innermost `null` sits at depth `depth + 3`: the
+            // record, `tables` and the table enclose the rows value.
+            if closed && depth + 3 <= 128 {
+                let CheckpointState::Complete(found) = state else {
+                    panic!("depth {depth} is within the cap: {state:?}");
+                };
+                prop_assert_eq!(found.tables.len(), 1);
+                prop_assert_eq!(found.counters, record("exp", 1).counters);
+            } else {
+                prop_assert_eq!(state, CheckpointState::Corrupt);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unbounded_nesting_is_corrupt() {
+        // Far past any stack: the parser must stop at its cap.
+        let dir = scratch("unbounded_nesting");
+        let store = CheckpointStore::new(&dir);
+        for open in ["[", "{\"a\":"] {
+            let text = open.repeat(1_000_000);
+            assert_eq!(
+                load_bytes(&store, "exp", text.as_bytes()),
+                CheckpointState::Corrupt
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,6 +12,7 @@
 use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
 use crate::features::ArbiterPhiFeatures;
+use mlam_boolean::bits::sign_select;
 use mlam_boolean::{BitVec, BooleanFunction};
 use rand::Rng;
 
@@ -418,7 +419,7 @@ impl BooleanFunction for XorDelayModel {
         for chain in self.weights.chunks(self.n + 1) {
             let mut s = 0.0f64;
             for (i, &w) in chain[..self.n].iter().enumerate() {
-                s += f64::from_bits(w.to_bits() ^ (((signs[i / 64] >> (i % 64)) & 1) << 63));
+                s += sign_select(w, signs[i / 64] >> (i % 64));
             }
             s += chain[self.n];
             prod *= if s < 0.0 { -1.0 } else { 1.0 };

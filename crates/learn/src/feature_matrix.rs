@@ -8,37 +8,51 @@
 //! pointers; a [`FeatureMatrix`] computes the features **once** per
 //! `(LabeledSet, FeatureMap)` pair and stores them struct-of-arrays:
 //!
-//! * **Packed signs** — when the map is
-//!   [sign-valued](crate::features::FeatureMap::is_sign_valued) (all
-//!   three built-in maps are), each feature is one *bit* (set ⇔ the
+//! * **Packed signs** — when the map
+//!   [packs sign words](crate::features::FeatureMap::sign_words_into)
+//!   (all three built-in maps do), each feature is one *bit* (set ⇔ the
 //!   feature is `−1.0`), so a row of 65 Φ features costs 16 bytes
 //!   instead of 520 and whole training sets fit in cache.
 //! * **Dense values** — any other map falls back to a contiguous
 //!   row-major `Vec<f64>`.
 //!
-//! Every kernel reproduces the scalar reduction **bit for bit**: a
+//! Every kernel reproduces the one-row scalar loop **bit for bit**: a
 //! sign-valued feature `f ∈ {+1, −1}` turns `w·f` into an IEEE-exact
-//! sign-bit flip of `w`, and each kernel accumulates in the same index
-//! order as the scalar `zip`-fold it replaces, so trained weights,
-//! mistake counts, and accuracies are unchanged — the determinism
-//! contract of `mlam-par` extends through the learners.
+//! sign-bit flip of `w` ([`sign_select`]), and each value is
+//! accumulated from the same start in the same order as the scalar loop
+//! it replaces, so trained weights, mistake counts, and accuracies are
+//! unchanged — the determinism contract of `mlam-par` extends through
+//! the learners. Where the weights stay fixed across many rows, the
+//! packed kernels work on several rows or features at once:
+//!
+//! * **Scores** ([`FeatureMatrix::scores`],
+//!   [`FeatureMatrix::for_each_score`], [`FeatureMatrix::error_count`])
+//!   add 8 rows side by side, one accumulator per row, each starting at
+//!   `0.0` and adding the same sign-flipped weights in the same index
+//!   order as [`FeatureMatrix::dot`], its one-row case.
+//! * **Minibatch gradients** ([`FeatureMatrix::grad_sub_batch`]) hold 8
+//!   gradient entries in registers while the batch's rows subtract
+//!   from them in batch order, so each entry sees the same subtractions
+//!   in the same order as a row-at-a-time loop.
 
 use crate::dataset::LabeledSet;
 use crate::features::FeatureMap;
+use mlam_boolean::bits::{sign_select, NIBBLE_SIGNS};
 use mlam_boolean::to_pm;
 
-/// Flips the sign of `w` when `bit` is 1 — the IEEE-exact equivalent of
-/// `w * (if bit == 1 { -1.0 } else { 1.0 })`.
-#[inline(always)]
-fn sign_select(w: f64, bit: u64) -> f64 {
-    f64::from_bits(w.to_bits() ^ (bit << 63))
-}
+/// Rows the score kernel adds side by side, one `f64` accumulator each.
+const SCORE_ROWS: usize = 8;
+
+/// Features per tile of the gradient and update kernels: one byte of a
+/// sign word, whose two nibbles index [`NIBBLE_SIGNS`].
+const TILE_FEATURES: usize = 8;
 
 /// Row-major feature storage: packed sign bits or dense values.
 #[derive(Clone, Debug)]
 enum Storage {
     /// One bit per feature, set ⇔ the feature is `−1.0`; each row is
-    /// `words_per_row` consecutive `u64`s.
+    /// `words_per_row` consecutive `u64`s, with the bits past the
+    /// dimension zero.
     Signs {
         words_per_row: usize,
         words: Vec<u64>,
@@ -67,7 +81,9 @@ enum Storage {
 /// assert_eq!(fm.examples(), 100);
 /// assert_eq!(fm.dimension(), 9);
 /// let w = vec![0.25; fm.dimension()];
-/// let _score = fm.dot(0, &w);
+/// let mut scores = [0.0; 3];
+/// fm.scores(&[4, 0, 9], &w, &mut scores);
+/// assert_eq!(scores[1].to_bits(), fm.dot(0, &w).to_bits());
 /// ```
 #[derive(Clone, Debug)]
 pub struct FeatureMatrix {
@@ -83,33 +99,33 @@ impl FeatureMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or the map's arity differs from the
-    /// data's.
+    /// Panics if `data` is empty, the map's arity differs from the
+    /// data's, or the map packs sign words for some inputs but not for
+    /// others.
     pub fn build<M: FeatureMap + ?Sized>(map: &M, data: &LabeledSet) -> Self {
         assert!(!data.is_empty(), "cannot build from an empty set");
         assert_eq!(map.num_inputs(), data.num_inputs(), "feature map arity");
         let m = data.len();
         let d = map.dimension();
         let labels: Vec<f64> = data.pairs().iter().map(|(_, y)| to_pm(*y)).collect();
-        let mut buf = Vec::with_capacity(d);
-        let storage = if map.is_sign_valued() {
-            let words_per_row = d.div_ceil(64);
-            let mut words = vec![0u64; m * words_per_row];
-            for (row, (x, _)) in data.pairs().iter().enumerate() {
-                map.features_into(x, &mut buf);
-                let base = row * words_per_row;
-                for (j, &v) in buf.iter().enumerate() {
-                    debug_assert!(v == 1.0 || v == -1.0, "sign-valued map produced {v}");
-                    words[base + j / 64] |= (v.to_bits() >> 63) << (j % 64);
-                }
+        let pairs = data.pairs();
+        let words_per_row = d.div_ceil(64);
+        let mut words = vec![0u64; words_per_row];
+        let storage = if map.sign_words_into(&pairs[0].0, &mut words) {
+            words.resize(m * words_per_row, 0);
+            for (row, (x, _)) in pairs.iter().enumerate().skip(1) {
+                let row_words = &mut words[row * words_per_row..(row + 1) * words_per_row];
+                let packed = map.sign_words_into(x, row_words);
+                assert!(packed, "a map packs sign words for every input or for none");
             }
             Storage::Signs {
                 words_per_row,
                 words,
             }
         } else {
+            let mut buf = Vec::with_capacity(d);
             let mut values = Vec::with_capacity(m * d);
-            for (x, _) in data.pairs() {
+            for (x, _) in pairs {
                 map.features_into(x, &mut buf);
                 values.extend_from_slice(&buf);
             }
@@ -157,26 +173,77 @@ impl FeatureMatrix {
     /// Panics if `w.len() != self.dimension()` or `row` is out of range.
     #[inline]
     pub fn dot(&self, row: usize, w: &[f64]) -> f64 {
+        let mut score = 0.0;
+        self.scores_by(1, |_| row, w, |_, s| score = s);
+        score
+    }
+
+    /// The scores `out[i] = w · φ(x_{rows[i]})`, each bit-identical to
+    /// [`dot`](Self::dot), computed 8 packed rows at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != self.dimension()`, `rows` and `out` differ
+    /// in length, or a row is out of range.
+    pub fn scores(&self, rows: &[usize], w: &[f64], out: &mut [f64]) {
+        assert_eq!(rows.len(), out.len(), "one output per row");
+        self.scores_by(rows.len(), |i| rows[i], w, |i, s| out[i] = s);
+    }
+
+    /// Calls `f(row, w · φ(x_row))` for every row in order, each score
+    /// bit-identical to [`dot`](Self::dot) and computed 8 packed rows
+    /// at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != self.dimension()`.
+    pub fn for_each_score(&self, w: &[f64], f: impl FnMut(usize, f64)) {
+        self.scores_by(self.examples, |i| i, w, f);
+    }
+
+    /// Calls `f(i, w · φ(x_{row(i)}))` for `i` in `0..count`, in order:
+    /// full tiles of [`SCORE_ROWS`] packed rows through the multi-row
+    /// kernel, the tail rows through its one-row case. Every score
+    /// starts at `0.0` and adds its terms in index order.
+    #[inline]
+    fn scores_by(
+        &self,
+        count: usize,
+        row: impl Fn(usize) -> usize,
+        w: &[f64],
+        mut f: impl FnMut(usize, f64),
+    ) {
         assert_eq!(w.len(), self.dim, "weight dimension mismatch");
         match &self.storage {
             Storage::Signs {
                 words_per_row,
                 words,
             } => {
-                let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                let mut s = 0.0f64;
-                for (j, &wj) in w.iter().enumerate() {
-                    s += sign_select(wj, (signs[j / 64] >> (j % 64)) & 1);
+                let signs = |i: usize| {
+                    let r = row(i);
+                    &words[r * words_per_row..(r + 1) * words_per_row]
+                };
+                let tiled = count - count % SCORE_ROWS;
+                for base in (0..tiled).step_by(SCORE_ROWS) {
+                    let tile =
+                        sign_scores::<SCORE_ROWS>(std::array::from_fn(|k| signs(base + k)), w);
+                    for (k, s) in tile.into_iter().enumerate() {
+                        f(base + k, s);
+                    }
                 }
-                s
+                for i in tiled..count {
+                    f(i, sign_scores([signs(i)], w)[0]);
+                }
             }
             Storage::Dense { values } => {
-                let f = &values[row * self.dim..(row + 1) * self.dim];
-                let mut s = 0.0f64;
-                for (&fj, &wj) in f.iter().zip(w) {
-                    s += fj * wj;
+                for i in 0..count {
+                    let r = row(i);
+                    let mut s = 0.0f64;
+                    for (&fj, &wj) in values[r * self.dim..(r + 1) * self.dim].iter().zip(w) {
+                        s += fj * wj;
+                    }
+                    f(i, s);
                 }
-                s
             }
         }
     }
@@ -196,8 +263,12 @@ impl FeatureMatrix {
                 words,
             } => {
                 let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                for (j, wj) in w.iter_mut().enumerate() {
-                    *wj += sign_select(t, (signs[j / 64] >> (j % 64)) & 1);
+                let t = t.to_bits();
+                for (tile, ws) in w.chunks_mut(TILE_FEATURES).enumerate() {
+                    let masks = tile_signs(signs, tile);
+                    for (wj, mask) in ws.iter_mut().zip(masks) {
+                        *wj += f64::from_bits(t ^ mask);
+                    }
                 }
             }
             Storage::Dense { values } => {
@@ -209,31 +280,48 @@ impl FeatureMatrix {
         }
     }
 
-    /// The logistic-gradient update `g[j] -= t * φ(x_row)[j] * sigma`,
-    /// bit-identical to the scalar loop (for a sign-valued feature the
-    /// scalar product `(t * ±1) * sigma` is exactly `±(t * sigma)`).
+    /// The minibatch logistic gradient: for each `rows[i]` in order,
+    /// `g[j] -= t * φ(x)[j] * sigmas[i]` with `t` the row's label,
+    /// bit-identical to that row-at-a-time loop (for a sign-valued
+    /// feature the scalar product `(t * ±1) * sigma` is exactly
+    /// `±(t * sigma)`).
+    ///
+    /// Packed rows are read one 8-feature tile at a time: the tile's
+    /// gradient entries stay in registers while every row of the batch,
+    /// in order, subtracts its sign-flipped `t * sigma` from them.
     ///
     /// # Panics
     ///
-    /// Panics if `g.len() != self.dimension()` or `row` is out of range.
-    #[inline]
-    pub fn grad_sub(&self, row: usize, t: f64, sigma: f64, g: &mut [f64]) {
+    /// Panics if `g.len() != self.dimension()`, `rows` and `sigmas`
+    /// differ in length, or a row is out of range.
+    pub fn grad_sub_batch(&self, rows: &[usize], sigmas: &[f64], g: &mut [f64]) {
         assert_eq!(g.len(), self.dim, "gradient dimension mismatch");
+        assert_eq!(rows.len(), sigmas.len(), "one sigma per row");
         match &self.storage {
             Storage::Signs {
                 words_per_row,
                 words,
             } => {
-                let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                let c = t * sigma;
-                for (j, gj) in g.iter_mut().enumerate() {
-                    *gj -= sign_select(c, (signs[j / 64] >> (j % 64)) & 1);
+                for (tile, gs) in g.chunks_mut(TILE_FEATURES).enumerate() {
+                    let mut acc = [0.0f64; TILE_FEATURES];
+                    acc[..gs.len()].copy_from_slice(gs);
+                    for (&row, &sigma) in rows.iter().zip(sigmas) {
+                        let signs = &words[row * words_per_row..(row + 1) * words_per_row];
+                        let c = (self.labels[row] * sigma).to_bits();
+                        for (a, mask) in acc.iter_mut().zip(tile_signs(signs, tile)) {
+                            *a -= f64::from_bits(c ^ mask);
+                        }
+                    }
+                    gs.copy_from_slice(&acc[..gs.len()]);
                 }
             }
             Storage::Dense { values } => {
-                let f = &values[row * self.dim..(row + 1) * self.dim];
-                for (gj, &fj) in g.iter_mut().zip(f) {
-                    *gj -= t * fj * sigma;
+                for (&row, &sigma) in rows.iter().zip(sigmas) {
+                    let t = self.labels[row];
+                    let f = &values[row * self.dim..(row + 1) * self.dim];
+                    for (gj, &fj) in g.iter_mut().zip(f) {
+                        *gj -= t * fj * sigma;
+                    }
                 }
             }
         }
@@ -242,10 +330,44 @@ impl FeatureMatrix {
     /// Number of examples `w` misclassifies (`score · label ≤ 0`), the
     /// Perceptron's pocket criterion.
     pub fn error_count(&self, w: &[f64]) -> usize {
-        (0..self.examples)
-            .filter(|&row| self.dot(row, w) * self.labels[row] <= 0.0)
-            .count()
+        let mut errors = 0usize;
+        self.for_each_score(w, |row, s| {
+            errors += usize::from(s * self.labels[row] <= 0.0);
+        });
+        errors
     }
+}
+
+/// `w · φ(x)` for `R` packed rows side by side. Lane `k` starts at
+/// `0.0` and adds [`sign_select`]`(w[j], bit j of rows[k])` for
+/// `j = 0, 1, …`, the start and term order of the one-row loop, so each
+/// lane is that loop's sum bit for bit. After every term each lane's
+/// word shifts right by one, the same constant shift in every lane, so
+/// the lanes vectorize on baseline SSE2.
+#[inline(always)]
+fn sign_scores<const R: usize>(rows: [&[u64]; R], w: &[f64]) -> [f64; R] {
+    let mut acc = [0.0f64; R];
+    for (g, chunk) in w.chunks(64).enumerate() {
+        let mut bits: [u64; R] = std::array::from_fn(|k| rows[k][g]);
+        for &wj in chunk {
+            for (a, b) in acc.iter_mut().zip(bits.iter_mut()) {
+                *a += sign_select(wj, *b);
+                *b >>= 1;
+            }
+        }
+    }
+    acc
+}
+
+/// The IEEE sign masks of features `8 * tile .. 8 * tile + 8` of one
+/// packed row, from the two [`NIBBLE_SIGNS`] entries of their byte.
+#[inline(always)]
+fn tile_signs(signs: &[u64], tile: usize) -> [u64; TILE_FEATURES] {
+    // Eight tiles per word; a tile never straddles two words.
+    let byte = signs[tile / 8] >> (8 * (tile % 8));
+    let lo = NIBBLE_SIGNS[(byte & 15) as usize];
+    let hi = NIBBLE_SIGNS[((byte >> 4) & 15) as usize];
+    [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
 }
 
 /// Packs a sequence of sign bits (`true` ⇔ the value is `−1.0`) into
@@ -291,6 +413,7 @@ mod tests {
     use crate::features::{ArbiterPhiFeatures, LowDegreeFeatures, PlusMinusFeatures};
     use mlam_boolean::{BitVec, LinearThreshold};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     /// A deliberately non-sign-valued map to exercise the dense path.
@@ -322,6 +445,38 @@ mod tests {
         (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect()
     }
 
+    /// Every multi-row score of `fm` next to the scalar sum of `map`:
+    /// `for_each_score` in row order, `scores` over a shuffled gather
+    /// whose length leaves a tile tail.
+    fn assert_scores_match<M: FeatureMap + ?Sized>(
+        map: &M,
+        data: &LabeledSet,
+        fm: &FeatureMatrix,
+        w: &[f64],
+        rng: &mut StdRng,
+    ) {
+        let scalar: Vec<u64> = data
+            .pairs()
+            .iter()
+            .map(|(x, _)| {
+                let s: f64 = map.features(x).iter().zip(w).map(|(f, w)| f * w).sum();
+                s.to_bits()
+            })
+            .collect();
+        let mut seen = Vec::new();
+        fm.for_each_score(w, |row, s| seen.push((row, s.to_bits())));
+        let expected: Vec<(usize, u64)> = scalar.iter().copied().enumerate().collect();
+        assert_eq!(seen, expected);
+        let mut rows: Vec<usize> = (0..data.len()).chain(0..data.len() / 3).collect();
+        rows.shuffle(rng);
+        let mut out = vec![f64::NAN; rows.len()];
+        fm.scores(&rows, w, &mut out);
+        for (&row, s) in rows.iter().zip(&out) {
+            assert_eq!(s.to_bits(), scalar[row], "row {row}");
+            assert_eq!(fm.dot(row, w).to_bits(), scalar[row], "row {row}");
+        }
+    }
+
     #[test]
     fn packed_dot_is_bit_identical_to_scalar() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -337,9 +492,8 @@ mod tests {
                 let fm = FeatureMatrix::build(map.as_ref(), &data);
                 assert!(fm.is_packed());
                 let w = random_weights(fm.dimension(), &mut rng);
-                for (row, (x, y)) in data.pairs().iter().enumerate() {
-                    let scalar: f64 = map.features(x).iter().zip(&w).map(|(f, w)| f * w).sum();
-                    assert_eq!(fm.dot(row, &w).to_bits(), scalar.to_bits(), "row {row}");
+                assert_scores_match(map.as_ref(), &data, &fm, &w, &mut rng);
+                for (row, (_, y)) in data.pairs().iter().enumerate() {
                     assert_eq!(fm.label(row), to_pm(*y));
                 }
             }
@@ -354,10 +508,7 @@ mod tests {
         let fm = FeatureMatrix::build(&map, &data);
         assert!(!fm.is_packed());
         let w = random_weights(fm.dimension(), &mut rng);
-        for (row, (x, _)) in data.pairs().iter().enumerate() {
-            let scalar: f64 = map.features(x).iter().zip(&w).map(|(f, w)| f * w).sum();
-            assert_eq!(fm.dot(row, &w).to_bits(), scalar.to_bits());
-        }
+        assert_scores_match(&map, &data, &fm, &w, &mut rng);
     }
 
     #[test]
@@ -384,20 +535,27 @@ mod tests {
     fn grad_sub_matches_scalar_update() {
         let mut rng = StdRng::seed_from_u64(4);
         let data = sample_set(9, 40, 5);
-        let map = PlusMinusFeatures::new(9);
-        let fm = FeatureMatrix::build(&map, &data);
-        let mut g_fast = vec![0.0; fm.dimension()];
-        let mut g_ref = g_fast.clone();
-        for (row, (x, y)) in data.pairs().iter().enumerate() {
-            let t = to_pm(*y);
-            let sigma: f64 = rng.gen_range(0.0..1.0);
-            fm.grad_sub(row, t, sigma, &mut g_fast);
-            for (gi, fi) in g_ref.iter_mut().zip(map.features(x)) {
-                *gi -= t * fi * sigma;
+        let packed = PlusMinusFeatures::new(9);
+        let dense = ScaledBits { n: 9 };
+        let maps: [&dyn FeatureMap; 2] = [&packed, &dense];
+        for map in maps {
+            let fm = FeatureMatrix::build(map, &data);
+            let mut rows: Vec<usize> = (0..data.len()).collect();
+            rows.shuffle(&mut rng);
+            let sigmas: Vec<f64> = rows.iter().map(|_| rng.gen_range(0.0..1.0)).collect();
+            let mut g_fast = random_weights(fm.dimension(), &mut rng);
+            let mut g_ref = g_fast.clone();
+            fm.grad_sub_batch(&rows, &sigmas, &mut g_fast);
+            for (&row, &sigma) in rows.iter().zip(&sigmas) {
+                let (x, y) = &data.pairs()[row];
+                let t = to_pm(*y);
+                for (gi, fi) in g_ref.iter_mut().zip(map.features(x)) {
+                    *gi -= t * fi * sigma;
+                }
             }
-        }
-        for (a, b) in g_fast.iter().zip(&g_ref) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            for (a, b) in g_fast.iter().zip(&g_ref) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

@@ -37,14 +37,34 @@ pub trait FeatureMap {
         out.extend(self.features(x));
     }
 
-    /// Whether every feature value this map produces is exactly `±1.0`.
+    /// Packs the signs of `x`'s features into `out`, for a map whose
+    /// every feature value is exactly `±1.0`: bit `j % 64` of
+    /// `out[j / 64]` is set ⇔ feature `j` is `−1.0`, and the bits past
+    /// [`dimension`](FeatureMap::dimension) are zero. `out` holds
+    /// `dimension().div_ceil(64)` words, all of which are overwritten.
+    /// Returns `false`, leaving `out` alone, when the map is not
+    /// sign-valued; a map gives the same answer for every input.
     ///
-    /// Sign-valued maps allow [`crate::feature_matrix::FeatureMatrix`]
-    /// to store one sign *bit* per feature instead of an `f64`, which is
-    /// what makes the cached-matrix learners cache-resident.
-    fn is_sign_valued(&self) -> bool {
+    /// Sign-valued maps let [`crate::feature_matrix::FeatureMatrix`]
+    /// store one sign *bit* per feature instead of an `f64`, which is
+    /// what makes the cached-matrix learners cache-resident. The
+    /// built-in maps derive the words from the input's words, with no
+    /// `f64` features in between.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `x.len() != self.num_inputs()` or
+    /// `out` has the wrong length.
+    fn sign_words_into(&self, _x: &BitVec, _out: &mut [u64]) -> bool {
         false
     }
+}
+
+/// Writes `words` to the front of `out` and zeroes the rest.
+fn copy_words(words: &[u64], out: &mut [u64]) {
+    let (head, tail) = out.split_at_mut(words.len());
+    head.copy_from_slice(words);
+    tail.fill(0);
 }
 
 /// The ±1 encoding with a constant feature: `[x_0, …, x_{n−1}, 1]`
@@ -87,7 +107,10 @@ impl FeatureMap for PlusMinusFeatures {
         out.push(1.0);
     }
 
-    fn is_sign_valued(&self) -> bool {
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) -> bool {
+        assert_eq!(x.len(), self.n, "input length mismatch");
+        // Feature i < n is −1 ⇔ bit i is set; the constant is +1.
+        copy_words(x.words(), out);
         true
     }
 }
@@ -136,7 +159,10 @@ impl FeatureMap for ArbiterPhiFeatures {
         }
     }
 
-    fn is_sign_valued(&self) -> bool {
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) -> bool {
+        assert_eq!(x.len(), self.n, "input length mismatch");
+        // Φ_i is −1 ⇔ the parity of bits i..n is odd; the constant is +1.
+        copy_words(&x.suffix_parity_words(), out);
         true
     }
 }
@@ -218,7 +244,15 @@ impl FeatureMap for LowDegreeFeatures {
         }));
     }
 
-    fn is_sign_valued(&self) -> bool {
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) -> bool {
+        assert_eq!(x.len(), self.n, "input length mismatch");
+        assert_eq!(out.len(), self.masks.len().div_ceil(64), "sign word count");
+        let xm = x.to_u64();
+        for (word, masks) in out.iter_mut().zip(self.masks.chunks(64)) {
+            *word = masks.iter().enumerate().fold(0, |acc, (b, &m)| {
+                acc | (u64::from((xm & m).count_ones() & 1) << b)
+            });
+        }
         true
     }
 }
@@ -286,12 +320,13 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for map in &maps {
-            assert!(map.is_sign_valued());
+            let mut words = vec![0; map.dimension().div_ceil(64)];
             for _ in 0..20 {
                 let x = BitVec::random(n, &mut rng);
                 map.features_into(&x, &mut buf);
                 assert_eq!(buf, map.features(&x));
                 assert_eq!(buf.len(), map.dimension());
+                assert!(map.sign_words_into(&x, &mut words), "sign-valued");
             }
         }
     }

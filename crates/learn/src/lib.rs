@@ -54,6 +54,8 @@ pub mod logistic;
 pub mod lstar;
 pub mod oracle;
 pub mod perceptron;
+#[cfg(test)]
+mod reference;
 
 pub use automata::Dfa;
 pub use dataset::LabeledSet;

@@ -118,10 +118,12 @@ impl LogisticRegression {
         let mut w = vec![0.0f64; d];
         let mut m1 = vec![0.0f64; d];
         let mut m2 = vec![0.0f64; d];
-        let (b1, b2, eps) = (0.9, 0.999, 1e-8);
+        let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
         let mut step = 0usize;
 
         let mut order: Vec<usize> = (0..fm.examples()).collect();
+        let mut grad = vec![0.0f64; d];
+        let mut sigmas = vec![0.0f64; self.config.batch_size];
         for epoch in 1..=self.config.epochs {
             // Shuffle the visit order each epoch.
             for i in (1..order.len()).rev() {
@@ -130,15 +132,19 @@ impl LogisticRegression {
             }
             for batch in order.chunks(self.config.batch_size) {
                 step += 1;
-                let mut grad = vec![0.0f64; d];
-                for &idx in batch {
-                    let t = fm.label(idx);
-                    let s = fm.dot(idx, &w);
+                // The weights are fixed for the whole batch: score it
+                // with the multi-row kernel, then turn each score into
+                // its σ in place.
+                let sigmas = &mut sigmas[..batch.len()];
+                fm.scores(batch, &w, sigmas);
+                for (sigma, &idx) in sigmas.iter_mut().zip(batch) {
                     // d/dw ln(1+e^{-t s}) = -t f σ(-t s)
-                    let sigma = 1.0 / (1.0 + (t * s).exp());
-                    fm.grad_sub(idx, t, sigma, &mut grad);
+                    *sigma = 1.0 / (1.0 + (fm.label(idx) * *sigma).exp());
                 }
+                grad.fill(0.0);
+                fm.grad_sub_batch(batch, sigmas, &mut grad);
                 let scale = 1.0 / batch.len() as f64;
+                let (c1, c2) = (1.0 - b1.powi(step as i32), 1.0 - b2.powi(step as i32));
                 for ((wi, g), (mi, vi)) in w
                     .iter_mut()
                     .zip(&grad)
@@ -147,8 +153,8 @@ impl LogisticRegression {
                     let g = g * scale + self.config.l2 * *wi;
                     *mi = b1 * *mi + (1.0 - b1) * g;
                     *vi = b2 * *vi + (1.0 - b2) * g * g;
-                    let mhat = *mi / (1.0 - b1.powi(step as i32));
-                    let vhat = *vi / (1.0 - b2.powi(step as i32));
+                    let mhat = *mi / c1;
+                    let vhat = *vi / c2;
                     *wi -= self.config.learning_rate * mhat / (vhat.sqrt() + eps);
                 }
             }
@@ -162,11 +168,9 @@ impl LogisticRegression {
                 )
             {
                 let mut correct = 0usize;
-                for row in 0..fm.examples() {
-                    if fm.dot(row, &w) * fm.label(row) > 0.0 {
-                        correct += 1;
-                    }
-                }
+                fm.for_each_score(&w, |row, s| {
+                    correct += usize::from(s * fm.label(row) > 0.0);
+                });
                 mlam_telemetry::curves::checkpoint(
                     "logistic",
                     epoch as u64,
@@ -178,14 +182,11 @@ impl LogisticRegression {
 
         let mut loss = 0.0;
         let mut correct = 0usize;
-        for row in 0..fm.examples() {
+        fm.for_each_score(&w, |row, s| {
             let t = fm.label(row);
-            let s = fm.dot(row, &w);
             loss += ln_1p_exp(-t * s);
-            if s * t > 0.0 {
-                correct += 1;
-            }
-        }
+            correct += usize::from(s * t > 0.0);
+        });
         let model = LinearModel::new(map, w);
         LogisticOutcome {
             model,

@@ -1,6 +1,6 @@
 //! Fault-rate sweep: accuracy-vs-fault-rate and query-overhead curves
-//! of the perceptron attack under an unreliable oracle (the
-//! `BENCH_5.json` benchmark; see HARNESS.md).
+//! of the perceptron attack under an unreliable oracle (see
+//! HARNESS.md; `BENCH_5.json` records the paper-scale sweep).
 //!
 //! Usage: `cargo run --release -p mlam-bench --bin fault_sweep
 //! [--quick] [--json <dir>] [--monitor <addr>] [--progress]`
@@ -15,10 +15,9 @@
 //! Runs one experiment, `fault_sweep`, attacking a 64-stage Arbiter
 //! PUF at each fault rate under both example access (flips silently
 //! mislabel the training set) and majority-voted membership access
-//! (raw-read overhead buys label quality back). The sweep is written
-//! to `BENCH_5.json` in the current directory — the checked-in copy at
-//! the repo root is regenerated by running this binary full-scale from
-//! there.
+//! (raw-read overhead buys label quality back). The sweep's table goes
+//! to stdout; under `--json <dir>` its rows are also written to
+//! `<dir>/fault_sweep.json`.
 //!
 //! Every `oracle.fault.*` decision is a pure function of the fault
 //! seed and the challenge bits, so the sweep's counters and curves are
@@ -26,29 +25,14 @@
 //! diffs a fresh run against `baselines/fault_quick/` with
 //! `mlam-trace compare --ignore-counter harness.retry.`.
 
-use mlam::experiments::fault_sweep::{run_fault_sweep, FaultSweepParams, FaultSweepRow};
+use mlam::experiments::fault_sweep::{run_fault_sweep, FaultSweepParams};
 use mlam_bench::{parse_cli, Session};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 // Same opt-in heap accounting as repro_all (see OBSERVABILITY.md).
 #[global_allocator]
 static ALLOC: mlam_monitor::alloc::TrackingAlloc = mlam_monitor::alloc::TrackingAlloc;
-
-/// The checked-in shape of `BENCH_5.json`.
-#[derive(Serialize)]
-struct Bench5 {
-    benchmark: String,
-    binary: String,
-    seed: String,
-    n: usize,
-    train_size: usize,
-    retries: u32,
-    votes: u32,
-    quick: bool,
-    rows: Vec<FaultSweepRow>,
-}
 
 fn main() {
     let options = parse_cli(std::env::args(), &[]);
@@ -66,23 +50,6 @@ fn main() {
         |r| vec![r.to_table()],
     );
     println!("{}", result.to_table());
-
-    let bench = Bench5 {
-        benchmark: "fault_sweep: perceptron attack accuracy vs. oracle fault rate, \
-                    example access vs. majority-voted membership access"
-            .to_string(),
-        binary: "target/release/fault_sweep [--quick] [--json <dir>]".to_string(),
-        seed: format!("{:#X}", session.seed()),
-        n: params.n,
-        train_size: params.train_size,
-        retries: params.retries,
-        votes: params.votes,
-        quick: options.quick,
-        rows: result.rows.clone(),
-    };
-    let text = serde_json::to_string_pretty(&bench).expect("BENCH_5 serialization");
-    std::fs::write("BENCH_5.json", text + "\n").expect("write BENCH_5.json");
-    eprintln!("wrote BENCH_5.json");
 
     session.finish();
 }

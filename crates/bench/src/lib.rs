@@ -122,7 +122,7 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
 
 /// [`parse_cli`] without the exit: malformed input is an `Err`
 /// describing it.
-fn try_parse_cli<I: IntoIterator<Item = String>>(
+pub fn try_parse_cli<I: IntoIterator<Item = String>>(
     args: I,
     experiments: &[Experiment],
 ) -> Result<CliOptions, String> {
@@ -268,7 +268,7 @@ impl Session {
         // Learning curves ride along whenever there is somewhere for
         // them to go: a run directory (curves.jsonl) or a monitor
         // (/curves). MLAM_CURVES=0 switches recording off for overhead
-        // A/B measurements (curve_overhead bench).
+        // A/B measurements (`repro_ab '--quick MLAM_CURVES=0' '--quick'`).
         let curves_enabled = (run_dir.is_some() || options.monitor.is_some())
             && !matches!(std::env::var("MLAM_CURVES"), Ok(v) if v == "0");
         let curve_recorder =

@@ -160,31 +160,6 @@ impl<'a> DipSolver<'a> {
         self.solver.solve_assuming(&assumptions).is_sat()
     }
 
-    /// Extracts the **lexicographically smallest** consistent key by
-    /// fixing one bit at a time with assumption probes (`0` wins when
-    /// both polarities are consistent).
-    ///
-    /// Once [`find_dip`](DipSolver::find_dip) has returned `None`, the
-    /// consistent-key set equals the set of functionally correct keys —
-    /// a property of the constraints alone, independent of which DIP
-    /// sequence produced them and of anything the solver learnt along
-    /// the way. The canonical key is therefore identical across solver
-    /// strategies (the `sat_incremental` bench leans on this to compare
-    /// incremental and one-shot runs key-for-key).
-    pub fn extract_canonical_key(&mut self) -> BitVec {
-        let nk = self.locked.num_key_bits();
-        let mut fixed: Vec<Lit> = vec![self.differ.negate()];
-        let mut k = BitVec::zeros(nk);
-        for i in 0..nk {
-            fixed.push(Lit::neg(self.key_a[i]));
-            if !self.solver.solve_assuming(&fixed).is_sat() {
-                *fixed.last_mut().expect("just pushed") = Lit::pos(self.key_a[i]);
-                k.set(i, true);
-            }
-        }
-        k
-    }
-
     /// DIP constraints added so far.
     pub fn num_dips(&self) -> usize {
         self.dips
@@ -193,76 +168,6 @@ impl<'a> DipSolver<'a> {
     /// The underlying solver's statistics.
     pub fn stats(&self) -> SolverStats {
         self.solver.stats()
-    }
-}
-
-/// The non-incremental baseline of the `sat_incremental` A/B bench:
-/// the same attack, but every solver call rebuilds the miter plus all
-/// accumulated DIP constraints in a **fresh** solver — the way
-/// integrations around a stateless SAT solver (CNF file in, verdict
-/// out) have to work. Nothing learnt in one call survives to the next,
-/// and every call re-pays the full encoding cost.
-///
-/// Kept in the library (rather than the bench binary) so the
-/// regression tests can hold the two implementations key-for-key equal.
-#[derive(Debug)]
-pub struct OneShotDipSolver<'a> {
-    locked: &'a LockedNetlist,
-    trace: Vec<(Vec<bool>, Vec<bool>)>,
-    stats: SolverStats,
-}
-
-impl<'a> OneShotDipSolver<'a> {
-    /// A baseline attack state for `locked` (no solver is built until
-    /// the first call).
-    pub fn new(locked: &'a LockedNetlist) -> OneShotDipSolver<'a> {
-        OneShotDipSolver {
-            locked,
-            trace: Vec::new(),
-            stats: SolverStats::default(),
-        }
-    }
-
-    /// Rebuilds miter + constraints from scratch and replays the trace.
-    fn fresh(&self) -> DipSolver<'a> {
-        let mut solver = DipSolver::new(self.locked);
-        for (dip, response) in &self.trace {
-            solver.constrain(dip, response);
-        }
-        solver
-    }
-
-    /// One-shot [`DipSolver::find_dip`]: full rebuild, then one solve.
-    pub fn find_dip(&mut self) -> Option<Vec<bool>> {
-        let mut solver = self.fresh();
-        let dip = solver.find_dip();
-        self.stats.accumulate(&solver.stats());
-        dip
-    }
-
-    /// Records the oracle's verdict (pure bookkeeping — the constraint
-    /// is re-encoded on every later rebuild).
-    pub fn constrain(&mut self, dip: &[bool], response: &[bool]) {
-        self.trace.push((dip.to_vec(), response.to_vec()));
-    }
-
-    /// One-shot [`DipSolver::extract_canonical_key`]: one rebuild, then
-    /// the same bit-by-bit probes.
-    pub fn extract_canonical_key(&mut self) -> BitVec {
-        let mut solver = self.fresh();
-        let key = solver.extract_canonical_key();
-        self.stats.accumulate(&solver.stats());
-        key
-    }
-
-    /// DIP constraints recorded so far.
-    pub fn num_dips(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Statistics summed over every rebuilt solver.
-    pub fn stats(&self) -> SolverStats {
-        self.stats
     }
 }
 
@@ -343,37 +248,121 @@ fn encode_pinned_copy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anti_sat::lock_sarlock;
     use crate::combinational::lock_xor;
     use mlam_netlist::generate::{c17, random_circuit, ripple_adder};
     use mlam_netlist::Netlist;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    impl DipSolver<'_> {
+        /// The **lexicographically smallest** consistent key, fixed one
+        /// bit at a time by assumption probes. Once `find_dip` has
+        /// returned `None`, the consistent keys are exactly the correct
+        /// ones whatever the solver learnt on the way, so this key is
+        /// the same for every solver strategy.
+        fn extract_canonical_key(&mut self) -> BitVec {
+            let nk = self.locked.num_key_bits();
+            let mut fixed: Vec<Lit> = vec![self.differ.negate()];
+            let mut k = BitVec::zeros(nk);
+            for i in 0..nk {
+                fixed.push(Lit::neg(self.key_a[i]));
+                if !self.solver.solve_assuming(&fixed).is_sat() {
+                    *fixed.last_mut().expect("just pushed") = Lit::pos(self.key_a[i]);
+                    k.set(i, true);
+                }
+            }
+            k
+        }
+    }
+
+    /// The non-incremental baseline: the same attack, but every solver
+    /// call rebuilds the miter plus all accumulated DIP constraints in
+    /// a **fresh** solver — the way integrations around a stateless SAT
+    /// solver (CNF file in, verdict out) have to work. Nothing learnt in
+    /// one call survives to the next.
+    struct OneShotDipSolver<'a> {
+        locked: &'a LockedNetlist,
+        trace: Vec<(Vec<bool>, Vec<bool>)>,
+        /// Propagations summed over every rebuilt solver.
+        propagations: u64,
+    }
+
+    impl<'a> OneShotDipSolver<'a> {
+        fn new(locked: &'a LockedNetlist) -> OneShotDipSolver<'a> {
+            OneShotDipSolver {
+                locked,
+                trace: Vec::new(),
+                propagations: 0,
+            }
+        }
+
+        /// Rebuilds miter + constraints, replaying the trace.
+        fn fresh(&self) -> DipSolver<'a> {
+            let mut solver = DipSolver::new(self.locked);
+            for (dip, response) in &self.trace {
+                solver.constrain(dip, response);
+            }
+            solver
+        }
+
+        fn find_dip(&mut self) -> Option<Vec<bool>> {
+            let mut solver = self.fresh();
+            let dip = solver.find_dip();
+            self.propagations += solver.stats().propagations;
+            dip
+        }
+
+        fn constrain(&mut self, dip: &[bool], response: &[bool]) {
+            self.trace.push((dip.to_vec(), response.to_vec()));
+        }
+
+        fn extract_canonical_key(&mut self) -> BitVec {
+            let mut solver = self.fresh();
+            let key = solver.extract_canonical_key();
+            self.propagations += solver.stats().propagations;
+            key
+        }
+    }
+
     /// Incremental and one-shot are different solver strategies over
     /// the same attack; the canonical key must not see the difference.
     #[test]
     fn incremental_and_oneshot_recover_the_identical_key() {
         let mut gen_rng = StdRng::seed_from_u64(77);
-        let circuits: Vec<(Netlist, usize)> = vec![
+        let mut cases: Vec<(Netlist, LockedNetlist)> = [
             (c17(), 5),
             (ripple_adder(3), 6),
             (random_circuit(8, 40, 2, &mut gen_rng), 10),
-        ];
-        for (seed, (oracle, key_bits)) in circuits.into_iter().enumerate() {
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(seed, (oracle, key_bits))| {
             let mut rng = StdRng::seed_from_u64(11 + seed as u64);
             let locked = lock_xor(&oracle, key_bits, &mut rng);
+            (oracle, locked)
+        })
+        .collect();
+        // SARLock forces one DIP per wrong key, the long-loop regime
+        // where the two strategies differ most; drawn from the
+        // reproduction's root seed.
+        let mut rng = StdRng::seed_from_u64(0xDA7E_2020);
+        let oracle = random_circuit(8, 50, 2, &mut rng);
+        let locked = lock_sarlock(&oracle, 5, &mut rng);
+        cases.push((oracle, locked));
 
-            let mut inc = DipSolver::new(&locked);
+        for (seed, (oracle, locked)) in cases.iter().enumerate() {
+            let mut inc = DipSolver::new(locked);
             while let Some(dip) = inc.find_dip() {
                 let response = oracle.simulate(&dip);
                 inc.constrain(&dip, &response);
                 assert!(inc.num_dips() < 500, "runaway DIP loop");
             }
-            let mut one = OneShotDipSolver::new(&locked);
+            let mut one = OneShotDipSolver::new(locked);
             while let Some(dip) = one.find_dip() {
                 let response = oracle.simulate(&dip);
                 one.constrain(&dip, &response);
-                assert!(one.num_dips() < 500, "runaway DIP loop");
+                assert!(one.trace.len() < 500, "runaway DIP loop");
             }
 
             let key_inc = inc.extract_canonical_key();
@@ -382,7 +371,7 @@ mod tests {
                 key_inc, key_one,
                 "canonical keys diverged on circuit {seed}"
             );
-            assert!(locked.equivalent_under_key(&oracle, &key_inc));
+            assert!(locked.equivalent_under_key(oracle, &key_inc));
         }
     }
 
@@ -408,9 +397,9 @@ mod tests {
         // solver's.
         if inc.num_dips() >= 4 {
             assert!(
-                one.stats().propagations > inc.stats().propagations,
+                one.propagations > inc.stats().propagations,
                 "one-shot {} vs incremental {}",
-                one.stats().propagations,
+                one.propagations,
                 inc.stats().propagations
             );
         }

@@ -246,19 +246,32 @@ impl ServerState {
     }
 }
 
+/// The longest request head read; scrapers send no body, so anything
+/// longer is garbage.
+const MAX_HEAD: usize = 8192;
+
 /// Reads the request head and returns the path from the request line
-/// (`GET /metrics HTTP/1.1` → `/metrics`), or `None` if the bytes do
+/// (`GET /metrics?x=1 HTTP/1.1` → `/metrics`), or `None` if the bytes do
 /// not look like an HTTP GET.
-fn read_request_path(stream: &mut TcpStream) -> Option<String> {
+///
+/// Reading stops at the blank line ending the head, at end of input or
+/// a read error, and never goes past [`MAX_HEAD`] bytes, so the answer
+/// does not depend on how the bytes are split across reads.
+fn read_request_path(stream: &mut impl Read) -> Option<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    // Read until the blank line ending the header block, or a cap —
-    // scrapers send no body, so anything longer is garbage.
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
+    while buf.len() < MAX_HEAD {
+        let want = chunk.len().min(MAX_HEAD - buf.len());
+        let n = match stream.read(&mut chunk[..want]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => n,
+        };
+        // Only the new bytes and the three before them can complete
+        // the blank line.
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(&chunk[..n]);
+        if buf[from..].windows(4).any(|w| w == b"\r\n\r\n") {
+            break;
         }
     }
     let head = String::from_utf8_lossy(&buf);
@@ -271,4 +284,104 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
     }
     // Strip any query string; routes here take no parameters.
     Some(path.split('?').next().unwrap_or(path).to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Hands out at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The path read from `bytes` handed out whole. Every property
+    /// also checks that one byte per read, and 7 (which does not divide
+    /// the cap), give the same answer.
+    fn path_of(bytes: &[u8]) -> Option<String> {
+        let whole = read_request_path(&mut &bytes[..]);
+        for step in [1, 7] {
+            let trickled = read_request_path(&mut Trickle { bytes, step });
+            assert_eq!(trickled, whole, "{step} bytes per read vs one whole read");
+        }
+        whole
+    }
+
+    /// Strings of 1..`max` characters from `alphabet`.
+    fn word(alphabet: &'static [u8], max: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(0..alphabet.len(), 1..max)
+            .prop_map(move |ix| ix.into_iter().map(|i| alphabet[i] as char).collect())
+    }
+
+    const PATH: &[u8] = b"/abcxyzABCXYZ0189-._~%!$&'()*+,;=:@";
+    const METHOD: &[u8] = b"ABCDEGHOPSTU-";
+
+    /// `method target HTTP/1.1`, a header padded with `pad` bytes (so
+    /// some heads pass the 8 KiB cap), the blank line, then `rest`.
+    fn request(method: &str, target: &str, pad: usize, rest: &[u8]) -> Vec<u8> {
+        let mut bytes = format!(
+            "{method} {target} HTTP/1.1\r\nHost: monitor\r\nX-Pad: {}\r\n\r\n",
+            "p".repeat(pad)
+        )
+        .into_bytes();
+        bytes.extend_from_slice(rest);
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arbitrary bytes, up to half again the cap, never panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..3 * MAX_HEAD / 2),
+        ) {
+            path_of(&bytes);
+        }
+
+        /// A `GET` head yields its path without the query string,
+        /// however long the head and whatever follows it.
+        #[test]
+        fn get_heads_return_their_path(
+            path in word(PATH, 64),
+            query in word(b"a=1&b?", 16),
+            pad in 0..3 * MAX_HEAD / 2,
+            rest in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let bytes = request("GET", &format!("{path}?{query}"), pad, &rest);
+            prop_assert_eq!(path_of(&bytes), Some(path.clone()));
+            let bytes = request("GET", &path, pad, &rest);
+            prop_assert_eq!(path_of(&bytes), Some(path));
+        }
+
+        /// A request line longer than the cap is cut at the cap.
+        #[test]
+        fn long_request_lines_are_cut_at_the_cap(len in MAX_HEAD - 16..2 * MAX_HEAD) {
+            let path = format!("/{}", "a".repeat(len));
+            let cut = path.len().min(MAX_HEAD - "GET ".len());
+            prop_assert_eq!(path_of(&request("GET", &path, 0, b"")), Some(path[..cut].to_string()));
+        }
+
+        /// Any other method yields `None`.
+        #[test]
+        fn other_methods_return_none(
+            method in word(METHOD, 8),
+            path in word(PATH, 64),
+            pad in 0..3 * MAX_HEAD / 2,
+        ) {
+            prop_assume!(method != "GET");
+            prop_assert_eq!(path_of(&request(&method, &path, pad, b"")), None);
+        }
+    }
 }

@@ -2,9 +2,9 @@
 //! results and statistics.
 //!
 //! Everything here is plain data with no solver state attached, so the
-//! attack layers can pass these around freely (e.g. accumulate
-//! [`SolverStats`] across several solver instances, or keep a [`Model`]
-//! alive after the solver has moved on).
+//! attack layers can pass these around freely (e.g. take the
+//! [`SolverStats`] difference across an attack phase, or keep a
+//! [`Model`] alive after the solver has moved on).
 
 use std::fmt;
 
@@ -192,20 +192,5 @@ impl SolverStats {
                 .minimized_literals
                 .saturating_sub(earlier.minimized_literals),
         }
-    }
-
-    /// Adds another solver's statistics into this one (for reporting
-    /// totals across several solver instances). `learnt_clauses` sums
-    /// the clauses currently kept by each instance.
-    pub fn accumulate(&mut self, other: &SolverStats) {
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.learnt_clauses += other.learnt_clauses;
-        self.learnts += other.learnts;
-        self.lbd_reductions += other.lbd_reductions;
-        self.assumption_solves += other.assumption_solves;
-        self.minimized_literals += other.minimized_literals;
     }
 }

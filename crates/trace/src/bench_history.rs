@@ -1,118 +1,72 @@
-//! `mlam-trace bench-history` — one table over every checked-in
-//! `BENCH_<n>.json`.
+//! `mlam-trace bench-history` — every checked-in `BENCH_<n>.json`,
+//! index-ordered, with every metric.
 //!
-//! Each PR's benchmark lands as a new `BENCH_<n>.json` at the repo
-//! root, and the schemas deliberately differ: the perf-trajectory
-//! record is a bare array of per-experiment entries, while the sweep
-//! benchmarks are objects with a `benchmark` description and their own
-//! result shapes. This module reads them all generically, orders them
-//! by index (the index is the PR sequence — the only time axis the
-//! files carry), and summarizes each into one row, so the perf
-//! trajectory of the repo is visible without opening five files with
-//! five shapes.
+//! All the files share one schema: a JSON array of rows, each the
+//! layered benchmark's `metrics` object plus what ran and from which
+//! seed — the line `repro_ab` prints:
+//!
+//! ```text
+//! [{"workload": "repro_all --quick --json <dir>", "seed": 3665698848,
+//!   "metrics": {"wall_median_s": {"value": 2.6846, "unit": "s"}, ...}}, ...]
+//! ```
+//!
+//! A file whose rows lack a field, or hold one of the wrong type, is an
+//! error naming it, so it fails loudly instead of vanishing from the
+//! listing. The `<n>` in the name orders the files in time; they carry
+//! no other time axis.
 
-use serde_json::Value;
+use serde::Deserialize;
+use std::collections::BTreeMap;
 use std::path::Path;
 
-/// One `BENCH_<n>.json`, summarized.
+/// One measured quantity.
+#[derive(Clone, Debug, PartialEq, Deserialize)]
+pub struct Metric {
+    /// Its value.
+    pub value: f64,
+    /// Its unit, e.g. `s`, `%` or `count`.
+    pub unit: String,
+}
+
+/// One result line: what ran, from which seed, and what it measured.
+#[derive(Clone, Debug, PartialEq, Deserialize)]
+pub struct BenchRow {
+    /// What ran: a workload name or a command line.
+    pub workload: String,
+    /// The root seed of the run.
+    pub seed: u64,
+    /// The metrics by name.
+    pub metrics: BTreeMap<String, Metric>,
+}
+
+/// One `BENCH_<n>.json`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct HistoryRow {
-    /// The `<n>` in the file name — the PR-sequence time axis.
+pub struct BenchFile {
+    /// The `<n>` in the file name.
     pub index: u64,
     /// The file's name (no directory).
     pub file: String,
-    /// What the file measures: the object schema's `benchmark` field,
-    /// or a synthesized description for the array schema.
-    pub benchmark: String,
-    /// The row's headline numbers, schema-dependent.
-    pub headline: String,
+    /// Its rows, in file order.
+    pub rows: Vec<BenchRow>,
 }
 
-/// Looks up a key in an object `Value`.
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Map(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k.as_str() == key)
-            .map(|(_, v)| v),
-        _ => None,
+/// Parses the text of one `BENCH_<n>.json`: a non-empty array of rows,
+/// each with at least one metric.
+pub fn parse(text: &str) -> Result<Vec<BenchRow>, String> {
+    let rows: Vec<BenchRow> = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    if rows.is_empty() || rows.iter().any(|row| row.metrics.is_empty()) {
+        return Err("expected rows with metrics".to_string());
     }
-}
-
-fn as_f64(value: &Value) -> Option<f64> {
-    match value {
-        Value::U64(v) => Some(*v as f64),
-        Value::I64(v) => Some(*v as f64),
-        Value::F64(v) => Some(*v),
-        _ => None,
-    }
-}
-
-/// Summarizes the array schema (`mlam-trace bench` output): total
-/// wall-clock and adversary budget across the per-experiment entries.
-fn summarize_entries(entries: &[Value]) -> (String, String) {
-    let sum = |key: &str| -> f64 {
-        entries
-            .iter()
-            .filter_map(|e| field(e, key).and_then(as_f64))
-            .sum()
-    };
-    (
-        "per-experiment perf trajectory (mlam-trace bench)".to_string(),
-        format!(
-            "{} experiments · {:.2}s wall · {} queries · {} sat conflicts",
-            entries.len(),
-            sum("wall_ns") / 1e9,
-            sum("queries") as u64,
-            sum("sat_conflicts") as u64,
-        ),
-    )
-}
-
-/// Summarizes the object schema: the `benchmark` description plus
-/// whichever headline fields the shape carries (`rows`/`results`/
-/// `netlists` length, `overhead_pct`, `trials`, top-level `speedup`s).
-fn summarize_object(value: &Value) -> (String, String) {
-    let benchmark = match field(value, "benchmark") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => "(no benchmark field)".to_string(),
-    };
-    let mut parts = Vec::new();
-    for key in ["rows", "results", "netlists"] {
-        if let Some(Value::Seq(items)) = field(value, key) {
-            parts.push(format!("{} {key}", items.len()));
-        }
-    }
-    for key in ["trials", "overhead_pct"] {
-        if let Some(v) = field(value, key).and_then(as_f64) {
-            parts.push(format!("{key} {v:.4}"));
-        }
-    }
-    // A/B sweeps (e.g. BENCH_8) carry a per-entry speedup: headline the
-    // best one.
-    if let Some(Value::Seq(items)) = field(value, "netlists") {
-        let best = items
-            .iter()
-            .filter_map(|item| field(item, "speedup").and_then(as_f64))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if best.is_finite() {
-            parts.push(format!("max speedup {best:.2}x"));
-        }
-    }
-    if let Some(Value::Str(seed)) = field(value, "seed") {
-        parts.push(format!("seed {seed}"));
-    }
-    (benchmark, parts.join(" · "))
+    Ok(rows)
 }
 
 /// Reads every `BENCH_<n>.json` under `dir`, index-ordered. Files that
 /// do not match the name pattern are ignored; a matching file that
-/// fails to parse is an error (a corrupt checked-in benchmark should
-/// fail loudly, not vanish from the table).
-pub fn collect(dir: &Path) -> Result<Vec<HistoryRow>, String> {
+/// does not parse is an error naming it.
+pub fn collect(dir: &Path) -> Result<Vec<BenchFile>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut rows = Vec::new();
+    let mut files = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
         let file = entry.file_name().to_string_lossy().into_owned();
@@ -125,31 +79,25 @@ pub fn collect(dir: &Path) -> Result<Vec<HistoryRow>, String> {
         };
         let text = std::fs::read_to_string(entry.path())
             .map_err(|e| format!("cannot read {file}: {e}"))?;
-        let value: Value =
-            serde_json::from_str(&text).map_err(|e| format!("cannot parse {file}: {e}"))?;
-        let (benchmark, headline) = match &value {
-            Value::Seq(entries) => summarize_entries(entries),
-            _ => summarize_object(&value),
-        };
-        rows.push(HistoryRow {
-            index,
-            file,
-            benchmark,
-            headline,
-        });
+        let rows = parse(&text).map_err(|e| format!("cannot parse {file}: {e}"))?;
+        files.push(BenchFile { index, file, rows });
     }
-    rows.sort_by_key(|row| row.index);
-    Ok(rows)
+    files.sort_by_key(|f| f.index);
+    Ok(files)
 }
 
-/// Renders the rows as the time-ordered table the CLI prints.
-pub fn render(rows: &[HistoryRow]) -> String {
+/// Renders the files as the listing the CLI prints: per file its rows,
+/// per row its workload and seed, then one line per metric.
+pub fn render(files: &[BenchFile]) -> String {
     let mut out = String::new();
-    for row in rows {
-        out.push_str(&format!(
-            "{:<14} {}\n{:<14} {}\n",
-            row.file, row.benchmark, "", row.headline
-        ));
+    for file in files {
+        out.push_str(&format!("{}\n", file.file));
+        for row in &file.rows {
+            out.push_str(&format!("  {} (seed {})\n", row.workload, row.seed));
+            for (name, m) in &row.metrics {
+                out.push_str(&format!("    {name:<28} {} {}\n", m.value, m.unit));
+            }
+        }
     }
     out
 }
@@ -165,62 +113,60 @@ mod tests {
         dir
     }
 
+    const ROW: &str = r#"{"workload": "repro_all --quick", "seed": 7,
+        "metrics": {"wall_median_s": {"value": 2.5, "unit": "s"},
+                    "trials": {"value": 3, "unit": "count"}}}"#;
+
     #[test]
-    fn collect_orders_by_index_and_handles_both_schemas() {
-        let dir = scratch("both");
-        // Object schema with rows, out of lexicographic order with the
-        // array file (index 10 sorts after 2 numerically, before it
-        // lexicographically).
-        std::fs::write(
-            dir.join("BENCH_10.json"),
-            r#"{"benchmark":"fault sweep","seed":"0x7","trials":3,"rows":[{},{}],"overhead_pct":1.25}"#,
-        )
-        .unwrap();
+    fn collect_orders_by_index_and_prints_every_metric() {
+        let dir = scratch("order");
+        // Index 10 sorts after 2 numerically, before it lexicographically.
+        std::fs::write(dir.join("BENCH_10.json"), format!("[{ROW}, {ROW}]")).unwrap();
         std::fs::write(
             dir.join("BENCH_2.json"),
-            r#"[{"name":"table1","wall_ns":1500000000,"queries":2000,"sat_conflicts":7},
-                {"name":"locking","wall_ns":500000000,"queries":30,"sat_conflicts":420}]"#,
+            r#"[{"workload": "w", "seed": 1, "metrics": {"q": {"value": -1, "unit": "count"}}}]"#,
         )
         .unwrap();
         // Not part of the history: ignored.
         std::fs::write(dir.join("BENCH_notes.json"), "{}").unwrap();
         std::fs::write(dir.join("manifest.json"), "{}").unwrap();
 
-        let rows = collect(&dir).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].index, 2);
-        assert_eq!(rows[1].index, 10);
-        assert!(rows[0].headline.contains("2 experiments"), "{rows:?}");
-        assert!(rows[0].headline.contains("2.00s wall"), "{rows:?}");
-        assert!(rows[0].headline.contains("2030 queries"), "{rows:?}");
-        assert!(rows[0].headline.contains("427 sat conflicts"), "{rows:?}");
-        assert_eq!(rows[1].benchmark, "fault sweep");
-        assert!(rows[1].headline.contains("2 rows"), "{rows:?}");
-        assert!(rows[1].headline.contains("overhead_pct 1.2500"), "{rows:?}");
-        assert!(rows[1].headline.contains("seed 0x7"), "{rows:?}");
+        let files = collect(&dir).unwrap();
+        let indices: Vec<u64> = files.iter().map(|f| f.index).collect();
+        assert_eq!(indices, [2, 10]);
+        assert_eq!(files[1].rows.len(), 2);
+        let row = &files[1].rows[0];
+        assert_eq!((row.workload.as_str(), row.seed), ("repro_all --quick", 7));
+        assert_eq!(row.metrics["trials"].value, 3.0);
+        assert_eq!(files[0].rows[0].metrics["q"].value, -1.0);
 
-        let table = render(&rows);
-        let first = table.find("BENCH_2.json").unwrap();
-        let second = table.find("BENCH_10.json").unwrap();
-        assert!(first < second, "table must be index-ordered:\n{table}");
-
+        let table = render(&files);
+        assert!(
+            table.find("BENCH_2.json").unwrap() < table.find("BENCH_10.json").unwrap(),
+            "{table}"
+        );
+        assert!(table.contains("repro_all --quick (seed 7)"), "{table}");
+        assert_eq!(table.matches("wall_median_s").count(), 2, "{table}");
+        assert!(
+            table.contains("2.5 s") && table.contains("3 count"),
+            "{table}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn ab_sweep_schema_headlines_netlists_and_speedup() {
-        let dir = scratch("ab");
-        std::fs::write(
-            dir.join("BENCH_8.json"),
-            r#"{"benchmark":"sat_incremental","seed":"0xda7e2020","netlists":[
-                {"name":"a","speedup":1.5},{"name":"b","speedup":23.7}]}"#,
-        )
-        .unwrap();
-        let rows = collect(&dir).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].headline.contains("2 netlists"), "{rows:?}");
-        assert!(rows[0].headline.contains("max speedup 23.70x"), "{rows:?}");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn other_shapes_are_rejected() {
+        for text in [
+            r#"{"benchmark": "an object, not an array of rows"}"#,
+            r#"[{"name": "table1", "wall_ns": 1, "queries": 2, "sat_conflicts": 3}]"#,
+            "[]",
+            r#"[{"workload": "w", "seed": 1, "metrics": {}}]"#,
+            r#"[{"workload": "w", "seed": -1, "metrics": {"a": {"value": 1, "unit": "s"}}}]"#,
+            r#"[{"workload": "w", "seed": 1, "metrics": {"a": {"value": "1", "unit": "s"}}}]"#,
+            r#"[{"workload": "w", "seed": 1, "metrics": {"a": {"value": 1}}}]"#,
+        ] {
+            assert!(parse(text).is_err(), "{text}");
+        }
     }
 
     #[test]
@@ -230,5 +176,15 @@ mod tests {
         let err = collect(&dir).unwrap_err();
         assert!(err.contains("BENCH_3.json"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every `BENCH_<n>.json` checked in at the repository root is in
+    /// the one schema.
+    #[test]
+    fn checked_in_benchmarks_parse() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = collect(&root).unwrap_or_else(|e| panic!("{e}"));
+        assert!(files.len() >= 8, "{} files", files.len());
+        assert_eq!(files[0].file, "BENCH_2.json");
     }
 }

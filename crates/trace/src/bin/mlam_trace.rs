@@ -6,7 +6,6 @@
 //! mlam-trace compare <baseline-dir> <current-dir>
 //!                    [--threshold 0.2] [--min-wall-ms 100] [--warn-only]
 //!                    [--ignore-counter <prefix>]... [--json]
-//! mlam-trace bench   <run-dir> [-o BENCH.json]
 //! mlam-trace bench-history [<dir>]
 //! mlam-trace curves  <run-dir> [--csv] [-o file.csv]
 //! mlam-trace curves  <baseline-dir> <current-dir>
@@ -18,7 +17,7 @@
 //! drift or structural mismatch (never suppressed), `64` usage or I/O
 //! error.
 
-use mlam_trace::{bench_history, bench_json, chrome, compare, curves, profile, RunData};
+use mlam_trace::{bench_history, chrome, compare, curves, profile, RunData};
 use std::path::{Path, PathBuf};
 
 const EXIT_OK: i32 = 0;
@@ -52,14 +51,10 @@ USAGE:
         (verdict, per-counter deltas, wall rows) whose exit_code field
         mirrors the process exit code.
 
-    mlam-trace bench   <run-dir> [-o <BENCH.json>]
-        Emit the perf-trajectory record: per experiment
-        {name, wall_ns, queries, sat_conflicts}. Default: stdout.
-
     mlam-trace bench-history [<dir>]
-        Merge every BENCH_<n>.json under <dir> (default: .) into one
-        index-ordered table — the repo's perf trajectory across PRs,
-        whatever schema each benchmark used.
+        List every BENCH_<n>.json under <dir> (default: .) in index
+        order: each row's workload and seed, then every metric with
+        its unit. A file not in the one row schema is an error.
 
     mlam-trace curves <run-dir> [--csv] [-o <file>]
         Summarize the run's learning curves (curves.jsonl): checkpoint
@@ -86,7 +81,6 @@ fn real_main() -> i32 {
         Some("export") => cmd_export(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("bench-history") => cmd_bench_history(&args[1..]),
         Some("curves") => cmd_curves(&args[1..]),
         Some("--help" | "-h" | "help") => {
@@ -104,8 +98,18 @@ fn real_main() -> i32 {
     }
 }
 
-/// Splits `args` into positionals and `-o <path>`, rejecting anything
-/// else not listed in `flags`/`valued`.
+/// The flags a subcommand takes besides its positionals; the parser
+/// rejects every other flag.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Flags {
+    None,
+    /// `-o <path>`: the subcommand writes a file.
+    Output,
+    /// `compare`'s threshold, counter and output-format flags.
+    Compare,
+}
+
+/// A subcommand's positionals and flags.
 struct Parsed {
     positionals: Vec<String>,
     output: Option<PathBuf>,
@@ -116,7 +120,8 @@ struct Parsed {
     json: bool,
 }
 
-fn parse(args: &[String], allow_compare_flags: bool) -> Result<Parsed, String> {
+fn parse(args: &[String], flags: Flags) -> Result<Parsed, String> {
+    let allow_compare_flags = flags == Flags::Compare;
     let mut parsed = Parsed {
         positionals: Vec::new(),
         output: None,
@@ -129,7 +134,7 @@ fn parse(args: &[String], allow_compare_flags: bool) -> Result<Parsed, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-o" | "--output" => {
+            "-o" | "--output" if flags == Flags::Output => {
                 let value = iter.next().ok_or("missing value for -o/--output")?;
                 parsed.output = Some(PathBuf::from(value));
             }
@@ -167,7 +172,7 @@ fn usage_error(message: impl std::fmt::Display) -> i32 {
 }
 
 fn cmd_export(args: &[String]) -> i32 {
-    let parsed = match parse(args, false) {
+    let parsed = match parse(args, Flags::Output) {
         Ok(p) => p,
         Err(e) => return usage_error(e),
     };
@@ -199,7 +204,7 @@ fn cmd_export(args: &[String]) -> i32 {
 }
 
 fn cmd_profile(args: &[String]) -> i32 {
-    let parsed = match parse(args, false) {
+    let parsed = match parse(args, Flags::None) {
         Ok(p) => p,
         Err(e) => return usage_error(e),
     };
@@ -216,7 +221,7 @@ fn cmd_profile(args: &[String]) -> i32 {
 }
 
 fn cmd_compare(args: &[String]) -> i32 {
-    let parsed = match parse(args, true) {
+    let parsed = match parse(args, Flags::Compare) {
         Ok(p) => p,
         Err(e) => return usage_error(e),
     };
@@ -278,7 +283,7 @@ fn cmd_compare(args: &[String]) -> i32 {
 }
 
 fn cmd_bench_history(args: &[String]) -> i32 {
-    let parsed = match parse(args, false) {
+    let parsed = match parse(args, Flags::None) {
         Ok(p) => p,
         Err(e) => return usage_error(e),
     };
@@ -287,14 +292,14 @@ fn cmd_bench_history(args: &[String]) -> i32 {
         [dir] => PathBuf::from(dir),
         _ => return usage_error("bench-history takes at most one directory"),
     };
-    let rows = match bench_history::collect(&dir) {
-        Ok(rows) => rows,
+    let files = match bench_history::collect(&dir) {
+        Ok(files) => files,
         Err(e) => return usage_error(e),
     };
-    if rows.is_empty() {
+    if files.is_empty() {
         return usage_error(format!("no BENCH_<n>.json files under {}", dir.display()));
     }
-    print!("{}", bench_history::render(&rows));
+    print!("{}", bench_history::render(&files));
     EXIT_OK
 }
 
@@ -392,36 +397,4 @@ fn cmd_curves(args: &[String]) -> i32 {
         }
         _ => usage_error("curves takes one run directory (summary/CSV) or two (compare)"),
     }
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    let parsed = match parse(args, false) {
-        Ok(p) => p,
-        Err(e) => return usage_error(e),
-    };
-    let [input] = parsed.positionals.as_slice() else {
-        return usage_error("bench takes exactly one run directory");
-    };
-    let run = match RunData::load(input) {
-        Ok(run) => run,
-        Err(e) => return usage_error(e),
-    };
-    let Some(manifest) = &run.manifest else {
-        return usage_error(format!("no manifest.json under {input}"));
-    };
-    let entries = bench_json::bench_entries(manifest);
-    let json = match bench_json::to_json(&entries) {
-        Ok(json) => json,
-        Err(e) => return usage_error(e),
-    };
-    match parsed.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                return usage_error(format!("cannot write {}: {e}", path.display()));
-            }
-            println!("wrote {} ({} experiments)", path.display(), entries.len());
-        }
-        None => print!("{json}"),
-    }
-    EXIT_OK
 }

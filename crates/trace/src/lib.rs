@@ -15,11 +15,9 @@
 //! - [`compare`] — a cross-run diff that flags wall-clock regressions
 //!   beyond a threshold and *enforces* bit-identical correctness
 //!   counters (oracle queries, SAT conflicts) for same-seed runs;
-//! - [`bench_json`] — the `BENCH_*.json` perf-trajectory records CI
-//!   publishes (`{name, wall_ns, queries, sat_conflicts}` per
-//!   experiment);
-//! - [`bench_history`] — one index-ordered table over every checked-in
-//!   `BENCH_<n>.json`, whatever its schema.
+//! - [`bench_history`] — the one `BENCH_<n>.json` schema (rows of
+//!   `{workload, seed, metrics}`) and an index-ordered listing of every
+//!   checked-in file;
 //! - [`curves`] — learning-curve (`curves.jsonl`) summaries, CSV
 //!   export for accuracy-vs-queries plots, and a cross-run curve diff
 //!   with a query-efficiency verdict.
@@ -27,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod bench_history;
-pub mod bench_json;
 pub mod chrome;
 pub mod compare;
 pub mod curves;

@@ -158,31 +158,6 @@ fn ignore_counter_prefixes_exclude_path_counters_from_drift() {
 }
 
 #[test]
-fn bench_subcommand_emits_the_trajectory_schema() {
-    let base_dir = std::env::temp_dir().join(format!("mlam_bench_cli_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base_dir);
-    let run_dir = base_dir.join("run");
-    write_run(&run_dir, &quick_manifest(1.0, 0));
-    let out_path = base_dir.join("BENCH.json");
-    let output = Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
-        .args(["bench"])
-        .arg(&run_dir)
-        .arg("-o")
-        .arg(&out_path)
-        .output()
-        .expect("spawn mlam-trace");
-    assert_eq!(output.status.code(), Some(0));
-    let text = std::fs::read_to_string(&out_path).unwrap();
-    let entries: Vec<mlam_trace::bench_json::BenchEntry> = serde_json::from_str(&text).unwrap();
-    assert_eq!(entries.len(), 2);
-    assert_eq!(entries[0].name, "table1");
-    assert_eq!(entries[0].wall_ns, 1_000_000_000);
-    assert_eq!(entries[0].queries, 2000);
-    assert_eq!(entries[1].sat_conflicts, 420);
-    let _ = std::fs::remove_dir_all(&base_dir);
-}
-
-#[test]
 fn compare_json_mirrors_the_exit_code_in_the_payload() {
     let base_dir = std::env::temp_dir().join(format!("mlam_compare_json_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);
@@ -239,46 +214,91 @@ fn bench_history_merges_checked_in_benchmarks_into_one_table() {
     std::fs::create_dir_all(&base_dir).unwrap();
     std::fs::write(
         base_dir.join("BENCH_2.json"),
-        r#"[{"name":"table1","wall_ns":1000000000,"queries":2000,"sat_conflicts":7}]"#,
+        r#"[{"workload": "repro_all --quick, experiment table1", "seed": 1,
+             "metrics": {"oracle_queries": {"value": 2000, "unit": "count"}}}]"#,
     )
     .unwrap();
     std::fs::write(
         base_dir.join("BENCH_6.json"),
-        r#"{"benchmark":"monitor overhead","trials":3,"results":[{},{}],"overhead_pct":0.8}"#,
+        r#"[{"workload": "repro_all --quick", "seed": 1,
+             "metrics": {"wall_median_s": {"value": 2.5, "unit": "s"}}},
+            {"workload": "repro_all --quick --monitor 127.0.0.1:0", "seed": 1,
+             "metrics": {"overhead_pct": {"value": 0.8, "unit": "%"}}}]"#,
     )
     .unwrap();
 
-    let output = Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
-        .arg("bench-history")
-        .arg(&base_dir)
-        .output()
-        .expect("spawn mlam-trace");
+    let bench_history = |dir: &Path| {
+        Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
+            .arg("bench-history")
+            .arg(dir)
+            .output()
+            .expect("spawn mlam-trace")
+    };
+    let output = bench_history(&base_dir);
     assert_eq!(output.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&output.stdout);
-    let first = stdout.find("BENCH_2.json").expect("array row present");
-    let second = stdout.find("BENCH_6.json").expect("object row present");
-    assert!(first < second, "rows must be index-ordered:\n{stdout}");
-    assert!(stdout.contains("1 experiments"), "{stdout}");
-    assert!(stdout.contains("monitor overhead"), "{stdout}");
+    let first = stdout.find("BENCH_2.json").expect("first file listed");
+    let second = stdout.find("BENCH_6.json").expect("second file listed");
+    assert!(first < second, "files must be index-ordered:\n{stdout}");
+    for metric in ["oracle_queries", "2000 count", "wall_median_s", "0.8 %"] {
+        assert!(stdout.contains(metric), "{metric}: {stdout}");
+    }
+    assert!(
+        stdout.contains("--monitor 127.0.0.1:0 (seed 1)"),
+        "{stdout}"
+    );
+
+    // A file in another shape is a usage error naming it.
+    std::fs::write(base_dir.join("BENCH_7.json"), r#"{"benchmark": "x"}"#).unwrap();
+    let output = bench_history(&base_dir);
+    assert_eq!(output.status.code(), Some(64));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("BENCH_7.json"));
 
     // An empty directory is a usage error, not an empty table.
     let empty = base_dir.join("empty");
     std::fs::create_dir_all(&empty).unwrap();
-    let output = Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
-        .arg("bench-history")
-        .arg(&empty)
-        .output()
-        .expect("spawn mlam-trace");
-    assert_eq!(output.status.code(), Some(64));
+    assert_eq!(bench_history(&empty).status.code(), Some(64));
 
+    let _ = std::fs::remove_dir_all(&base_dir);
+}
+
+/// Only `export` and `curves` write files; the other subcommands
+/// reject `-o` instead of accepting it and writing nothing.
+#[test]
+fn output_flag_is_a_usage_error_where_nothing_is_written() {
+    let base_dir = std::env::temp_dir().join(format!("mlam_output_flag_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base_dir);
+    let run = base_dir.join("run");
+    write_run(&run, &quick_manifest(1.0, 0));
+    let run = run.to_str().unwrap();
+    let out = base_dir.join("out.txt");
+    let out = out.to_str().unwrap();
+    for args in [
+        vec!["profile", run, "-o", out],
+        vec!["compare", run, run, "-o", out],
+        vec!["bench-history", run, "--output", out],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
+            .args(&args)
+            .output()
+            .expect("spawn mlam-trace");
+        assert_eq!(output.status.code(), Some(64), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert!(!Path::new(out).exists(), "{args:?} wrote {out}");
+    }
     let _ = std::fs::remove_dir_all(&base_dir);
 }
 
 #[test]
 fn unknown_subcommand_is_a_usage_error() {
-    let output = Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
-        .arg("frobnicate")
-        .output()
-        .expect("spawn mlam-trace");
-    assert_eq!(output.status.code(), Some(64));
+    // There is no `bench`: a run's per-experiment numbers are in its
+    // manifest.json.
+    for subcommand in ["frobnicate", "bench"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_mlam-trace"))
+            .arg(subcommand)
+            .output()
+            .expect("spawn mlam-trace");
+        assert_eq!(output.status.code(), Some(64), "{subcommand}");
+    }
 }

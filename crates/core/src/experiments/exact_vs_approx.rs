@@ -186,6 +186,25 @@ mod tests {
         }
     }
 
+    /// The paper-scale sweep, k = 4…10: each exact DIP rules out only
+    /// the wrong key equal to its low input bits, so the exact attack
+    /// pays exactly 2^k − 1 DIPs, while AppSAT settles on an accurate
+    /// key with a fraction of them.
+    #[test]
+    fn paper_scale_verdicts_hold() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let result = run_exact_vs_approx(&ExactVsApproxParams::paper(), &mut rng);
+        let widths: Vec<usize> = result.rows.iter().map(|r| r.key_bits).collect();
+        assert_eq!(widths, [4, 6, 8, 10]);
+        for r in &result.rows {
+            assert_eq!(r.sat_dips, (1 << r.key_bits) - 1, "{r:?}");
+            assert!(r.appsat_dips < r.sat_dips / 2, "{r:?}");
+            assert!(r.appsat_accuracy > 0.9, "{r:?}");
+        }
+        let note = format!("detected pitfall: {}", Pitfall::ExactVersusApproximate);
+        assert_eq!(result.to_table().notes(), [note]);
+    }
+
     #[test]
     fn the_gap_widens_with_k() {
         let mut rng = StdRng::seed_from_u64(2);

@@ -7,18 +7,24 @@
 //! the whole attack:
 //!
 //! - the miter (two circuit copies with shared inputs, independent key
-//!   vectors) is encoded once; the "some output differs" clause is
-//!   gated by a selector literal, so the same instance answers both
+//!   vectors) is Tseitin-encoded once; the "some output differs" clause
+//!   is gated by a selector literal, so the same instance answers both
 //!   questions the attack asks —
 //!   [`find_dip`](DipSolver::find_dip) solves assuming the selector
 //!   (differ-mode), [`extract_key`](DipSolver::extract_key) solves
 //!   assuming its negation (consistency-mode, the differs clause
 //!   trivially satisfied). The separate key solver is gone, and so is
 //!   its per-DIP circuit copy;
-//! - each DIP adds two *pinned* circuit copies (one per key vector)
-//!   whose primary inputs and outputs are fixed by unit clauses added
-//!   **before** the gate clauses, so the solver's root-level
-//!   simplification constant-folds most of the copy away on arrival;
+//! - each DIP adds two *pinned* circuit copies, one per key vector,
+//!   folded at encode time. One forward walk over the netlist makes
+//!   every net either a constant or a solver literal: the DIP's inputs
+//!   are constants, the key nets are the miter's own key variables, and
+//!   constants fold through every gate. Only a gate left with two or
+//!   more non-constant inputs gets a fresh variable and its Tseitin
+//!   clauses, and each output is pinned to the response by a unit
+//!   clause. A copy therefore costs only its key-dependent cone (on
+//!   SARLock, three gate variables over the key bits), so later solves
+//!   never propagate through earlier copies' constant logic;
 //! - learnt clauses, VSIDS activities and saved phases survive across
 //!   all of these calls (`mlam-sat`'s incremental contract), so every
 //!   DIP iteration starts from everything the previous ones proved.
@@ -30,7 +36,7 @@
 
 use crate::combinational::LockedNetlist;
 use mlam_boolean::BitVec;
-use mlam_netlist::{cnf::tseitin_encode, Cnf};
+use mlam_netlist::{cnf::tseitin_encode, Cnf, GateKind};
 use mlam_sat::{Lit, SatResult, Solver, SolverStats, Var};
 
 /// One persistent solver instance driving an oracle-guided attack.
@@ -106,8 +112,8 @@ impl<'a> DipSolver<'a> {
 
     /// Adds the oracle's verdict on `dip` as a permanent constraint:
     /// both key vectors must reproduce `response` on `dip`. Costs two
-    /// pinned circuit copies (heavily simplified on arrival — see the
-    /// module docs).
+    /// pinned circuit copies, folded down to their key-dependent cones
+    /// (see the module docs).
     ///
     /// # Panics
     ///
@@ -119,10 +125,8 @@ impl<'a> DipSolver<'a> {
             self.locked.netlist().num_outputs(),
             "response width"
         );
-        let key_a = self.key_a.clone();
-        let key_b = self.key_b.clone();
-        encode_pinned_copy(self.locked, &mut self.solver, &key_a, dip, response);
-        encode_pinned_copy(self.locked, &mut self.solver, &key_b, dip, response);
+        encode_pinned_copy(self.locked, &mut self.solver, &self.key_a, dip, response);
+        encode_pinned_copy(self.locked, &mut self.solver, &self.key_b, dip, response);
         self.dips += 1;
     }
 
@@ -171,27 +175,17 @@ impl<'a> DipSolver<'a> {
     }
 }
 
-/// Loads a freshly Tseitin-encoded CNF into `solver`; returns the map
-/// from CNF variable index (1-based) to solver variable.
-fn load_cnf(cnf: &Cnf, solver: &mut Solver) -> Vec<Var> {
-    let vars = solver.new_vars(cnf.num_vars);
-    for clause in &cnf.clauses {
-        let lits: Vec<Lit> = clause
-            .iter()
-            .map(|&l| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0))
-            .collect();
-        solver.add_clause(&lits);
-    }
-    vars
-}
-
 /// Encodes one unconstrained copy of the locked netlist; returns
 /// `(input_vars, key_vars, output_vars)`.
 fn encode_free_copy(locked: &LockedNetlist, solver: &mut Solver) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
     let mut cnf = Cnf::new(0);
     let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let vars = load_cnf(&cnf, solver);
+    let vars = solver.new_vars(cnf.num_vars);
     let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
+    for clause in &cnf.clauses {
+        let lits: Vec<Lit> = clause.iter().map(|&l| Lit::new(var_of(l), l < 0)).collect();
+        solver.add_clause(&lits);
+    }
     let np = locked.num_primary_inputs();
     let nk = locked.num_key_bits();
     let inputs: Vec<Var> = (0..np).map(|i| var_of(enc.vars[i])).collect();
@@ -205,43 +199,146 @@ fn encode_free_copy(locked: &LockedNetlist, solver: &mut Solver) -> (Vec<Var>, V
     (inputs, keys, outputs)
 }
 
-/// Encodes one circuit copy with primary inputs pinned to `dip` and
-/// outputs pinned to `response`, its key vector tied to `shared_keys`.
+/// A net of a pinned copy: folded to a constant, or a solver literal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Folded {
+    Const(bool),
+    Lit(Lit),
+}
+
+impl std::ops::Not for Folded {
+    type Output = Folded;
+    fn not(self) -> Folded {
+        match self {
+            Folded::Const(b) => Folded::Const(!b),
+            Folded::Lit(l) => Folded::Lit(!l),
+        }
+    }
+}
+
+/// Adds the constraint "under the key `keys`, the locked circuit maps
+/// `input` to `response`" to `solver`, folding the constants as it
+/// encodes (see the module docs). The copy gets no key variables of
+/// its own: its key nets are `keys`.
 ///
-/// The pin units go in *first*: `Solver::add_clause` drops clauses
-/// already satisfied at the root and strips root-false literals, so by
-/// the time the gate clauses arrive, everything the constants decide
-/// has been folded away and only the key-dependent cone survives.
-fn encode_pinned_copy(
+/// An output that folds to a constant other than its response adds
+/// the empty clause, so no key is consistent from then on.
+pub(crate) fn encode_pinned_copy(
     locked: &LockedNetlist,
     solver: &mut Solver,
-    shared_keys: &[Var],
-    dip: &[bool],
+    keys: &[Var],
+    input: &[bool],
     response: &[bool],
 ) {
-    let mut cnf = Cnf::new(0);
-    let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let vars = solver.new_vars(cnf.num_vars);
-    let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
-    let np = locked.num_primary_inputs();
+    let netlist = locked.netlist();
+    let mut nets: Vec<Folded> = Vec::with_capacity(netlist.num_nets());
+    nets.extend(input.iter().map(|&b| Folded::Const(b)));
+    nets.extend(keys.iter().map(|&k| Folded::Lit(Lit::pos(k))));
+    for gate in netlist.gates() {
+        let ins = gate.inputs.iter().map(|n| nets[n.index()]);
+        let out = match gate.kind {
+            GateKind::And => and(solver, ins),
+            GateKind::Nand => !and(solver, ins),
+            // De Morgan: OR is the negated AND of the negated inputs.
+            GateKind::Or => !and(solver, ins.map(|v| !v)),
+            GateKind::Nor => and(solver, ins.map(|v| !v)),
+            GateKind::Xor => xor(solver, ins),
+            GateKind::Xnor => !xor(solver, ins),
+            GateKind::Not => !nets[gate.inputs[0].index()],
+            GateKind::Buf => nets[gate.inputs[0].index()],
+            GateKind::Mux => {
+                let [s, a, b] = [0, 1, 2].map(|i| nets[gate.inputs[i].index()]);
+                // `s ? b : a`; with one data input constant it is an
+                // AND or an OR of the other two.
+                match (s, a, b) {
+                    (Folded::Const(s), a, b) => {
+                        if s {
+                            b
+                        } else {
+                            a
+                        }
+                    }
+                    (s, Folded::Const(false), b) => and(solver, [s, b]),
+                    (s, Folded::Const(true), b) => !and(solver, [s, !b]),
+                    (s, a, Folded::Const(false)) => and(solver, [!s, a]),
+                    (s, a, Folded::Const(true)) => !and(solver, [!s, !a]),
+                    (Folded::Lit(s), Folded::Lit(a), Folded::Lit(b)) => {
+                        let o = Lit::pos(solver.new_var());
+                        solver.add_clause(&[s, !o, a]);
+                        solver.add_clause(&[s, o, !a]);
+                        solver.add_clause(&[!s, !o, b]);
+                        solver.add_clause(&[!s, o, !b]);
+                        Folded::Lit(o)
+                    }
+                }
+            }
+        };
+        nets.push(out);
+    }
+    for (o, &b) in netlist.outputs().iter().zip(response) {
+        match nets[o.index()] {
+            Folded::Const(c) if c == b => {}
+            Folded::Const(_) => solver.add_clause(&[]),
+            Folded::Lit(l) => solver.add_clause(&[if b { l } else { !l }]),
+        }
+    }
+}
 
-    for (i, &b) in dip.iter().enumerate() {
-        solver.add_clause(&[Lit::new(var_of(enc.vars[i]), !b)]);
+/// The AND of `ins`: a constant when an input is false or none is
+/// left, the literal when one is left, else a fresh Tseitin variable.
+fn and(solver: &mut Solver, ins: impl IntoIterator<Item = Folded>) -> Folded {
+    let mut lits = Vec::new();
+    for v in ins {
+        match v {
+            Folded::Const(false) => return Folded::Const(false),
+            Folded::Const(true) => {}
+            Folded::Lit(l) => lits.push(l),
+        }
     }
-    for (o, &b) in locked.netlist().outputs().iter().zip(response) {
-        solver.add_clause(&[Lit::new(var_of(enc.vars[o.index()]), !b)]);
+    match lits[..] {
+        [] => Folded::Const(true),
+        [l] => Folded::Lit(l),
+        _ => {
+            let o = Lit::pos(solver.new_var());
+            for &l in &lits {
+                solver.add_clause(&[!o, l]);
+            }
+            let mut all: Vec<Lit> = lits.iter().map(|&l| !l).collect();
+            all.push(o);
+            solver.add_clause(&all);
+            Folded::Lit(o)
+        }
     }
-    // Tie the copy's key bits to the shared key vector before the gate
-    // clauses: root-level key units learned from earlier DIPs then
-    // propagate into this copy immediately.
-    for (i, shared) in shared_keys.iter().enumerate() {
-        let kv = var_of(enc.vars[np + i]);
-        solver.add_clause(&[Lit::pos(kv), Lit::neg(*shared)]);
-        solver.add_clause(&[Lit::neg(kv), Lit::pos(*shared)]);
+}
+
+/// The parity of `ins`: constants flip it, and the literals are
+/// chained through fresh two-input XOR variables.
+fn xor(solver: &mut Solver, ins: impl IntoIterator<Item = Folded>) -> Folded {
+    let mut parity = false;
+    let mut acc: Option<Lit> = None;
+    for v in ins {
+        match v {
+            Folded::Const(b) => parity ^= b,
+            Folded::Lit(l) => {
+                acc = Some(match acc {
+                    None => l,
+                    Some(a) => {
+                        let o = Lit::pos(solver.new_var());
+                        solver.add_clause(&[!o, a, l]);
+                        solver.add_clause(&[!o, !a, !l]);
+                        solver.add_clause(&[o, !a, l]);
+                        solver.add_clause(&[o, a, !l]);
+                        o
+                    }
+                })
+            }
+        }
     }
-    for clause in &cnf.clauses {
-        let lits: Vec<Lit> = clause.iter().map(|&l| Lit::new(var_of(l), l < 0)).collect();
-        solver.add_clause(&lits);
+    let out = acc.map_or(Folded::Const(false), Folded::Lit);
+    if parity {
+        !out
+    } else {
+        out
     }
 }
 

@@ -13,7 +13,7 @@
 //! same instance quantifies the paper's access-model axis.
 
 use crate::combinational::LockedNetlist;
-use crate::sat_attack::{add_io_constraint, encode_copy};
+use crate::dip::encode_pinned_copy;
 use mlam_boolean::BitVec;
 use mlam_netlist::Netlist;
 use mlam_sat::{SatResult, Solver};
@@ -70,8 +70,10 @@ pub fn pac_attack<R: Rng + ?Sized>(
     assert_eq!(oracle.num_inputs(), locked.num_primary_inputs());
     assert_eq!(oracle.num_outputs(), locked.netlist().num_outputs());
 
+    // The key variables alone: each observation is a pinned circuit
+    // copy over them, folded down to its key-dependent cone.
     let mut keysolver = Solver::new();
-    let (_i, keyvars, _o) = encode_copy(locked, &mut keysolver);
+    let keyvars = keysolver.new_vars(locked.num_key_bits());
     let mut examples_used = 0usize;
     let mut accepted = false;
     let mut key = BitVec::zeros(locked.num_key_bits());
@@ -83,7 +85,7 @@ pub fn pac_attack<R: Rng + ?Sized>(
                 .map(|_| rng.gen())
                 .collect();
             let response = oracle.simulate(&x);
-            add_io_constraint(locked, &mut keysolver, &keyvars, &x, &response);
+            encode_pinned_copy(locked, &mut keysolver, &keyvars, &x, &response);
             examples_used += 1;
         }
         // Any consistent key.
@@ -106,7 +108,7 @@ pub fn pac_attack<R: Rng + ?Sized>(
             if locked.simulate(&x, &key) != oracle.simulate(&x) {
                 disagreed = true;
                 let response = oracle.simulate(&x);
-                add_io_constraint(locked, &mut keysolver, &keyvars, &x, &response);
+                encode_pinned_copy(locked, &mut keysolver, &keyvars, &x, &response);
                 examples_used += 1;
                 break;
             }

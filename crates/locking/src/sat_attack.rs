@@ -11,34 +11,33 @@
 //! becomes UNSAT, every key consistent with the accumulated I/O
 //! constraints is functionally correct.
 //!
-//! Since the incremental-solver rework, the whole loop runs inside one
-//! persistent [`DipSolver`]: the miter is encoded once, DIP constraints
-//! accumulate in place, key extraction is an assumption flip rather
-//! than a second solver, and everything the solver learnt on earlier
-//! iterations carries into later ones. `EXPERIMENTS.md` documents the
-//! loop, and `BENCH_8.json` records its win over a one-shot rebuild.
+//! The whole loop runs inside one persistent [`DipSolver`]: the miter
+//! is encoded once, DIP constraints accumulate in place, key extraction
+//! is an assumption flip rather than a second solver, and everything
+//! the solver learnt on earlier iterations carries into later ones.
+//! Each DIP constraint is a pair of circuit copies folded at encode
+//! time: the DIP's input bits are constants that fold through the
+//! gates, so only the key-dependent cone reaches the solver.
+//! `EXPERIMENTS.md` documents the loop, and `BENCH_8.json` records its
+//! win over a one-shot rebuild.
 
 use crate::combinational::LockedNetlist;
 use crate::dip::DipSolver;
 use mlam_boolean::BitVec;
-use mlam_netlist::{cnf::tseitin_encode, Cnf, Netlist};
-use mlam_sat::{Lit, Solver, SolverStats, Var};
+use mlam_netlist::Netlist;
+use mlam_sat::SolverStats;
 
 /// Configuration of the SAT attack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SatAttackConfig {
     /// Abort after this many DIP iterations.
     pub max_iterations: usize,
-    /// Random samples used for the post-hoc accuracy estimate
-    /// (exhaustive check is used when the input space is small).
-    pub validation_samples: usize,
 }
 
 impl Default for SatAttackConfig {
     fn default() -> Self {
         SatAttackConfig {
             max_iterations: 10_000,
-            validation_samples: 2000,
         }
     }
 }
@@ -51,101 +50,11 @@ pub struct SatAttackResult {
     /// DIP iterations used.
     pub iterations: usize,
     /// Whether the recovered key makes the locked circuit functionally
-    /// equivalent to the oracle (exhaustive for ≤ 20 primary inputs).
+    /// equivalent to the oracle: checked by exhaustive simulation up to
+    /// 16 primary inputs and by a BDD equivalence check above that.
     pub key_is_functionally_correct: bool,
-    /// Total SAT conflicts across all solver calls.
-    pub sat_conflicts: u64,
     /// Statistics of the persistent attack solver.
     pub solver_stats: SolverStats,
-}
-
-/// Helper bundling a CNF buffer and its solver-variable offset: our CNF
-/// builder allocates 1-based variables, which are mapped onto solver
-/// variables on transfer.
-struct CnfTransfer {
-    vars: Vec<Var>,
-}
-
-impl CnfTransfer {
-    /// Loads `cnf` into `solver` with fresh variables; returns the map
-    /// from CNF variable index (1-based) to solver variable.
-    fn load(cnf: &Cnf, solver: &mut Solver) -> CnfTransfer {
-        let vars = solver.new_vars(cnf.num_vars);
-        for clause in &cnf.clauses {
-            let lits: Vec<Lit> = clause
-                .iter()
-                .map(|&l| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0))
-                .collect();
-            solver.add_clause(&lits);
-        }
-        CnfTransfer { vars }
-    }
-
-    fn var(&self, cnf_var: i32) -> Var {
-        self.vars[(cnf_var.unsigned_abs() - 1) as usize]
-    }
-}
-
-/// Encodes one copy of the locked netlist into the solver; returns
-/// `(input_vars, key_vars, output_vars)`.
-pub(crate) fn encode_copy(
-    locked: &LockedNetlist,
-    solver: &mut Solver,
-) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
-    let mut cnf = Cnf::new(0);
-    let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let transfer = CnfTransfer::load(&cnf, solver);
-    let np = locked.num_primary_inputs();
-    let nk = locked.num_key_bits();
-    let inputs: Vec<Var> = (0..np).map(|i| transfer.var(enc.vars[i])).collect();
-    let keys: Vec<Var> = (0..nk).map(|i| transfer.var(enc.vars[np + i])).collect();
-    let outputs: Vec<Var> = locked
-        .netlist()
-        .outputs()
-        .iter()
-        .map(|o| transfer.var(enc.vars[o.index()]))
-        .collect();
-    (inputs, keys, outputs)
-}
-
-/// Adds the constraint "circuit(x = dip, key = key_vars) produces
-/// outputs = response" by instantiating a fresh copy of the circuit with
-/// pinned inputs and outputs, sharing `key_vars`.
-///
-/// Pin units are added **before** the gate clauses: the solver's
-/// root-level simplification then constant-folds most of the copy away
-/// as it arrives (clauses satisfied by a pinned literal are dropped,
-/// root-false literals stripped), so each constraint costs far fewer
-/// live clauses than a naive copy.
-pub(crate) fn add_io_constraint(
-    locked: &LockedNetlist,
-    solver: &mut Solver,
-    key_vars: &[Var],
-    dip: &[bool],
-    response: &[bool],
-) {
-    let mut cnf = Cnf::new(0);
-    let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let vars = solver.new_vars(cnf.num_vars);
-    let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
-    let np = locked.num_primary_inputs();
-
-    for (i, &b) in dip.iter().enumerate() {
-        solver.add_clause(&[Lit::new(var_of(enc.vars[i]), !b)]);
-    }
-    for (o, &b) in locked.netlist().outputs().iter().zip(response) {
-        solver.add_clause(&[Lit::new(var_of(enc.vars[o.index()]), !b)]);
-    }
-    for (i, shared) in key_vars.iter().enumerate() {
-        let kv = var_of(enc.vars[np + i]);
-        // kv <-> shared
-        solver.add_clause(&[Lit::pos(kv), Lit::neg(*shared)]);
-        solver.add_clause(&[Lit::neg(kv), Lit::pos(*shared)]);
-    }
-    for clause in &cnf.clauses {
-        let lits: Vec<Lit> = clause.iter().map(|&l| Lit::new(var_of(l), l < 0)).collect();
-        solver.add_clause(&lits);
-    }
 }
 
 /// Remaining-key-space progress proxy for the DIP loop's learning
@@ -228,20 +137,15 @@ pub fn sat_attack(
     let key_is_functionally_correct = if locked.num_primary_inputs() <= 16 {
         locked.equivalent_under_key(oracle, &key)
     } else {
-        // Formal BDD-based check: exact for any input width (the
-        // `validation_samples` knob remains for callers that validate
-        // separately by sampling).
-        let _ = config.validation_samples;
+        // Formal BDD-based check: exact for any input width.
         locked.equivalent_under_key_formal(oracle, &key)
     };
 
-    let solver_stats = dip_solver.stats();
     SatAttackResult {
         key,
         iterations,
         key_is_functionally_correct,
-        sat_conflicts: solver_stats.conflicts,
-        solver_stats,
+        solver_stats: dip_solver.stats(),
     }
 }
 

@@ -1,12 +1,60 @@
 //! Property-based tests for locking schemes and attacks.
 
+use mlam_boolean::BitVec;
 use mlam_locking::combinational::lock_xor;
+use mlam_locking::dip::DipSolver;
 use mlam_locking::sat_attack::{sat_attack, SatAttackConfig};
 use mlam_locking::sequential::{Fsm, ObfuscatedFsm};
 use mlam_netlist::generate::random_circuit;
+use mlam_netlist::{GateKind, Net, Netlist};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// A random netlist over every gate kind, the variadic ones with one to
+/// three inputs (`random_circuit` emits two-input gates only). As in
+/// `random_circuit`, gate inputs lean toward recent nets and the
+/// outputs are the last gates, so most gates reach an output.
+fn random_netlist_of_every_kind(rng: &mut StdRng) -> Netlist {
+    const KINDS: [GateKind; 9] = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+        GateKind::Mux,
+    ];
+    let (inputs, gates, outputs) = (
+        rng.gen_range(2..=5),
+        rng.gen_range(6..=16),
+        rng.gen_range(1..=3),
+    );
+    let mut b = Netlist::builder(inputs, outputs);
+    let mut nets: Vec<Net> = (0..inputs).map(|i| b.input(i)).collect();
+    for _ in 0..gates {
+        let kind = *KINDS.choose(rng).expect("non-empty");
+        let arity = match kind {
+            GateKind::Not | GateKind::Buf => 1,
+            GateKind::Mux => 3,
+            _ => rng.gen_range(1..=3),
+        };
+        let ins = (0..arity)
+            .map(|_| {
+                let from = if rng.gen() { nets.len() / 2 } else { 0 };
+                nets[rng.gen_range(from..nets.len())]
+            })
+            .collect();
+        nets.push(b.gate(kind, ins));
+    }
+    for (o, &net) in nets[nets.len() - outputs..].iter().enumerate() {
+        b.set_output(o, net);
+    }
+    b.build()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -61,5 +109,44 @@ proptest! {
         let obf = ObfuscatedFsm::new(fsm, seq.clone());
         prop_assert!(!obf.combined().output(&seq[..3]));
         prop_assert!(!obf.combined().output(&[]));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The DIP solver's pinned copies are exact: after any constraints,
+    /// a key is consistent exactly when simulating the locked circuit
+    /// under it reproduces every response. Responses come from a random
+    /// key's simulation or are random bits, which no key may explain.
+    #[test]
+    fn pinned_copies_match_simulation(
+        seed in any::<u64>(),
+        key_bits in 1usize..=5,
+        constraints in 1usize..=4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let oracle = random_netlist_of_every_kind(&mut rng);
+        let locked = lock_xor(&oracle, key_bits, &mut rng);
+        let mut solver = DipSolver::new(&locked);
+        let mut observed = Vec::new();
+        for _ in 0..constraints {
+            let x: Vec<bool> = (0..oracle.num_inputs()).map(|_| rng.gen()).collect();
+            let response: Vec<bool> = if rng.gen() {
+                locked.simulate(&x, &BitVec::random(key_bits, &mut rng))
+            } else {
+                (0..oracle.num_outputs()).map(|_| rng.gen()).collect()
+            };
+            solver.constrain(&x, &response);
+            observed.push((x, response));
+        }
+        for mask in 0u32..1 << key_bits {
+            let bits: Vec<bool> = (0..key_bits).map(|i| mask >> i & 1 == 1).collect();
+            let key = BitVec::from_bools(&bits);
+            let reproduces = observed
+                .iter()
+                .all(|(x, response)| locked.simulate(x, &key) == *response);
+            prop_assert_eq!(solver.is_key_consistent(&key), reproduces, "key {:05b}", mask);
+        }
     }
 }

@@ -103,9 +103,8 @@ impl Solver {
     /// Adds a clause, permanently. Duplicate literals are removed;
     /// tautologies are ignored; literals false at the root level are
     /// dropped and clauses true at the root are discarded (so clauses
-    /// added after unit constraints arrive pre-simplified — the DIP
-    /// loop's pinned circuit copies rely on this); the empty clause
-    /// makes the instance permanently UNSAT.
+    /// added after unit constraints arrive pre-simplified); the empty
+    /// clause makes the instance permanently UNSAT.
     ///
     /// Must be called at decision level 0 (i.e. not from within a solve
     /// callback).

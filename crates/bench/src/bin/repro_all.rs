@@ -33,7 +33,8 @@
 //! `--quick` flag are skipped (their tables are not reprinted; a note
 //! goes to stderr), everything else — missing, corrupt, or degraded —
 //! re-runs from its original per-experiment seed, so the final run
-//! directory is bit-identical to an uninterrupted run. See HARNESS.md.
+//! directory has the records and curves of an uninterrupted run
+//! (`Session::run_batch` lists exactly what matches). See HARNESS.md.
 //!
 //! With `--monitor <addr>` (e.g. `127.0.0.1:9100`), serves live
 //! observability for the duration of the run: `/metrics` (Prometheus

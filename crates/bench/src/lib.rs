@@ -13,9 +13,11 @@
 //! into its run directory ([`CheckpointStore`]), failed experiments
 //! degrade to partial records (`degraded: true`) instead of sinking
 //! the run, and `--resume <dir>` continues an interrupted run by
-//! skipping every complete checkpoint — bit-identical to the run the
-//! kill interrupted, because each experiment is a pure function of
-//! `(seed, quick, index)`. See `HARNESS.md` for the full story.
+//! skipping every complete checkpoint. Each experiment is a pure
+//! function of `(seed, quick, index)`, so a re-run one reproduces the
+//! interrupted run's records; [`Session::run_batch`] lists what a
+//! resumed directory shares with an uninterrupted one. See
+//! `HARNESS.md` for the full story.
 
 use mlam::experiments::ablations::{run_ablations, AblationParams};
 use mlam::experiments::ac0::{run_ac0, Ac0Params};
@@ -211,9 +213,11 @@ impl Session {
     /// events at `events.jsonl`.
     ///
     /// With `--resume <dir>`, the existing run directory is reopened
-    /// instead (events append rather than truncate) and
-    /// [`Session::run_batch`] skips every experiment whose checkpoint
-    /// is complete and valid for this `(seed, quick)` configuration.
+    /// instead and [`Session::run_batch`] skips every experiment whose
+    /// checkpoint is complete and valid for this `(seed, quick)`
+    /// configuration. `events.jsonl` still starts empty: span ids,
+    /// thread ids and timestamps restart in every process, so it holds
+    /// the resumed process's spans only.
     /// `--resume` selects the output directory; [`parse_cli`] refuses a
     /// `--json` that names another one.
     ///
@@ -243,12 +247,8 @@ impl Session {
             }
             .unwrap_or_else(|e| panic!("{e}"));
             let events = run_dir.file("events.jsonl");
-            let sink = if resuming {
-                telemetry::JsonlSink::append(&events)
-            } else {
-                telemetry::JsonlSink::create(&events)
-            }
-            .unwrap_or_else(|e| panic!("cannot open {}: {e}", events.display()));
+            let sink = telemetry::JsonlSink::create(&events)
+                .unwrap_or_else(|e| panic!("cannot open {}: {e}", events.display()));
             telemetry::add_sink(Box::new(sink));
             run_dir
         });
@@ -416,13 +416,21 @@ impl Session {
     /// When the session was started with `--resume`, experiments whose
     /// checkpoint is complete and matches this `(seed, quick)`
     /// configuration are **skipped**: their recorded counters and
-    /// wall-clock are restored into the manifest (and replayed into
-    /// the global metric registry, so `metrics.jsonl` matches a
-    /// straight-through run), a note goes to stderr, and their tables
-    /// are *not* reprinted to stdout. Missing, corrupt (killed
-    /// mid-write), stale (other seed/quick) and degraded checkpoints
-    /// are re-run from their original `split_seed(seed, index)`
-    /// stream, which reproduces the interrupted run bit-for-bit.
+    /// wall-clock are restored into the manifest (and the counters
+    /// replayed into the global metric registry), a note goes to
+    /// stderr, and their tables are *not* reprinted to stdout. Missing,
+    /// corrupt (killed mid-write), stale (other seed/quick) and
+    /// degraded checkpoints are re-run from their original
+    /// `split_seed(seed, index)` stream.
+    ///
+    /// The resumed directory then matches an uninterrupted run in its
+    /// manifest records (order and counters), every `<name>.json` but
+    /// its `seconds`, `curves.jsonl`, and the nonzero `metrics.jsonl`
+    /// counters outside `harness.checkpoint.*`. Its `metrics.jsonl`
+    /// lacks the skipped experiments' histogram observations, because
+    /// histograms are not checkpointed, and the zero-valued counters
+    /// only they registered, because a checkpoint keeps nonzero
+    /// counter deltas only.
     pub fn run_batch(&mut self, experiments: &[Experiment]) -> Vec<ExperimentFailure> {
         telemetry::install_parallel_propagation();
         let root = self.seed();
@@ -510,8 +518,9 @@ impl Session {
             match slot {
                 Slot::Restored(record) => {
                     // Re-apply the restored counters to the global
-                    // registry: final_metrics and metrics.jsonl then
-                    // match what a straight-through run would report.
+                    // registry: the nonzero counters of final_metrics
+                    // and metrics.jsonl then match a straight-through
+                    // run's.
                     for (name, delta) in &record.counters {
                         telemetry::counter_handle(name).add(*delta);
                     }

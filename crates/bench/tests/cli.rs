@@ -3,16 +3,23 @@
 //! know — exits with status 2 before any experiment runs, instead of
 //! silently running the paper-scale suite. A valid `--only` runs its
 //! selection in registry order, each experiment seeded as in the full
-//! run.
+//! run; the other run knobs are checked in `determinism.rs`.
 
-use mlam::telemetry::RunManifest;
+use mlam::telemetry::{RunManifest, CURVES_FILE};
 use std::path::Path;
 use std::process::{Command, Output};
 
+/// Runs `repro_all` with `MLAM_THREADS=4` as its only `MLAM_*`
+/// setting, so a `--only` run also crosses thread counts against the
+/// 1-thread `baselines/quick`.
 fn repro_all(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro_all"))
+    let mut command = Command::new(env!("CARGO_BIN_EXE_repro_all"));
+    for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("MLAM_")) {
+        command.env_remove(name);
+    }
+    command
         .args(args)
-        .env("MLAM_THREADS", "1")
+        .env("MLAM_THREADS", "4")
         .output()
         .expect("run repro_all")
 }
@@ -40,8 +47,7 @@ fn misspelled_flag_exits_2_with_the_accepted_flags() {
 /// then draws other circuits.
 #[test]
 fn only_reproduces_the_full_runs_experiments() {
-    let dir = std::env::temp_dir().join(format!("mlam_cli_only_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("only");
     let json = dir.to_str().expect("UTF-8 temp dir");
     let out = repro_all(&["--quick", "--only", "locking,table3", "--json", json]);
     assert!(out.status.success(), "{out:?}");
@@ -52,6 +58,7 @@ fn only_reproduces_the_full_runs_experiments() {
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/quick");
     let full: RunManifest = serde_json::from_str(&read(&baseline.join("manifest.json"))).unwrap();
     let run: RunManifest = serde_json::from_str(&read(&dir.join("manifest.json"))).unwrap();
+    assert_eq!(run.threads, 4);
     let names: Vec<&str> = run.experiments.iter().map(|e| e.name.as_str()).collect();
     assert_eq!(names, ["table3", "locking"]);
     for record in &run.experiments {
@@ -64,13 +71,13 @@ fn only_reproduces_the_full_runs_experiments() {
         );
     }
     // Of the two, only locking records a learning curve.
-    let locking_curve: String = read(&baseline.join("curves.jsonl"))
+    let locking_curve: String = read(&baseline.join(CURVES_FILE))
         .lines()
         .filter(|line| line.starts_with("{\"series\":\"locking\""))
         .map(|line| format!("{line}\n"))
         .collect();
     assert!(!locking_curve.is_empty());
-    assert_eq!(read(&dir.join("curves.jsonl")), locking_curve);
+    assert_eq!(read(&dir.join(CURVES_FILE)), locking_curve);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

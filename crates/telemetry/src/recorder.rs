@@ -4,9 +4,9 @@
 //!
 //! - a stderr sink, installed automatically when the `MLAM_LOG`
 //!   environment variable names a level at or above `info`;
-//! - [`JsonlSink`], which appends one JSON object per event to a file
-//!   and is installed explicitly (the bench binaries do this under
-//!   `--json`).
+//! - [`JsonlSink`], which writes one JSON object per event to a file
+//!   it truncates on open, and is installed explicitly (the bench
+//!   binaries do this under `--json` and `--resume`).
 //!
 //! Nothing in this module ever writes to stdout.
 
@@ -130,7 +130,8 @@ impl Sink for StderrSink {
     }
 }
 
-/// Appends one compact JSON object per event to a file.
+/// Writes one compact JSON object per event, a line each, to a file
+/// it truncates on open.
 pub struct JsonlSink {
     file: std::fs::File,
 }
@@ -140,18 +141,6 @@ impl JsonlSink {
     pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<JsonlSink> {
         Ok(JsonlSink {
             file: std::fs::File::create(path)?,
-        })
-    }
-
-    /// Opens `path` for event output, keeping existing content — used
-    /// when resuming an interrupted run whose `events.jsonl` already
-    /// holds the earlier attempt's events.
-    pub fn append(path: impl AsRef<std::path::Path>) -> std::io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            file: std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?,
         })
     }
 }

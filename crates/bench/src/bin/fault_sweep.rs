@@ -5,6 +5,10 @@
 //! Usage: `cargo run --release -p mlam-bench --bin fault_sweep
 //! [--quick] [--json <dir>] [--monitor <addr>] [--progress]`
 //!
+//! Malformed arguments, an output directory `Session::start` cannot
+//! claim and a `--monitor` address it cannot bind exit with status 2
+//! before the sweep runs, as in `repro_all`.
+//!
 //! `--monitor <addr>` serves `/metrics`, `/progress` and `/healthz`
 //! while the sweep runs — the live `oracle.query.*` counters show the
 //! raw-read budget being spent in real time; `--progress` prints
@@ -26,7 +30,7 @@
 //! `mlam-trace compare --ignore-counter harness.retry.`.
 
 use mlam::experiments::fault_sweep::{run_fault_sweep, FaultSweepParams};
-use mlam_bench::{parse_cli, Session};
+use mlam_bench::{parse_cli, Session, CLI_FLAGS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +45,10 @@ fn main() {
     } else {
         FaultSweepParams::paper()
     };
-    let mut session = Session::start("fault_sweep", &options);
+    let mut session = Session::start("fault_sweep", &options).unwrap_or_else(|err| {
+        eprintln!("{err}\n{CLI_FLAGS}");
+        std::process::exit(2)
+    });
     let mut rng = StdRng::seed_from_u64(session.seed());
 
     let result = session.run(

@@ -23,7 +23,9 @@
 //! is given.
 //!
 //! Malformed arguments exit with status 2 before anything runs (see
-//! `mlam_bench::parse_cli`). Exits 1 when any experiment driver
+//! `mlam_bench::parse_cli`), and so does a run `Session::start`
+//! refuses: an output directory it cannot claim or a `--monitor`
+//! address it cannot bind. Exits 1 when any experiment driver
 //! fails. The remaining experiments still run; the failed ones are
 //! recorded as partial results marked `degraded: true` in the manifest
 //! and their checkpoint file.
@@ -45,7 +47,7 @@
 //! wall-clock timing fields) are byte-identical with monitoring on or
 //! off. See OBSERVABILITY.md.
 
-use mlam_bench::{parse_cli, run_all, Session, EXPERIMENTS};
+use mlam_bench::{parse_cli, run_all, Session, CLI_FLAGS, EXPERIMENTS};
 
 // Heap gauges on /metrics need the tracking allocator installed at
 // link time; accounting stays off (one relaxed load per allocation)
@@ -55,7 +57,10 @@ static ALLOC: mlam_monitor::alloc::TrackingAlloc = mlam_monitor::alloc::Tracking
 
 fn main() {
     let options = parse_cli(std::env::args(), EXPERIMENTS);
-    let mut session = Session::start("repro_all", &options);
+    let mut session = Session::start("repro_all", &options).unwrap_or_else(|err| {
+        eprintln!("{err}\n{CLI_FLAGS}");
+        std::process::exit(2)
+    });
     let failures = run_all(&mut session);
     session.finish();
     if !failures.is_empty() {

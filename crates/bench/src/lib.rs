@@ -221,11 +221,15 @@ impl Session {
     /// `--resume` selects the output directory; [`parse_cli`] refuses a
     /// `--json` that names another one.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the JSON output directory cannot be claimed (the
-    /// message names the offending path).
-    pub fn start(tool: &str, options: &CliOptions) -> Session {
+    /// Refuses, with a message naming the offending path or address, a
+    /// `--json` directory that cannot be created or already holds a
+    /// finished run (without `--force`), a `--resume` directory that
+    /// does not exist, an `events.jsonl` that cannot be opened, and a
+    /// `--monitor` address that cannot be bound. The binaries print the
+    /// message with [`CLI_FLAGS`] and exit 2, as [`parse_cli`] does.
+    pub fn start(tool: &str, options: &CliOptions) -> Result<Session, String> {
         // Wire telemetry's thread-local context (counter scopes, span
         // parents) into the parallel runtime before any fan-out runs.
         telemetry::install_parallel_propagation();
@@ -239,19 +243,21 @@ impl Session {
         }
         let resuming = options.resume.is_some();
         let output_dir = options.resume.as_ref().or(options.json_dir.as_ref());
-        let run_dir = output_dir.map(|dir| {
-            let run_dir = if resuming {
-                telemetry::RunDir::resume(dir)
-            } else {
-                telemetry::RunDir::create(dir, options.force)
-            }
-            .unwrap_or_else(|e| panic!("{e}"));
-            let events = run_dir.file("events.jsonl");
-            let sink = telemetry::JsonlSink::create(&events)
-                .unwrap_or_else(|e| panic!("cannot open {}: {e}", events.display()));
-            telemetry::add_sink(Box::new(sink));
-            run_dir
-        });
+        let run_dir = output_dir
+            .map(|dir| {
+                let run_dir = if resuming {
+                    telemetry::RunDir::resume(dir)
+                } else {
+                    telemetry::RunDir::create(dir, options.force)
+                }
+                .map_err(|e| e.to_string())?;
+                let events = run_dir.file("events.jsonl");
+                let sink = telemetry::JsonlSink::create(&events)
+                    .map_err(|e| format!("cannot open {}: {e}", events.display()))?;
+                telemetry::add_sink(Box::new(sink));
+                Ok::<_, String>(run_dir)
+            })
+            .transpose()?;
         let store = run_dir.as_ref().map(|dir| CheckpointStore::new(dir.path()));
         let progress =
             (options.monitor.is_some() || options.progress).then(|| Arc::new(Progress::new(0)));
@@ -285,28 +291,32 @@ impl Session {
             }
             (!sinks.is_empty()).then(|| Arc::new(sinks))
         };
-        let monitor = options.monitor.as_ref().map(|addr| {
-            let mut config = Monitor::new(addr);
-            if let Some(progress) = &progress {
-                config = config.progress(Arc::clone(progress));
-            }
-            if let Some(live) = &live_curves {
-                config = config.curves(Arc::clone(live));
-            }
-            let handle = config
-                .start()
-                .unwrap_or_else(|e| panic!("cannot start monitor on {addr}: {e}"));
-            eprintln!(
-                "mlam: monitor listening on http://{}/metrics",
-                handle.addr()
-            );
-            handle
-        });
+        let monitor = options
+            .monitor
+            .as_ref()
+            .map(|addr| {
+                let mut config = Monitor::new(addr);
+                if let Some(progress) = &progress {
+                    config = config.progress(Arc::clone(progress));
+                }
+                if let Some(live) = &live_curves {
+                    config = config.curves(Arc::clone(live));
+                }
+                let handle = config
+                    .start()
+                    .map_err(|e| format!("cannot start monitor on {addr}: {e}"))?;
+                eprintln!(
+                    "mlam: monitor listening on http://{}/metrics",
+                    handle.addr()
+                );
+                Ok::<_, String>(handle)
+            })
+            .transpose()?;
         let reporter = options.progress.then(|| {
             let progress = progress.as_ref().expect("progress state exists");
             ProgressReporter::start(Arc::clone(progress), Duration::from_millis(500))
         });
-        Session {
+        Ok(Session {
             manifest,
             run_dir,
             store,
@@ -319,7 +329,7 @@ impl Session {
             curve_sinks,
             curve_recorder,
             curve_fresh: BTreeSet::new(),
-        }
+        })
     }
 
     /// The live progress state, when `--monitor` or `--progress` is
@@ -885,13 +895,13 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let result = std::panic::catch_unwind(|| Session::start("test-tool", &options));
-        assert!(result.is_err(), "Session::start must refuse to clobber");
+        let refused = Session::start("test-tool", &options);
+        assert!(refused.is_err(), "Session::start must refuse to clobber");
         let forced = CliOptions {
             force: true,
             ..options
         };
-        let session = Session::start("test-tool", &forced);
+        let session = Session::start("test-tool", &forced).unwrap();
         session.finish();
         assert!(dir.join("metrics.jsonl").is_file());
         let _ = std::fs::remove_dir_all(&dir);
@@ -936,7 +946,7 @@ mod tests {
             monitor: Some("127.0.0.1:0".to_string()),
             ..CliOptions::default()
         };
-        let mut session = Session::start("test-monitor", &options);
+        let mut session = Session::start("test-monitor", &options).unwrap();
         let progress = Arc::clone(
             session
                 .progress()
@@ -989,7 +999,7 @@ mod tests {
             }),
         ];
 
-        let mut first = Session::start("test-resume", &options);
+        let mut first = Session::start("test-resume", &options).unwrap();
         assert!(first.run_batch(&experiments).is_empty());
         let full = first.finish();
 
@@ -1003,7 +1013,7 @@ mod tests {
             resume: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut second = Session::start("test-resume", &resumed_options);
+        let mut second = Session::start("test-resume", &resumed_options).unwrap();
         assert!(second.run_batch(&experiments).is_empty());
         let resumed = second.finish();
 
@@ -1035,7 +1045,7 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut session = Session::start("test-degrade", &options);
+        let mut session = Session::start("test-degrade", &options).unwrap();
         let failures = session.run_batch(&[
             Experiment::new("degrade_ok", |_, _| vec![]),
             Experiment::new("degrade_boom", |_, _| {
@@ -1072,7 +1082,7 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut session = Session::start("test-curves", &options);
+        let mut session = Session::start("test-curves", &options).unwrap();
         let curve_x = Experiment::new("curve_x", |_, _| {
             telemetry::counter!("oracle.example_queries", 10);
             curves::checkpoint("demo", 1, 0.5, None);
@@ -1114,7 +1124,7 @@ mod tests {
                 Vec::new()
             }),
         ];
-        let mut first = Session::start("test-curves-resume", &options);
+        let mut first = Session::start("test-curves-resume", &options).unwrap();
         assert!(first.run_batch(&experiments).is_empty());
         first.finish();
         let full = std::fs::read(dir.join(CURVES_FILE)).unwrap();
@@ -1128,7 +1138,7 @@ mod tests {
             resume: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut second = Session::start("test-curves-resume", &resumed_options);
+        let mut second = Session::start("test-curves-resume", &resumed_options).unwrap();
         assert!(second.run_batch(&experiments).is_empty());
         second.finish();
         let merged = std::fs::read(dir.join(CURVES_FILE)).unwrap();
@@ -1138,7 +1148,7 @@ mod tests {
 
     #[test]
     fn session_records_experiments_without_json() {
-        let mut session = Session::start("test-tool", &CliOptions::default());
+        let mut session = Session::start("test-tool", &CliOptions::default()).unwrap();
         let value = session.run(
             "demo",
             || {

@@ -1,9 +1,11 @@
-//! The `repro_all` and `repro_ab` command lines. Malformed input — a
-//! typo such as `--quik`, or an `--only` name the registry does not
-//! know — exits with status 2 before any experiment runs, instead of
-//! silently running the paper-scale suite. A valid `--only` runs its
-//! selection in registry order, each experiment seeded as in the full
-//! run; the other run knobs are checked in `determinism.rs`.
+//! The `repro_all`, `fault_sweep` and `repro_ab` command lines.
+//! Malformed input — a typo such as `--quik`, an `--only` name the
+//! registry does not know, or a run directory or monitor address the
+//! session cannot claim — exits with status 2 before any experiment
+//! runs, instead of silently running the paper-scale suite or
+//! panicking. A valid `--only` runs its selection in registry order,
+//! each experiment seeded as in the full run; the other run knobs are
+//! checked in `determinism.rs`.
 
 use mlam::telemetry::{RunManifest, CURVES_FILE};
 use std::path::Path;
@@ -13,7 +15,12 @@ use std::process::{Command, Output};
 /// setting, so a `--only` run also crosses thread counts against the
 /// 1-thread `baselines/quick`.
 fn repro_all(args: &[&str]) -> Output {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_repro_all"));
+    run(env!("CARGO_BIN_EXE_repro_all"), args)
+}
+
+/// Runs the bench binary `bin` as [`repro_all`] does.
+fn run(bin: &str, args: &[&str]) -> Output {
+    let mut command = Command::new(bin);
     for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("MLAM_")) {
         command.env_remove(name);
     }
@@ -21,23 +28,50 @@ fn repro_all(args: &[&str]) -> Output {
         .args(args)
         .env("MLAM_THREADS", "4")
         .output()
-        .expect("run repro_all")
+        .unwrap_or_else(|e| panic!("run {bin}: {e}"))
 }
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// Unusable input exits 2 with the offending argument and the accepted
+/// flags on stderr, from both session binaries: a misspelled flag, an
+/// unknown `--only` name, an unbindable `--monitor` address, a `--json`
+/// directory that cannot be created, a `--resume` directory that does
+/// not exist, and a `--json` directory holding a finished run without
+/// `--force`.
 #[test]
 fn misspelled_flag_exits_2_with_the_accepted_flags() {
-    for args in [&["--quik"][..], &["--only", "tabel3"]] {
-        let out = repro_all(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(out.stdout.is_empty(), "nothing may run");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[args.len() - 1]), "{stderr}");
-        assert!(stderr.contains(mlam_bench::CLI_FLAGS), "{stderr}");
+    let finished = scratch("finished");
+    std::fs::write(finished.join("manifest.json"), "{}\n").unwrap();
+    let missing = scratch("missing");
+    std::fs::remove_dir(&missing).unwrap();
+    let (finished, missing) = (finished.to_str().unwrap(), missing.to_str().unwrap());
+    let cases = [
+        &["--quik"][..],
+        &["--only", "tabel3"],
+        &["--quick", "--monitor", "notanaddr"],
+        &["--quick", "--json", "/dev/null/x"],
+        &["--quick", "--resume", missing],
+        &["--quick", "--json", finished],
+    ];
+    for bin in [
+        env!("CARGO_BIN_EXE_repro_all"),
+        env!("CARGO_BIN_EXE_fault_sweep"),
+    ] {
+        for args in cases {
+            let out = run(bin, args);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            assert!(out.stdout.is_empty(), "{bin} {args:?}: nothing may run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(args[args.len() - 1]), "{stderr}");
+            assert!(stderr.contains(mlam_bench::CLI_FLAGS), "{stderr}");
+            assert!(!stderr.contains("panicked at"), "{stderr}");
+        }
     }
+    assert_eq!(read(&Path::new(finished).join("manifest.json")), "{}\n");
+    let _ = std::fs::remove_dir_all(finished);
 }
 
 /// `--only locking,table3` runs `table3` then `locking` (registry

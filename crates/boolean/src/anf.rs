@@ -138,14 +138,6 @@ impl Anf {
         }
     }
 
-    /// Toggles a single monomial.
-    pub fn toggle_monomial(&mut self, mask: u64) {
-        assert!(self.n == 63 || mask < (1u64 << self.n));
-        if !self.monomials.insert(mask) {
-            self.monomials.remove(&mask);
-        }
-    }
-
     /// Whether this is the constant-zero function.
     pub fn is_zero(&self) -> bool {
         self.monomials.is_empty()

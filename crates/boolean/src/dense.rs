@@ -13,9 +13,9 @@ pub const MAX_DENSE_INPUTS: usize = 24;
 /// A Boolean function stored as an explicit table of `2^n` output bits.
 ///
 /// Entry `x` (interpreted as a bit mask, bit `i` = input `i`) holds
-/// `f(x)`. Dense tables enable *exact* Fourier expansions, Chow
-/// parameters and noise sensitivities for small `n`, which the test suite
-/// uses as ground truth against the sampled estimators.
+/// `f(x)`. Dense tables enable *exact* Fourier expansions and Chow
+/// parameters for small `n`, which the test suite uses as ground truth
+/// against the sampled estimators.
 ///
 /// # Example
 ///
@@ -115,60 +115,6 @@ impl TruthTable {
         let sum: f64 = self.table.iter().map(|&b| crate::to_pm(b)).sum();
         sum / self.table.len() as f64
     }
-
-    /// Exact minimum distance to *any* linear threshold function,
-    /// computed by brute force over all `2^n` inputs against the best
-    /// response of an LTF search. Only feasible for tiny `n`; used as
-    /// ground truth in tests of the halfspace tester.
-    ///
-    /// The search enumerates every LTF realizable with integer weights in
-    /// `[-w_max, w_max]` and threshold in the same range, so it is a lower
-    /// bound certification for small `n` and moderate `w_max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 4` (the enumeration is exponential in `n`).
-    pub fn distance_to_ltf_bruteforce(&self, w_max: i32) -> f64 {
-        assert!(self.n <= 4, "brute-force LTF distance limited to n <= 4");
-        let n = self.n;
-        let size = 1usize << n;
-        let mut best = 1.0f64;
-        let range: Vec<i32> = (-w_max..=w_max).collect();
-        // Enumerate weight vectors via mixed-radix counting.
-        let radix = range.len();
-        let mut idx = vec![0usize; n + 1]; // last slot = threshold
-        loop {
-            let weights: Vec<i32> = idx[..n].iter().map(|&i| range[i]).collect();
-            let theta = range[idx[n]];
-            let mut diff = 0usize;
-            for x in 0..size {
-                let mut s = 0i32;
-                for (i, w) in weights.iter().enumerate() {
-                    // ±1 encoding: bit 0 -> +1, bit 1 -> -1.
-                    let pm = if (x >> i) & 1 == 1 { -1 } else { 1 };
-                    s += w * pm;
-                }
-                let ltf_out = (s - theta) < 0; // sign(s-θ): negative -> logic 1
-                if ltf_out != self.table[x] {
-                    diff += 1;
-                }
-            }
-            best = best.min(diff as f64 / size as f64);
-            // Increment mixed-radix counter.
-            let mut pos = 0;
-            loop {
-                if pos > n {
-                    return best;
-                }
-                idx[pos] += 1;
-                if idx[pos] < radix {
-                    break;
-                }
-                idx[pos] = 0;
-                pos += 1;
-            }
-        }
-    }
 }
 
 impl BooleanFunction for TruthTable {
@@ -240,22 +186,6 @@ mod tests {
         flipped[7] = !flipped[7];
         let b = TruthTable::from_outputs(flipped);
         assert!((a.distance(&b) - 1.0 / 32.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ltf_bruteforce_on_actual_ltf_is_zero() {
-        // Majority of 3 is an LTF.
-        let maj = TruthTable::from_fn(3, |x| {
-            (x.get(0) as u8 + x.get(1) as u8 + x.get(2) as u8) >= 2
-        });
-        assert_eq!(maj.distance_to_ltf_bruteforce(2), 0.0);
-    }
-
-    #[test]
-    fn ltf_bruteforce_on_parity_is_quarter() {
-        // 2-bit XOR is the canonical non-LTF; best LTF gets 3/4 right.
-        let xor = TruthTable::from_fn(2, |x| x.get(0) ^ x.get(1));
-        assert!((xor.distance_to_ltf_bruteforce(2) - 0.25).abs() < 1e-12);
     }
 
     #[test]

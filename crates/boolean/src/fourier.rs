@@ -10,11 +10,9 @@
 //!   usable as a hypothesis (it implements
 //!   [`BooleanFunction`] by taking the sign of
 //!   the truncated expansion — exactly what the LMN algorithm outputs),
-//! - [`estimate_coefficient`] / [`estimate_coefficients`]: Monte-Carlo
-//!   estimation of selected coefficients from uniform random samples,
-//!   the core primitive of the LMN algorithm;
-//! - [`estimate_coefficients_from_data`]: the same estimates from an
-//!   explicit labeled sample, as LMN learns from CRPs.
+//! - [`estimate_coefficients_from_data`]: estimates of selected
+//!   coefficients from an explicit labeled sample, the core primitive of
+//!   the LMN algorithm, which learns from CRPs.
 //!
 //! # Packed kernels
 //!
@@ -35,7 +33,6 @@
 
 use crate::bits::{nonpositive_lanes, sign_select, BitVec, Columns};
 use crate::function::BooleanFunction;
-use rand::Rng;
 
 /// Dense table of all `2^n` Fourier coefficients of a function.
 ///
@@ -256,87 +253,6 @@ impl BooleanFunction for SparseFourier {
     }
 }
 
-/// Estimates a single Fourier coefficient
-/// `f̂(S) = E_x[f(x)·χ_S(x)]` from `samples` uniform random inputs.
-///
-/// The standard Chernoff argument shows `O(log(1/δ)/ε²)` samples give an
-/// `ε`-accurate estimate with probability `1-δ`; callers pick `samples`
-/// from the bound they need.
-///
-/// The inputs are drawn sequentially from `rng` (the stream is the same
-/// at any thread count), then the query/accumulate sweep fans out over
-/// `MLAM_THREADS` workers in fixed chunks of [`mlam_par::DEFAULT_CHUNK`]
-/// whose partial sums are folded in chunk order — the estimate is
-/// bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `samples == 0` or `f.num_inputs() > 63`.
-pub fn estimate_coefficient<F, R>(f: &F, mask: u64, samples: usize, rng: &mut R) -> f64
-where
-    F: BooleanFunction + Sync + ?Sized,
-    R: Rng + ?Sized,
-{
-    assert!(samples > 0);
-    let n = f.num_inputs();
-    assert!(n <= 63);
-    let xs: Vec<BitVec> = (0..samples).map(|_| BitVec::random(n, rng)).collect();
-    let partials = mlam_par::par_chunk_map(&xs, mlam_par::DEFAULT_CHUNK, |_, chunk| {
-        let mut sum = 0.0;
-        for x in chunk {
-            let chi = if x.parity_masked(mask) { -1.0 } else { 1.0 };
-            sum += f.eval_pm(x) * chi;
-        }
-        sum
-    });
-    partials.into_iter().fold(0.0, |a, b| a + b) / samples as f64
-}
-
-/// Estimates many Fourier coefficients from one common sample set.
-///
-/// Draws `samples` uniform inputs once and reuses them for every mask —
-/// this is precisely how the LMN algorithm spends its example budget.
-/// Returns coefficients in the same order as `masks`.
-///
-/// Parallelism follows the same contract as [`estimate_coefficient`]:
-/// sequential sample draw, fixed-chunk fan-out, in-order fold.
-pub fn estimate_coefficients<F, R>(f: &F, masks: &[u64], samples: usize, rng: &mut R) -> Vec<f64>
-where
-    F: BooleanFunction + Sync + ?Sized,
-    R: Rng + ?Sized,
-{
-    assert!(samples > 0);
-    let n = f.num_inputs();
-    assert!(n <= 63);
-    let xs: Vec<BitVec> = (0..samples).map(|_| BitVec::random(n, rng)).collect();
-    let partials = mlam_par::par_chunk_map(&xs, mlam_par::DEFAULT_CHUNK, |_, chunk| {
-        let mut sums = vec![0.0; masks.len()];
-        for x in chunk {
-            let fx = f.eval_pm(x);
-            let xm = x.to_u64();
-            for (k, &mask) in masks.iter().enumerate() {
-                let chi = if (xm & mask).count_ones() % 2 == 1 {
-                    -1.0
-                } else {
-                    1.0
-                };
-                sums[k] += fx * chi;
-            }
-        }
-        sums
-    });
-    let mut sums = vec![0.0; masks.len()];
-    for part in partials {
-        for (s, p) in sums.iter_mut().zip(part) {
-            *s += p;
-        }
-    }
-    for s in &mut sums {
-        *s /= samples as f64;
-    }
-    sums
-}
-
 /// Estimates coefficients from an explicit labeled sample
 /// (challenge, response) instead of querying the function. Labels are in
 /// the Boolean encoding (`true` = logic 1 = −1).
@@ -430,34 +346,6 @@ mod tests {
             }
         }
         assert_eq!(agree, 32, "sign of degree-1 truncation = majority");
-    }
-
-    #[test]
-    fn estimate_matches_exact_coefficient() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let t = TruthTable::random(8, &mut rng);
-        let exact = t.fourier();
-        let masks = [0b1u64, 0b11, 0b10000001];
-        let est = estimate_coefficients(&t, &masks, 60_000, &mut rng);
-        for (m, e) in masks.iter().zip(est) {
-            assert!(
-                (exact.coefficient(*m) - e).abs() < 0.02,
-                "mask {m:b}: exact {} est {e}",
-                exact.coefficient(*m)
-            );
-        }
-    }
-
-    #[test]
-    fn estimate_single_coefficient_of_parity() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let parity = FnFunction::new(10, |x: &BitVec| x.count_ones() % 2 == 1);
-        // f = χ_{[10]} so the full-mask coefficient is 1, others 0.
-        let full = (1u64 << 10) - 1;
-        let c = estimate_coefficient(&parity, full, 2000, &mut rng);
-        assert!((c - 1.0).abs() < 1e-12);
-        let c0 = estimate_coefficient(&parity, 0b1, 20_000, &mut rng);
-        assert!(c0.abs() < 0.03);
     }
 
     #[test]

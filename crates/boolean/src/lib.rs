@@ -14,7 +14,6 @@
 //! - linear threshold functions and their Chow parameters ([`ltf`]),
 //! - algebraic normal forms, i.e. sparse multivariate polynomials over
 //!   GF(2) ([`anf`]),
-//! - noise sensitivity and bias estimators ([`noise`]),
 //! - property testing, in particular the halfspace tester of
 //!   Matulef–O'Donnell–Rubinfeld–Servedio used for Table III ([`testing`]).
 //!
@@ -47,7 +46,6 @@ pub mod dense;
 pub mod fourier;
 pub mod function;
 pub mod ltf;
-pub mod noise;
 #[cfg(test)]
 mod reference;
 pub mod subsets;

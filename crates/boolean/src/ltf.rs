@@ -68,32 +68,6 @@ impl LinearThreshold {
         assert_eq!(x.len(), self.weights.len(), "input length mismatch");
         row_sum(-self.threshold, &self.weights, x.words())
     }
-
-    /// Rescales weights and threshold to unit Euclidean norm
-    /// (`‖(w,θ)‖₂ = 1`); the Boolean function is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the LTF is identically zero.
-    pub fn normalized(&self) -> LinearThreshold {
-        let norm = (self.weights.iter().map(|w| w * w).sum::<f64>()
-            + self.threshold * self.threshold)
-            .sqrt();
-        assert!(norm > 0.0, "cannot normalize the zero LTF");
-        LinearThreshold {
-            weights: self.weights.iter().map(|w| w / norm).collect(),
-            threshold: self.threshold / norm,
-        }
-    }
-
-    /// Exact Chow parameters for small `n` (exhaustive enumeration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 20`.
-    pub fn chow_exact(&self) -> ChowParameters {
-        ChowParameters::exact(self)
-    }
 }
 
 impl BooleanFunction for LinearThreshold {
@@ -288,20 +262,6 @@ mod tests {
         // Two ones -> margin = (+1 from the zero bit) + (-1) + (-1) = -1 < 0 -> logic 1.
         assert!(maj.eval(&BitVec::from_bools(&[true, true, false])));
         assert!(!maj.eval(&BitVec::from_bools(&[false, false, true])));
-    }
-
-    #[test]
-    fn normalization_preserves_function() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let f = LinearThreshold::new(vec![3.0, -2.0, 0.5, 1.5], 0.7);
-        let g = f.normalized();
-        let norm: f64 =
-            g.weights().iter().map(|w| w * w).sum::<f64>() + g.threshold() * g.threshold();
-        assert!((norm - 1.0).abs() < 1e-12);
-        for _ in 0..100 {
-            let x = BitVec::random(4, &mut rng);
-            assert_eq!(f.eval(&x), g.eval(&x));
-        }
     }
 
     #[test]

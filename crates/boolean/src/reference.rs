@@ -159,7 +159,7 @@ fn pocket(
     (best_w, best_theta)
 }
 
-/// `HalfspaceTester::run` with the default five splits and 30 polish
+/// `HalfspaceTester::run` with its five splits and 30 polish
 /// epochs: owned copies of each fitting split, per-example
 /// disagreement on the held-out split.
 fn tester_run<R: Rng + ?Sized>(

@@ -42,6 +42,12 @@ use rand::Rng;
 /// ε-closeness degrades this by `O(ε)`.
 pub const HALFSPACE_LEVEL_ONE_FLOOR: f64 = 2.0 / std::f64::consts::PI;
 
+/// Pocket-perceptron polish epochs per split.
+const POLISH_EPOCHS: usize = 30;
+
+/// Random fit/hold-out splits averaged per run.
+const SPLITS: usize = 5;
+
 /// Outcome of a halfspace test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -95,10 +101,6 @@ pub struct TesterReport {
 pub struct HalfspaceTester {
     eps: f64,
     delta: f64,
-    /// Pocket-perceptron polish epochs.
-    polish_epochs: usize,
-    /// Random fit/hold-out splits averaged per run.
-    splits: usize,
 }
 
 impl HalfspaceTester {
@@ -111,32 +113,7 @@ impl HalfspaceTester {
     pub fn new(eps: f64, delta: f64) -> Self {
         assert!(eps > 0.0 && eps <= 0.5, "eps must be in (0, 0.5]");
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-        HalfspaceTester {
-            eps,
-            delta,
-            polish_epochs: 30,
-            splits: 5,
-        }
-    }
-
-    /// Overrides the number of pocket-perceptron polish epochs
-    /// (default 30).
-    pub fn with_polish_epochs(mut self, epochs: usize) -> Self {
-        self.polish_epochs = epochs;
-        self
-    }
-
-    /// Overrides the number of averaged fit/hold-out splits
-    /// (default 5). More splits reduce the variance of the distance
-    /// estimate on small samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `splits == 0`.
-    pub fn with_splits(mut self, splits: usize) -> Self {
-        assert!(splits > 0, "need at least one split");
-        self.splits = splits;
-        self
+        HalfspaceTester { eps, delta }
     }
 
     /// Number of uniform examples the tester wants:
@@ -148,7 +125,7 @@ impl HalfspaceTester {
 
     /// Runs the tester on a labeled sample of uniform CRPs.
     ///
-    /// Each of the configured splits uses 70 % of the sample to fit a
+    /// Each of five random splits uses 70 % of the sample to fit a
     /// candidate halfspace (Chow LTF + pocket-perceptron polish) and
     /// the held-out 30 % for an unbiased disagreement estimate; the
     /// reported distance and Chow statistic are averaged over the
@@ -169,7 +146,7 @@ impl HalfspaceTester {
         }
         let mut w1_sum = 0.0;
         let mut distance_sum = 0.0;
-        for _ in 0..self.splits {
+        for _ in 0..SPLITS {
             let mut shuffled: Vec<&(BitVec, bool)> = data.iter().collect();
             shuffled.shuffle(rng);
             let fit_len = ((shuffled.len() * 7) / 10).max(1);
@@ -182,15 +159,15 @@ impl HalfspaceTester {
             w1_sum += chow.level_one_weight();
 
             // 2. Candidate halfspace: Chow LTF + pocket-perceptron polish.
-            let candidate = pocket(fit, &fit_cols, Some(chow.to_ltf()), self.polish_epochs);
+            let candidate = pocket(fit, &fit_cols, Some(chow.to_ltf()), POLISH_EPOCHS);
 
             // 3. Distance = held-out disagreement of the candidate.
             let held_cols = Columns::new(n, held.iter().copied());
             let wrong = errors(&held_cols, candidate.weights(), candidate.threshold());
             distance_sum += wrong as f64 / held.len() as f64;
         }
-        let w1 = w1_sum / self.splits as f64;
-        let distance = distance_sum / self.splits as f64;
+        let w1 = w1_sum / SPLITS as f64;
+        let distance = distance_sum / SPLITS as f64;
 
         // Verdict: far from every halfspace if BOTH the spectral
         // signature is weak and no good halfspace was found. A halfspace

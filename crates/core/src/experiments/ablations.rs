@@ -7,7 +7,8 @@
 //! 3. **Proper vs. improper** — LTF surrogate vs. low-degree (LMN)
 //!    hypothesis on the same BR PUF (Section V-B's axis);
 //! 4. **Noise** — Perceptron vs. logistic regression vs. LMN under
-//!    response noise (footnote 1's attribute-noise discussion).
+//!    response noise: [`ResponseNoise`] label flips, not the attribute
+//!    noise of the paper's footnote 1.
 
 use crate::report::{pct, Table};
 use mlam_boolean::BooleanFunction;

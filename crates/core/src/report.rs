@@ -75,37 +75,8 @@ impl Table {
         &self.notes
     }
 
-    /// Renders as GitHub-flavored Markdown. Literal `|` in headers and
-    /// cells is escaped so it cannot break the column structure.
-    pub fn to_markdown(&self) -> String {
-        let esc = |s: &String| s.replace('|', "\\|");
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!(
-            "| {} |\n",
-            self.header.iter().map(esc).collect::<Vec<_>>().join(" | ")
-        ));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!(
-                "| {} |\n",
-                row.iter().map(esc).collect::<Vec<_>>().join(" | ")
-            ));
-        }
-        for note in &self.notes {
-            out.push_str(&format!("\n{note}\n"));
-        }
-        out
-    }
-
     /// The rows as JSON objects keyed by column header — the machine
-    /// companion of [`Table::to_markdown`] for `--json` output.
+    /// companion of the text rendering for `--json` output.
     pub fn to_json_rows(&self) -> serde_json::Value {
         serde_json::Value::Seq(
             self.rows
@@ -193,15 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_has_separator() {
-        let mut t = Table::new("T", &["x", "y"]);
-        t.row_display(&[1, 2]);
-        let md = t.to_markdown();
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
-    }
-
-    #[test]
     fn pct_and_eng() {
         assert_eq!(pct(0.9312), "93.12");
         assert_eq!(eng(1234.0), "1234");
@@ -221,19 +183,7 @@ mod tests {
         let mut t = Table::new("T", &["x"]);
         t.row_display(&["1"]).note("verdict: ok");
         assert_eq!(t.to_string().lines().last(), Some("  verdict: ok"));
-        assert!(t.to_markdown().ends_with("| 1 |\n\nverdict: ok\n"));
         assert_eq!(t.notes(), ["verdict: ok"]);
-    }
-
-    #[test]
-    fn markdown_escapes_pipes_in_cells() {
-        let mut t = Table::new("T", &["expr", "n"]);
-        t.row_display(&["a|b", "3"]);
-        let md = t.to_markdown();
-        assert!(md.contains("| a\\|b | 3 |"), "{md}");
-        // The escaped cell must not add a column.
-        let data_line = md.lines().last().unwrap();
-        assert_eq!(data_line.matches(" | ").count(), 1);
     }
 
     #[test]

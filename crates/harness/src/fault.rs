@@ -4,11 +4,7 @@
 //! index)`: the decision for a given reading never depends on wall
 //! clock, scheduling, or a shared RNG stream, so the same seed yields
 //! bit-identical fault behavior at any thread count — the same
-//! discipline `mlam-par` imposes on task seeds. A second entry point,
-//! [`FaultModel::roll_with_rng`], draws the decision from a
-//! caller-provided RNG instead; it is exactly as deterministic as that
-//! RNG stream, which in the split-seeded CRP collectors is again a pure
-//! function of `(root seed, task index)`.
+//! discipline `mlam-par` imposes on task seeds.
 //!
 //! Three fault kinds model the failure modes of real CRP acquisition:
 //!
@@ -29,7 +25,6 @@
 use mlam_boolean::BitVec;
 use mlam_par::splitmix64;
 use mlam_telemetry::counter;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One injected fault on a single oracle reading.
@@ -57,11 +52,6 @@ impl FaultOutcome {
             Some(Fault::Flip) => Some(!raw),
             Some(Fault::Drop) | Some(Fault::Outage) => None,
         }
-    }
-
-    /// Whether the reading survives (possibly flipped).
-    pub fn is_reading(self) -> bool {
-        !matches!(self.0, Some(Fault::Drop) | Some(Fault::Outage))
     }
 }
 
@@ -153,28 +143,6 @@ impl FaultModel {
             return record(Fault::Drop);
         }
         if unit(splitmix64(per_attempt ^ FLIP_DOMAIN)) < self.flip_rate {
-            return record(Fault::Flip);
-        }
-        FaultOutcome(None)
-    }
-
-    /// Draws a fault decision from `rng` instead of the challenge —
-    /// the device-level variant used inside noisy PUF evaluation,
-    /// where repeated reads of the same challenge must see independent
-    /// faults. Consumes exactly one `u64` from the stream (zero when
-    /// the model [`is_reliable`](FaultModel::is_reliable)).
-    pub fn roll_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> FaultOutcome {
-        if self.is_reliable() {
-            return FaultOutcome(None);
-        }
-        let h: u64 = rng.gen();
-        if unit(splitmix64(h ^ OUTAGE_DOMAIN)) < self.outage_rate {
-            return record(Fault::Outage);
-        }
-        if unit(splitmix64(h ^ DROP_DOMAIN)) < self.drop_rate {
-            return record(Fault::Drop);
-        }
-        if unit(splitmix64(h ^ FLIP_DOMAIN)) < self.flip_rate {
             return record(Fault::Flip);
         }
         FaultOutcome(None)
@@ -305,27 +273,6 @@ mod tests {
             }
         }
         assert!(saw_differing_attempts, "flips must vary across attempts");
-    }
-
-    #[test]
-    fn rng_rolls_follow_the_stream() {
-        let model = FaultModel::new(0, 0.4, 0.2);
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        for _ in 0..256 {
-            assert_eq!(model.roll_with_rng(&mut a), model.roll_with_rng(&mut b));
-        }
-    }
-
-    #[test]
-    fn reliable_rng_rolls_consume_nothing() {
-        let reliable = FaultModel::reliable();
-        let mut a = StdRng::seed_from_u64(11);
-        for _ in 0..10 {
-            assert_eq!(reliable.roll_with_rng(&mut a), FaultOutcome(None));
-        }
-        let mut untouched = StdRng::seed_from_u64(11);
-        assert_eq!(a.gen::<u64>(), untouched.gen::<u64>());
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!   deterministic backoff schedules, and k-of-n majority voting over
 //!   repeated readings (the repetition/majority querying used by
 //!   active-learning PUF attacks);
-//! - [`recover`] — the generic retry/vote executor shared by the
-//!   oracle adapters in `mlam-learn` ([`UnreliableOracle`]) and the
-//!   device wrapper in `mlam-puf` (`UnreliablePuf`).
+//! - [`recover`] — the generic retry/vote executor behind the oracle
+//!   adapter in `mlam-learn` ([`UnreliableOracle`]).
 //!
 //! Everything is observable: injected faults count under
 //! `oracle.fault.*` and recovery work under `harness.retry.*`, so

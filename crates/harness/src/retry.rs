@@ -106,28 +106,6 @@ impl RetryPolicy {
         self.backoff = backoff;
         self
     }
-
-    /// The stable-CRP re-query discipline of the paper's lab procedure:
-    /// majority-vote over `repeats` readings (made odd by rounding up)
-    /// with an attempt budget of four readings per vote and unit
-    /// backoff.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats` is zero.
-    pub fn stable_requery(repeats: u32) -> RetryPolicy {
-        assert!(repeats > 0, "at least one repeat is required");
-        let votes = if repeats.is_multiple_of(2) {
-            repeats + 1
-        } else {
-            repeats
-        };
-        RetryPolicy {
-            max_attempts: votes.saturating_mul(4),
-            votes,
-            backoff: Backoff::Fixed(1),
-        }
-    }
 }
 
 /// A logical query that could not produce a single successful reading.
@@ -297,13 +275,5 @@ mod tests {
     #[should_panic(expected = "odd")]
     fn even_votes_are_rejected() {
         let _ = RetryPolicy::default().with_votes(4);
-    }
-
-    #[test]
-    fn stable_requery_preset() {
-        let policy = RetryPolicy::stable_requery(10);
-        assert_eq!(policy.votes, 11);
-        assert_eq!(policy.max_attempts, 44);
-        assert_eq!(policy.backoff, Backoff::Fixed(1));
     }
 }

@@ -201,14 +201,6 @@ impl LabeledSet {
             },
         )
     }
-
-    /// Fraction of positive labels.
-    pub fn positive_fraction(&self) -> f64 {
-        if self.items.is_empty() {
-            return 0.0;
-        }
-        self.items.iter().filter(|(_, y)| *y).count() as f64 / self.items.len() as f64
-    }
 }
 
 impl Extend<(BitVec, bool)> for LabeledSet {
@@ -266,7 +258,6 @@ mod tests {
         set.push(BitVec::zeros(3), true);
         set.push(BitVec::ones(3), false);
         assert_eq!(set.take(1).len(), 1);
-        assert_eq!(set.positive_fraction(), 0.5);
     }
 
     #[test]

@@ -1,100 +1,14 @@
-//! Evaluation harness: learning curves, cross-validation and empirical
-//! sample complexity.
+//! Evaluation harness: empirical sample complexity.
 //!
 //! Table I gives analytic CRP bounds; the benchmark harness also
 //! *measures* how many CRPs each learner empirically needs to reach a
-//! target accuracy. [`learning_curve`] and [`crps_to_accuracy`] provide
-//! those measurements for any learner expressible as a closure from a
-//! training set to a hypothesis, and [`k_fold_accuracy`] estimates
-//! generalization by deterministic k-fold cross-validation with the
-//! folds trained across `MLAM_THREADS` worker threads.
+//! target accuracy. [`crps_to_accuracy`] provides that measurement for
+//! any learner expressible as a closure from a training set to a
+//! hypothesis.
 
 use crate::dataset::LabeledSet;
 use mlam_boolean::BooleanFunction;
 use rand::Rng;
-
-/// One point of a learning curve.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CurvePoint {
-    /// Training-set size used.
-    pub train_size: usize,
-    /// Test accuracy reached.
-    pub test_accuracy: f64,
-}
-
-/// Sweeps training-set sizes and records test accuracy.
-///
-/// `learner` maps a training set to a hypothesis. The same test set is
-/// used for every point; training sets are nested prefixes of one large
-/// sample, so the curve is monotone in expectation.
-///
-/// # Panics
-///
-/// Panics if `sizes` is empty or its maximum exceeds the sampled pool.
-pub fn learning_curve<F, L, H, R>(
-    target: &F,
-    sizes: &[usize],
-    test_size: usize,
-    learner: L,
-    rng: &mut R,
-) -> Vec<CurvePoint>
-where
-    F: BooleanFunction + ?Sized,
-    L: Fn(&LabeledSet) -> H,
-    H: BooleanFunction,
-    R: Rng + ?Sized,
-{
-    assert!(!sizes.is_empty(), "need at least one size");
-    let max = *sizes.iter().max().expect("non-empty");
-    let pool = LabeledSet::sample(target, max, rng);
-    let test = LabeledSet::sample(target, test_size, rng);
-    sizes
-        .iter()
-        .map(|&m| {
-            let train = pool.take(m);
-            let h = learner(&train);
-            CurvePoint {
-                train_size: m,
-                test_accuracy: test.accuracy_of(&h),
-            }
-        })
-        .collect()
-}
-
-/// Deterministic k-fold cross-validation: returns one held-out accuracy
-/// per fold, in fold order.
-///
-/// Fold `i` holds out the `i`-th of `k` contiguous index ranges of
-/// `data` (the caller shuffles beforehand if the order is meaningful)
-/// and trains `learner` on the remainder. Fold boundaries depend only on
-/// `data.len()` and `k`, and the folds are trained and scored across
-/// `MLAM_THREADS` workers with results assembled in fold order — the
-/// returned accuracies are bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `k < 2` or `data.len() < k`.
-pub fn k_fold_accuracy<L, H>(data: &LabeledSet, k: usize, learner: L) -> Vec<f64>
-where
-    L: Fn(&LabeledSet) -> H + Sync,
-    H: BooleanFunction + Send,
-{
-    assert!(k >= 2, "k-fold needs at least 2 folds");
-    assert!(data.len() >= k, "need at least one example per fold");
-    let n = data.num_inputs();
-    let pairs = data.pairs();
-    mlam_par::par_map_index(k, |i| {
-        let lo = i * pairs.len() / k;
-        let hi = (i + 1) * pairs.len() / k;
-        let test = LabeledSet::from_pairs(n, pairs[lo..hi].to_vec());
-        let mut train_pairs = Vec::with_capacity(pairs.len() - (hi - lo));
-        train_pairs.extend_from_slice(&pairs[..lo]);
-        train_pairs.extend_from_slice(&pairs[hi..]);
-        let train = LabeledSet::from_pairs(n, train_pairs);
-        let h = learner(&train);
-        test.accuracy_of(&h)
-    })
-}
 
 /// Finds (by doubling search) the smallest training-set size at which
 /// `learner` reaches `target_accuracy`, up to `max_size`. Returns
@@ -140,22 +54,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn curve_improves_with_data_for_ltf() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let target = LinearThreshold::random(16, &mut rng);
-        let curve = learning_curve(
-            &target,
-            &[50, 200, 2000],
-            2000,
-            |train| Perceptron::new(60).train(train).model,
-            &mut rng,
-        );
-        assert_eq!(curve.len(), 3);
-        assert!(curve[2].test_accuracy > curve[0].test_accuracy, "{curve:?}");
-        assert!(curve[2].test_accuracy > 0.9);
-    }
-
-    #[test]
     fn crps_to_accuracy_finds_a_budget_for_easy_targets() {
         let mut rng = StdRng::seed_from_u64(2);
         let target = LinearThreshold::random(12, &mut rng);
@@ -170,33 +68,6 @@ mod tests {
         );
         assert!(m.is_some());
         assert!(m.expect("found") <= 10_000);
-    }
-
-    #[test]
-    fn k_fold_is_deterministic_and_sane_for_ltf() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let target = LinearThreshold::random(14, &mut rng);
-        let data = LabeledSet::sample(&target, 2000, &mut rng);
-        let learner = |train: &LabeledSet| Perceptron::new(40).train(train).model;
-        let a = k_fold_accuracy(&data, 5, learner);
-        let b = k_fold_accuracy(&data, 5, learner);
-        assert_eq!(a, b, "k-fold must be deterministic");
-        assert_eq!(a.len(), 5);
-        let mean = a.iter().sum::<f64>() / a.len() as f64;
-        assert!(mean > 0.8, "folds: {a:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 folds")]
-    fn k_fold_rejects_single_fold() {
-        let data = LabeledSet::sample(
-            &LinearThreshold::random(4, &mut StdRng::seed_from_u64(1)),
-            10,
-            &mut StdRng::seed_from_u64(2),
-        );
-        let _ = k_fold_accuracy(&data, 1, |train: &LabeledSet| {
-            Perceptron::new(1).train(train).model
-        });
     }
 
     #[test]

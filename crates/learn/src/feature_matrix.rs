@@ -2,11 +2,11 @@
 //! path.
 //!
 //! Every iterative learner in this crate walks the same `m × d` feature
-//! matrix many times (epochs, boosting rounds, CMA-ES population
-//! members, k-fold splits). Before this module each walk either
-//! re-derived features from the challenges or chased `Vec<Vec<f64>>`
-//! pointers; a [`FeatureMatrix`] computes the features **once** per
-//! `(LabeledSet, FeatureMap)` pair and stores them struct-of-arrays:
+//! matrix many times (epochs, CMA-ES population members). Before this
+//! module each walk either re-derived features from the challenges or
+//! chased `Vec<Vec<f64>>` pointers; a [`FeatureMatrix`] computes the
+//! features **once** per `(LabeledSet, FeatureMap)` pair and stores them
+//! struct-of-arrays:
 //!
 //! * **Packed signs** — when the map
 //!   [packs sign words](crate::features::FeatureMap::sign_words_into)
@@ -62,8 +62,7 @@ enum Storage {
 }
 
 /// A feature matrix cached once per `(LabeledSet, FeatureMap)` pair,
-/// shared across training epochs, boosting rounds, and CMA-ES
-/// population scoring.
+/// shared across training epochs and CMA-ES population scoring.
 ///
 /// # Example
 ///
@@ -370,43 +369,6 @@ fn tile_signs(signs: &[u64], tile: usize) -> [u64; TILE_FEATURES] {
     [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
 }
 
-/// Packs a sequence of sign bits (`true` ⇔ the value is `−1.0`) into
-/// little-endian 64-bit words — the layout [`FeatureMatrix`] and the
-/// boosting round cache share.
-pub fn pack_sign_bits(bits: impl Iterator<Item = bool>) -> Vec<u64> {
-    let mut words = Vec::new();
-    for (i, b) in bits.enumerate() {
-        if i % 64 == 0 {
-            words.push(0u64);
-        }
-        if b {
-            *words.last_mut().expect("pushed above") |= 1u64 << (i % 64);
-        }
-    }
-    words
-}
-
-/// Calls `f(index)` for every set bit in `words[..]`, restricted to the
-/// first `len` bits, in ascending index order — so reductions over the
-/// selected examples keep the scalar accumulation order.
-pub fn for_each_set_bit(words: &[u64], len: usize, mut f: impl FnMut(usize)) {
-    for (g, &word) in words.iter().enumerate() {
-        let base = g * 64;
-        let mut w = if base + 64 <= len {
-            word
-        } else if base >= len {
-            0
-        } else {
-            word & ((1u64 << (len - base)) - 1)
-        };
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            f(base + bit);
-            w &= w - 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,28 +537,5 @@ mod tests {
             })
             .count();
         assert_eq!(fm.error_count(&w), scalar);
-    }
-
-    #[test]
-    fn pack_and_iterate_round_trip() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for len in [0usize, 1, 63, 64, 65, 130] {
-            let bits: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.4)).collect();
-            let words = pack_sign_bits(bits.iter().copied());
-            assert_eq!(words.len(), len.div_ceil(64));
-            let mut seen = Vec::new();
-            for_each_set_bit(&words, len, |i| seen.push(i));
-            let expected: Vec<usize> = (0..len).filter(|&i| bits[i]).collect();
-            assert_eq!(seen, expected, "len {len}");
-        }
-    }
-
-    #[test]
-    fn for_each_set_bit_respects_len_cap() {
-        // All-ones words, but only the first 70 bits are in range.
-        let words = vec![u64::MAX, u64::MAX];
-        let mut count = 0usize;
-        for_each_set_bit(&words, 70, |_| count += 1);
-        assert_eq!(count, 70);
     }
 }

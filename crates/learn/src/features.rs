@@ -194,22 +194,6 @@ impl LowDegreeFeatures {
         }
     }
 
-    /// Creates the map from an explicit set of parity masks (e.g. the
-    /// stump masks an [`crate::boosting::AdaBoost`] run settled on).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `masks` is empty or a mask references a bit `≥ n`.
-    pub fn from_masks(n: usize, masks: Vec<u64>) -> Self {
-        assert!(!masks.is_empty(), "need at least one mask");
-        assert!(n <= 64, "masks address at most 64 bits");
-        let valid = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        for &m in &masks {
-            assert_eq!(m & !valid, 0, "mask {m:#x} references bits >= {n}");
-        }
-        LowDegreeFeatures { n, masks }
-    }
-
     /// The parity masks, in degree order.
     pub fn masks(&self) -> &[u64] {
         &self.masks
@@ -329,20 +313,5 @@ mod tests {
                 assert!(map.sign_words_into(&x, &mut words), "sign-valued");
             }
         }
-    }
-
-    #[test]
-    fn from_masks_round_trips() {
-        let map = LowDegreeFeatures::from_masks(6, vec![0b1, 0b101, 0b110000]);
-        assert_eq!(map.dimension(), 3);
-        assert_eq!(map.num_inputs(), 6);
-        let x = BitVec::from_u64(0b100001, 6);
-        assert_eq!(map.features(&x), vec![-1.0, -1.0, -1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "references bits")]
-    fn from_masks_rejects_out_of_range_bits() {
-        LowDegreeFeatures::from_masks(4, vec![0b10000]);
     }
 }

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod automata;
-pub mod boosting;
 pub mod chow;
 pub mod cma_es;
 pub mod dataset;
@@ -47,7 +46,6 @@ pub mod eval;
 pub mod f2poly;
 pub mod feature_matrix;
 pub mod features;
-pub mod junta;
 pub mod km;
 pub mod lmn;
 pub mod logistic;

@@ -12,9 +12,8 @@
 //!   high-degree spectrum the algorithm ignores anyway.
 //!
 //! Corollary 1 of the paper instantiates the LMN sample bound for XOR
-//! Arbiter PUFs via their noise sensitivity `O(k√ε)`; the function
-//! [`lmn_degree_for_xor_ltf`] computes the degree that analysis
-//! dictates.
+//! Arbiter PUFs via their noise sensitivity `O(k√ε)`;
+//! `mlam::bounds::lmn_bound_log10` evaluates that bound for Table I.
 
 use crate::dataset::LabeledSet;
 use mlam_boolean::fourier::estimate_coefficients_from_data;
@@ -112,24 +111,6 @@ pub fn lmn_learn(data: &LabeledSet, config: LmnConfig) -> LmnOutcome {
     }
 }
 
-/// The degree the LMN theorem requires to ε-approximate a `k`-XOR of
-/// LTFs: from `NS_γ(h) ≤ k·√γ` and the Fourier-concentration lemma
-/// (`Σ_{|S|≥m} f̂(S)² ≤ ε` at `m = 1/γ` for `γ` with `α(γ) = ε/2.32`),
-/// the paper's proof of Corollary 1 yields `m = ⌈2.32·k²/ε²⌉`.
-pub fn lmn_degree_for_xor_ltf(k: usize, eps: f64) -> usize {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-    (2.32 * (k * k) as f64 / (eps * eps)).ceil() as usize
-}
-
-/// The LMN example budget `n^{O(m)}·ln(1/δ)` for degree `m` — the bound
-/// in Table I row 3 (Corollary 1). Returned as `log₂` of the count to
-/// stay representable; the exact count overflows for every interesting
-/// parameter choice, which *is* the paper's point.
-pub fn lmn_sample_budget_log2(n: usize, degree: usize, delta: f64) -> f64 {
-    assert!(n > 0 && delta > 0.0 && delta < 1.0);
-    degree as f64 * (n as f64).log2() + (1.0 / delta).ln().log2().max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,23 +169,6 @@ mod tests {
         let out = lmn_learn(&train, LmnConfig::new(4));
         let acc = test.accuracy_of(&out.hypothesis);
         assert!(acc > 0.75, "accuracy {acc}");
-    }
-
-    #[test]
-    fn degree_formula_of_corollary_one() {
-        assert_eq!(lmn_degree_for_xor_ltf(1, 0.5), 10); // ceil(2.32/0.25)
-        let d1 = lmn_degree_for_xor_ltf(2, 0.1);
-        let d2 = lmn_degree_for_xor_ltf(4, 0.1);
-        assert_eq!(d1, (2.32f64 * 4.0 / 0.01).ceil() as usize);
-        assert!((d2 as f64 / d1 as f64 - 4.0).abs() < 0.01, "quadratic in k");
-    }
-
-    #[test]
-    fn sample_budget_explodes_with_k() {
-        // For k >> sqrt(ln n) the budget is astronomically large.
-        let small = lmn_sample_budget_log2(64, lmn_degree_for_xor_ltf(1, 0.2), 0.01);
-        let large = lmn_sample_budget_log2(64, lmn_degree_for_xor_ltf(8, 0.2), 0.01);
-        assert!(large > 60.0 * small, "small {small} large {large}");
     }
 
     #[test]

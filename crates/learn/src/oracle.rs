@@ -114,11 +114,6 @@ impl<'a, F: BooleanFunction + ?Sized> FunctionOracle<'a, F> {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Resets the query counter.
-    pub fn reset_queries(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-    }
-
     fn count(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
@@ -415,8 +410,6 @@ mod tests {
         assert!(oracle.query(&BitVec::ones(5)));
         assert!(!oracle.query(&BitVec::zeros(5)));
         assert_eq!(oracle.queries_used(), 2);
-        oracle.reset_queries();
-        assert_eq!(oracle.queries_used(), 0);
     }
 
     #[test]

@@ -45,16 +45,6 @@ impl<M: FeatureMap> LinearModel<M> {
         &self.weights
     }
 
-    /// Mutable access to the weights (used by the trainers).
-    pub fn weights_mut(&mut self) -> &mut [f64] {
-        &mut self.weights
-    }
-
-    /// The feature map.
-    pub fn feature_map(&self) -> &M {
-        &self.map
-    }
-
     /// The real-valued score `w·φ(x)`.
     pub fn score(&self, x: &BitVec) -> f64 {
         self.map
@@ -208,13 +198,6 @@ impl Perceptron {
     }
 }
 
-/// The classic Novikoff mistake bound for separable data:
-/// `(R/γ)²` where `R` bounds the feature norm and `γ` the margin.
-pub fn novikoff_mistake_bound(feature_radius: f64, margin: f64) -> f64 {
-    assert!(margin > 0.0, "margin must be positive");
-    (feature_radius / margin).powi(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,12 +285,6 @@ mod tests {
         let hard = LabeledSet::sample(&hard_target, 500, &mut rng);
         let out_hard = Perceptron::new(100).train(&hard);
         assert!(out_hard.mistakes >= out_easy.mistakes);
-    }
-
-    #[test]
-    fn novikoff_bound_formula() {
-        assert_eq!(novikoff_mistake_bound(2.0, 1.0), 4.0);
-        assert!(novikoff_mistake_bound(1.0, 0.1) > novikoff_mistake_bound(1.0, 0.5));
     }
 
     #[test]

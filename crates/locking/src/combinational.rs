@@ -1,7 +1,7 @@
 //! Combinational logic locking by XOR/XNOR key-gate insertion
 //! (EPIC-style random insertion).
 
-use mlam_boolean::{BitVec, BooleanFunction};
+use mlam_boolean::BitVec;
 use mlam_netlist::{GateKind, Net, Netlist};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -79,23 +79,6 @@ impl LockedNetlist {
         let mut inputs = primary.to_vec();
         inputs.extend(key.iter());
         self.netlist.simulate(&inputs)
-    }
-
-    /// A single-output view of the locked circuit under a fixed key, as
-    /// a [`BooleanFunction`] over the primary inputs. This is the
-    /// *concept* a PAC attack learns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output >= num_outputs` or the key width mismatches.
-    pub fn keyed_output(&self, output: usize, key: BitVec) -> KeyedOutput<'_> {
-        assert!(output < self.netlist.num_outputs(), "output out of range");
-        assert_eq!(key.len(), self.num_key, "key width");
-        KeyedOutput {
-            locked: self,
-            output,
-            key,
-        }
     }
 
     /// Checks functional equivalence with `original` under `key`,
@@ -179,26 +162,6 @@ impl LockedNetlist {
             }
         }
         agree as f64 / samples as f64
-    }
-}
-
-/// A locked output under a fixed key, as a Boolean function of the
-/// primary inputs.
-#[derive(Clone, Debug)]
-pub struct KeyedOutput<'a> {
-    locked: &'a LockedNetlist,
-    output: usize,
-    key: BitVec,
-}
-
-impl BooleanFunction for KeyedOutput<'_> {
-    fn num_inputs(&self) -> usize {
-        self.locked.num_primary
-    }
-
-    fn eval(&self, x: &BitVec) -> bool {
-        let bits = x.to_bools();
-        self.locked.simulate(&bits, &self.key)[self.output]
     }
 }
 
@@ -309,21 +272,6 @@ mod tests {
         let locked = lock_xor(&orig, 8, &mut rng);
         let key = locked.correct_key().clone();
         assert_eq!(locked.key_accuracy(&orig, &key, 500, &mut rng), 1.0);
-    }
-
-    #[test]
-    fn keyed_output_is_a_boolean_function() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let orig = c17();
-        let locked = lock_xor(&orig, 3, &mut rng);
-        let key = locked.correct_key().clone();
-        let f = locked.keyed_output(0, key.clone());
-        assert_eq!(f.num_inputs(), 5);
-        for v in 0..32u64 {
-            let x = BitVec::from_u64(v, 5);
-            let expected = orig.simulate(&x.to_bools())[0];
-            assert_eq!(f.eval(&x), expected);
-        }
     }
 
     #[test]

@@ -96,22 +96,6 @@ pub fn random_challenges<R: Rng + ?Sized>(n: usize, count: usize, rng: &mut R) -
     (0..count).map(|_| BitVec::random(n, rng)).collect()
 }
 
-/// Draws `count` challenges with per-bit bias `p` (probability of a 1).
-///
-/// Used by the distribution-shift ablation: training an attack on a
-/// biased product distribution while the security claim assumed uniform
-/// examples is exactly the pitfall of Section III.
-pub fn biased_challenges<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    count: usize,
-    rng: &mut R,
-) -> Vec<BitVec> {
-    (0..count)
-        .map(|_| BitVec::random_biased(n, p, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,14 +174,5 @@ mod tests {
                 assert_eq!(phi_transform(&c), reference, "len {len}");
             }
         }
-    }
-
-    #[test]
-    fn biased_challenges_have_expected_density() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let cs = biased_challenges(64, 0.3, 500, &mut rng);
-        let total_ones: u32 = cs.iter().map(|c| c.count_ones()).sum();
-        let density = total_ones as f64 / (64.0 * 500.0);
-        assert!((density - 0.3).abs() < 0.02, "density {density}");
     }
 }

@@ -409,7 +409,6 @@ mod tests {
     #[test]
     fn collect_uniform_matches_sequential_eval() {
         use crate::bistable_ring::{BistableRingPuf, BrPufConfig};
-        use crate::feed_forward::FeedForwardArbiterPuf;
         use crate::interpose::InterposePuf;
         use crate::xor_arbiter::XorArbiterPuf;
 
@@ -430,9 +429,6 @@ mod tests {
 
             let xor = XorArbiterPuf::sample(n, 3, 0.0, &mut rng);
             assert_collect_matches_eval(&xor, count, &format!("xor {ctx}"));
-
-            let ff = FeedForwardArbiterPuf::sample_spread(n, 2, 3, 0.0, &mut rng);
-            assert_collect_matches_eval(&ff, count, &format!("feed-forward {ctx}"));
 
             let ipuf = InterposePuf::sample(n, 2, 2, 0.0, &mut rng);
             assert_collect_matches_eval(&ipuf, count, &format!("interpose {ctx}"));

@@ -17,8 +17,8 @@
 //!   optional triple) interaction terms, i.e. deliberately **not** an
 //!   LTF — the concept whose mis-representation Tables II and III
 //!   expose;
-//! - noise models ([`noise`]): Gaussian evaluation noise, attribute
-//!   noise (challenge bit flips) and response flips;
+//! - noise models: Gaussian evaluation noise in every simulator and
+//!   response flips ([`noise`]);
 //! - CRP collection ([`crp`]): uniform sampling, majority-vote filtering
 //!   for "noiseless, stable CRPs", train/test splits;
 //! - quality metrics ([`metrics`]): reliability, uniqueness, uniformity.
@@ -43,12 +43,10 @@ pub mod bistable_ring;
 pub mod challenge;
 pub mod correlated;
 pub mod crp;
-pub mod feed_forward;
 pub mod interpose;
 pub mod lockdown;
 pub mod metrics;
 pub mod noise;
-pub mod unreliable;
 pub mod xor_arbiter;
 
 pub use arbiter::ArbiterPuf;
@@ -56,10 +54,8 @@ pub use bistable_ring::{BistableRingPuf, BrPufConfig};
 pub use challenge::{phi_transform, phi_transform_into};
 pub use correlated::CorrelatedXorArbiterPuf;
 pub use crp::{Crp, CrpSet};
-pub use feed_forward::FeedForwardArbiterPuf;
 pub use interpose::InterposePuf;
 pub use lockdown::LockdownPuf;
-pub use unreliable::UnreliablePuf;
 pub use xor_arbiter::XorArbiterPuf;
 
 use mlam_boolean::{BitVec, BooleanFunction};

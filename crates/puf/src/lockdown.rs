@@ -16,7 +16,6 @@
 
 use crate::PufModel;
 use mlam_boolean::BitVec;
-use rand::Rng;
 use std::cell::Cell;
 use std::collections::HashSet;
 
@@ -101,41 +100,6 @@ impl<P: PufModel> LockdownPuf<P> {
     }
 }
 
-/// One round of the mutual-authentication protocol of \[10\], simulated:
-/// verifier and device each contribute half of the challenge, the
-/// device responds through the lockdown interface, and the verifier
-/// checks the response against its enrollment database (here: the
-/// model it built at enrollment, i.e. the inner PUF itself).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AuthRound {
-    /// Whether the device authenticated successfully.
-    pub accepted: bool,
-    /// Whether the interface refused (budget/replay).
-    pub refused: bool,
-}
-
-/// Runs one authentication round: both parties contribute random
-/// nonces forming the challenge; the verifier accepts iff the response
-/// matches its enrollment record.
-pub fn authenticate<P: PufModel, R: Rng + ?Sized>(
-    device: &LockdownPuf<P>,
-    rng: &mut R,
-) -> AuthRound {
-    let n = device.inner().challenge_bits();
-    // Verifier nonce = low half, device nonce = high half.
-    let challenge = BitVec::random(n, rng);
-    match device.query(&challenge) {
-        Ok(response) => AuthRound {
-            accepted: response == device.inner().eval(&challenge),
-            refused: false,
-        },
-        Err(_) => AuthRound {
-            accepted: false,
-            refused: true,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,18 +135,6 @@ mod tests {
         assert_eq!(dev.query(&c), Err(LockdownError::ChallengeReused));
         // Replay does not consume budget.
         assert_eq!(dev.queries_answered(), 1);
-    }
-
-    #[test]
-    fn authentication_succeeds_within_budget_then_refuses() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let dev = device(3, 3);
-        for _ in 0..3 {
-            let round = authenticate(&dev, &mut rng);
-            assert!(round.accepted && !round.refused);
-        }
-        let round = authenticate(&dev, &mut rng);
-        assert!(round.refused && !round.accepted);
     }
 
     #[test]

@@ -1,91 +1,15 @@
-//! Noise wrappers: attribute noise and response noise.
+//! Noise wrapper: response noise.
 //!
 //! The paper (footnote 1) is careful about what "noise" means: the LMN
 //! bounds concern **attribute noise** — hidden factors perturbing the
 //! relation between the challenge an attacker *records* and what the
 //! device *sees* — as studied in ML, distinct from plain response flips.
-//! These wrappers let any experiment inject either kind around any
-//! [`PufModel`] without touching the model itself.
+//! This module models only the latter: [`ResponseNoise`] flips the
+//! responses of any [`PufModel`] without touching the model itself.
 
 use crate::PufModel;
 use mlam_boolean::{BitVec, BooleanFunction};
 use rand::Rng;
-
-/// Wraps a PUF so that each **noisy** evaluation first flips every
-/// challenge bit independently with probability `flip_rate` — attribute
-/// noise at rate ε, the quantity `NS_ε` measures.
-///
-/// The ideal ([`BooleanFunction::eval`]) response is unaffected: the
-/// underlying concept stays the same, only observations are corrupted.
-///
-/// # Example
-///
-/// ```
-/// use mlam_puf::{noise::AttributeNoise, ArbiterPuf, PufModel};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-/// let puf = ArbiterPuf::sample(32, 0.0, &mut rng);
-/// let noisy = AttributeNoise::new(puf, 0.05);
-/// let c = mlam_boolean::BitVec::random(32, &mut rng);
-/// let _ = noisy.eval_noisy(&c, &mut rng);
-/// ```
-#[derive(Clone, Debug)]
-pub struct AttributeNoise<P> {
-    inner: P,
-    flip_rate: f64,
-}
-
-impl<P: PufModel> AttributeNoise<P> {
-    /// Wraps `inner` with challenge-bit flip probability `flip_rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flip_rate ∉ [0, 1]`.
-    pub fn new(inner: P, flip_rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&flip_rate),
-            "flip rate must be in [0,1]"
-        );
-        AttributeNoise { inner, flip_rate }
-    }
-
-    /// The wrapped model.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the model.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
-    /// The configured flip rate ε.
-    pub fn flip_rate(&self) -> f64 {
-        self.flip_rate
-    }
-}
-
-impl<P: PufModel> BooleanFunction for AttributeNoise<P> {
-    fn num_inputs(&self) -> usize {
-        self.inner.num_inputs()
-    }
-    fn eval(&self, x: &BitVec) -> bool {
-        self.inner.eval(x)
-    }
-}
-
-impl<P: PufModel> PufModel for AttributeNoise<P> {
-    fn eval_noisy<R: Rng + ?Sized>(&self, challenge: &BitVec, rng: &mut R) -> bool {
-        let mut perturbed = challenge.clone();
-        for i in 0..perturbed.len() {
-            if rng.gen_bool(self.flip_rate) {
-                perturbed.flip(i);
-            }
-        }
-        self.inner.eval_noisy(&perturbed, rng)
-    }
-}
 
 /// Wraps a PUF so that each noisy evaluation's **response** is flipped
 /// with probability `flip_rate` (classification noise).
@@ -148,38 +72,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn attribute_noise_rate_matches_noise_sensitivity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let puf = ArbiterPuf::sample(64, 0.0, &mut rng);
-        let eps = 0.02;
-        let noisy = AttributeNoise::new(puf, eps);
-        let trials = 5000;
-        let flips = (0..trials)
-            .filter(|_| {
-                let c = BitVec::random(64, &mut rng);
-                noisy.eval_noisy(&c, &mut rng) != noisy.eval(&c)
-            })
-            .count();
-        let rate = flips as f64 / trials as f64;
-        // The observed flip rate is the noise sensitivity of the arbiter
-        // in *challenge* space. One challenge-bit flip negates a whole
-        // prefix of the Φ features, so the rate is markedly larger than
-        // the Φ-space LTF bound O(sqrt(eps)), but still well below 1/2.
-        assert!(rate > 0.05 && rate < 0.45, "rate {rate}");
-    }
-
-    #[test]
-    fn zero_attribute_noise_is_transparent() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let puf = ArbiterPuf::sample(16, 0.0, &mut rng);
-        let wrapped = AttributeNoise::new(puf.clone(), 0.0);
-        for _ in 0..50 {
-            let c = BitVec::random(16, &mut rng);
-            assert_eq!(wrapped.eval_noisy(&c, &mut rng), puf.eval(&c));
-        }
-    }
-
-    #[test]
     fn response_noise_flips_at_the_configured_rate() {
         let mut rng = StdRng::seed_from_u64(3);
         let puf = ArbiterPuf::sample(32, 0.0, &mut rng);
@@ -201,12 +93,8 @@ mod tests {
         let puf = ArbiterPuf::sample(16, 0.0, &mut rng);
         let c = BitVec::random(16, &mut rng);
         let expected = puf.eval(&c);
-        let a = AttributeNoise::new(puf.clone(), 0.3);
-        let r = ResponseNoise::new(puf.clone(), 0.3);
-        assert_eq!(a.eval(&c), expected);
+        let r = ResponseNoise::new(puf, 0.3);
         assert_eq!(r.eval(&c), expected);
-        assert_eq!(a.inner().eval(&c), expected);
-        assert_eq!(a.flip_rate(), 0.3);
         assert_eq!(r.flip_rate(), 0.3);
     }
 }

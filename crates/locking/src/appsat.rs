@@ -15,7 +15,7 @@
 //! probe of the same instance that finds DIPs, so settlement rounds no
 //! longer pay for a separate key-consistency solver.
 
-use crate::combinational::LockedNetlist;
+use crate::combinational::{differing_lanes, lane_bits, sample_blocks, LockedNetlist};
 use crate::dip::DipSolver;
 use mlam_boolean::BitVec;
 use mlam_netlist::Netlist;
@@ -132,21 +132,26 @@ pub fn appsat<R: Rng + ?Sized>(
         let key = dip_solver.extract_key();
         let mut errors = 0usize;
         let mut round_queries: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-        for _ in 0..config.queries_per_round {
-            let x: Vec<bool> = (0..locked.num_primary_inputs())
-                .map(|_| rng.gen())
-                .collect();
-            let response = oracle.simulate(&x);
-            random_queries += 1;
-            // Metered per query so mid-run curve checkpoints account
-            // for settlement traffic exactly (the total is unchanged).
-            mlam_telemetry::counter!("locking.appsat.random_queries", 1);
-            if locked.simulate(&x, &key) != response {
-                errors += 1;
-                // Reinforce: wrong queries become constraints.
-                round_queries.push((x, response));
-            }
-        }
+        sample_blocks(
+            locked.num_primary_inputs(),
+            config.queries_per_round,
+            rng,
+            |x, lanes| {
+                let response = oracle.simulate_words(x);
+                let differ = differing_lanes(&locked.simulate_words(x, &key), &response);
+                for lane in 0..lanes {
+                    random_queries += 1;
+                    // Metered per query so mid-run curve checkpoints account
+                    // for settlement traffic exactly (the total is unchanged).
+                    mlam_telemetry::counter!("locking.appsat.random_queries", 1);
+                    if differ >> lane & 1 == 1 {
+                        errors += 1;
+                        // Reinforce: wrong queries become constraints.
+                        round_queries.push((lane_bits(x, lane), lane_bits(&response, lane)));
+                    }
+                }
+            },
+        );
         for (x, response) in &round_queries {
             dip_solver.constrain(x, response);
         }

@@ -81,23 +81,29 @@ impl LockedNetlist {
         self.netlist.simulate(&inputs)
     }
 
+    /// [`simulate`](Self::simulate) on 64 patterns at once, laid out as
+    /// in [`Netlist::simulate_words`]; every lane sees the same `key`.
+    pub(crate) fn simulate_words(&self, primary: &[u64], key: &BitVec) -> Vec<u64> {
+        assert_eq!(primary.len(), self.num_primary, "primary input width");
+        assert_eq!(key.len(), self.num_key, "key width");
+        let mut inputs = primary.to_vec();
+        inputs.extend(key.iter().map(|bit| if bit { !0 } else { 0 }));
+        self.netlist.simulate_words(&inputs)
+    }
+
     /// Checks functional equivalence with `original` under `key`,
-    /// exhaustively for small inputs.
+    /// exhaustively: [`Netlist::equivalent_exhaustive`] on the
+    /// unlocked circuit.
     ///
     /// # Panics
     ///
-    /// Panics if `num_primary > 20`; use
+    /// Panics if the key width, `original`'s input width or its output
+    /// count differs from the locked circuit's, or if
+    /// `num_primary > 20`; use
     /// [`equivalent_under_key_formal`](Self::equivalent_under_key_formal)
     /// for wider circuits.
     pub fn equivalent_under_key(&self, original: &Netlist, key: &BitVec) -> bool {
-        assert!(self.num_primary <= 20, "exhaustive check limit");
-        for v in 0..(1u64 << self.num_primary) {
-            let bits: Vec<bool> = (0..self.num_primary).map(|i| v >> i & 1 == 1).collect();
-            if self.simulate(&bits, key) != original.simulate(&bits) {
-                return false;
-            }
-        }
-        true
+        self.apply_key(key).equivalent_exhaustive(original)
     }
 
     /// Formal (BDD-based) functional-equivalence check with `original`
@@ -145,7 +151,16 @@ impl LockedNetlist {
 
     /// Estimates the accuracy of `key` against `original` on `samples`
     /// random inputs (for large circuits where the exhaustive check is
-    /// infeasible).
+    /// infeasible): the fraction of them on which every output agrees.
+    ///
+    /// The inputs are drawn pattern by pattern and, within a pattern,
+    /// input by input, one `rng.gen::<bool>()` each, and simulated 64
+    /// patterns per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0`, or if the key width, `original`'s input
+    /// width or its output count differs from the locked circuit's.
     pub fn key_accuracy<R: Rng + ?Sized>(
         &self,
         original: &Netlist,
@@ -154,15 +169,54 @@ impl LockedNetlist {
         rng: &mut R,
     ) -> f64 {
         assert!(samples > 0);
+        assert_eq!(
+            original.num_outputs(),
+            self.netlist.num_outputs(),
+            "output count"
+        );
         let mut agree = 0usize;
-        for _ in 0..samples {
-            let bits: Vec<bool> = (0..self.num_primary).map(|_| rng.gen()).collect();
-            if self.simulate(&bits, key) == original.simulate(&bits) {
-                agree += 1;
-            }
-        }
+        sample_blocks(self.num_primary, samples, rng, |x, lanes| {
+            let differ = differing_lanes(&self.simulate_words(x, key), &original.simulate_words(x));
+            // Lanes past the block's `lanes` patterns hold no sample.
+            agree += (!differ & (!0 >> (64 - lanes))).count_ones() as usize;
+        });
         agree as f64 / samples as f64
     }
+}
+
+/// Draws `samples` uniform input patterns of `width` bits and hands them
+/// to `f` in blocks of at most 64, laid out as in
+/// [`Netlist::simulate_words`], with the block's pattern count. The
+/// draws run pattern by pattern and, within a pattern, input by input,
+/// one `rng.gen::<bool>()` each: the order the one-pattern loops drew
+/// in, so the stream and every result built on it stay the same.
+pub(crate) fn sample_blocks<R: Rng + ?Sized>(
+    width: usize,
+    samples: usize,
+    rng: &mut R,
+    mut f: impl FnMut(&[u64], usize),
+) {
+    let mut words = vec![0u64; width];
+    for start in (0..samples).step_by(64) {
+        let lanes = (samples - start).min(64);
+        words.fill(0);
+        for lane in 0..lanes {
+            for word in &mut words {
+                *word |= (rng.gen::<bool>() as u64) << lane;
+            }
+        }
+        f(&words, lanes);
+    }
+}
+
+/// The pattern in lane `lane` of a word-parallel block.
+pub(crate) fn lane_bits(words: &[u64], lane: usize) -> Vec<bool> {
+    words.iter().map(|w| w >> lane & 1 == 1).collect()
+}
+
+/// The lanes in which two equally long lists of output words differ.
+pub(crate) fn differing_lanes(a: &[u64], b: &[u64]) -> u64 {
+    a.iter().zip(b).fold(0, |d, (x, y)| d | (x ^ y))
 }
 
 /// Locks a netlist by inserting `key_bits` XOR/XNOR key gates at the

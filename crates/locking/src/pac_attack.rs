@@ -12,7 +12,7 @@
 //! Comparing its query count with the SAT attack's DIP count on the
 //! same instance quantifies the paper's access-model axis.
 
-use crate::combinational::LockedNetlist;
+use crate::combinational::{lane_bits, sample_blocks, LockedNetlist};
 use crate::dip::encode_pinned_copy;
 use mlam_boolean::BitVec;
 use mlam_netlist::Netlist;
@@ -80,14 +80,19 @@ pub fn pac_attack<R: Rng + ?Sized>(
 
     while examples_used < config.max_examples {
         // Add a batch of random observations as constraints.
-        for _ in 0..config.batch_size {
-            let x: Vec<bool> = (0..locked.num_primary_inputs())
-                .map(|_| rng.gen())
-                .collect();
-            let response = oracle.simulate(&x);
-            encode_pinned_copy(locked, &mut keysolver, &keyvars, &x, &response);
-            examples_used += 1;
-        }
+        sample_blocks(
+            locked.num_primary_inputs(),
+            config.batch_size,
+            rng,
+            |x, lanes| {
+                let response = oracle.simulate_words(x);
+                for lane in 0..lanes {
+                    let (pattern, observed) = (lane_bits(x, lane), lane_bits(&response, lane));
+                    encode_pinned_copy(locked, &mut keysolver, &keyvars, &pattern, &observed);
+                    examples_used += 1;
+                }
+            },
+        );
         // Any consistent key.
         key = match keysolver.solve() {
             SatResult::Sat(model) => {
@@ -99,15 +104,17 @@ pub fn pac_attack<R: Rng + ?Sized>(
             }
             SatResult::Unsat => unreachable!("correct key always consistent"),
         };
-        // Simulated equivalence query.
+        // Simulated equivalence query, one pattern at a time: it stops
+        // at the first disagreement, and drawing ahead would shift the
+        // stream.
         let mut disagreed = false;
         for _ in 0..config.equivalence_budget {
             let x: Vec<bool> = (0..locked.num_primary_inputs())
                 .map(|_| rng.gen())
                 .collect();
-            if locked.simulate(&x, &key) != oracle.simulate(&x) {
+            let response = oracle.simulate(&x);
+            if locked.simulate(&x, &key) != response {
                 disagreed = true;
-                let response = oracle.simulate(&x);
                 encode_pinned_copy(locked, &mut keysolver, &keyvars, &x, &response);
                 examples_used += 1;
                 break;

@@ -1,7 +1,7 @@
 //! Property-based tests for locking schemes and attacks.
 
 use mlam_boolean::BitVec;
-use mlam_locking::combinational::lock_xor;
+use mlam_locking::combinational::{lock_xor, LockedNetlist};
 use mlam_locking::dip::DipSolver;
 use mlam_locking::sat_attack::{sat_attack, SatAttackConfig};
 use mlam_locking::sequential::{Fsm, ObfuscatedFsm};
@@ -12,11 +12,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// A random netlist over every gate kind, the variadic ones with one to
-/// three inputs (`random_circuit` emits two-input gates only). As in
-/// `random_circuit`, gate inputs lean toward recent nets and the
-/// outputs are the last gates, so most gates reach an output.
-fn random_netlist_of_every_kind(rng: &mut StdRng) -> Netlist {
+/// A random netlist on `inputs` inputs over every gate kind, the
+/// variadic ones with one to three inputs (`random_circuit` emits
+/// two-input gates only). As in `random_circuit`, gate inputs lean
+/// toward recent nets and the outputs are the last gates, so most gates
+/// reach an output.
+fn random_netlist_of_every_kind(inputs: usize, rng: &mut StdRng) -> Netlist {
     const KINDS: [GateKind; 9] = [
         GateKind::And,
         GateKind::Or,
@@ -28,11 +29,7 @@ fn random_netlist_of_every_kind(rng: &mut StdRng) -> Netlist {
         GateKind::Buf,
         GateKind::Mux,
     ];
-    let (inputs, gates, outputs) = (
-        rng.gen_range(2..=5),
-        rng.gen_range(6..=16),
-        rng.gen_range(1..=3),
-    );
+    let (gates, outputs) = (rng.gen_range(6..=16), rng.gen_range(1..=3));
     let mut b = Netlist::builder(inputs, outputs);
     let mut nets: Vec<Net> = (0..inputs).map(|i| b.input(i)).collect();
     for _ in 0..gates {
@@ -126,7 +123,8 @@ proptest! {
         constraints in 1usize..=4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let oracle = random_netlist_of_every_kind(&mut rng);
+        let inputs = rng.gen_range(2..=5);
+        let oracle = random_netlist_of_every_kind(inputs, &mut rng);
         let locked = lock_xor(&oracle, key_bits, &mut rng);
         let mut solver = DipSolver::new(&locked);
         let mut observed = Vec::new();
@@ -147,6 +145,61 @@ proptest! {
                 .iter()
                 .all(|(x, response)| locked.simulate(x, &key) == *response);
             prop_assert_eq!(solver.is_key_consistent(&key), reproduces, "key {:05b}", mask);
+        }
+    }
+}
+
+/// `key_accuracy`'s definition: one pattern per sample, drawn input by
+/// input, simulated one at a time.
+fn accuracy_by_samples(
+    locked: &LockedNetlist,
+    oracle: &Netlist,
+    key: &BitVec,
+    samples: usize,
+    rng: &mut StdRng,
+) -> f64 {
+    let agree = (0..samples)
+        .filter(|_| {
+            let x: Vec<bool> = (0..oracle.num_inputs()).map(|_| rng.gen()).collect();
+            locked.simulate(&x, key) == oracle.simulate(&x)
+        })
+        .count();
+    agree as f64 / samples as f64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The word-parallel key checks give what one pattern at a time
+    /// gives, under the correct key and three random ones: the
+    /// exhaustive check equals the pattern loop and the BDD check, and
+    /// `key_accuracy` equals the per-sample loop bit for bit, on both
+    /// sides of the 64-pattern block size, leaving the caller's stream
+    /// where the loop leaves it.
+    #[test]
+    fn key_checks_match_the_pattern_loops(seed in any::<u64>(), inputs in 1usize..=10) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let oracle = random_netlist_of_every_kind(inputs, &mut rng);
+        let key_bits = rng.gen_range(1..=oracle.num_gates().min(8));
+        let locked = lock_xor(&oracle, key_bits, &mut rng);
+        let mut keys = vec![locked.correct_key().clone()];
+        keys.extend((0..3).map(|_| BitVec::random(key_bits, &mut rng)));
+        for key in &keys {
+            let by_patterns = (0..1u32 << inputs).all(|v| {
+                let x: Vec<bool> = (0..inputs).map(|i| v >> i & 1 == 1).collect();
+                locked.simulate(&x, key) == oracle.simulate(&x)
+            });
+            prop_assert_eq!(locked.equivalent_under_key(&oracle, key), by_patterns);
+            prop_assert_eq!(locked.equivalent_under_key_formal(&oracle, key), by_patterns);
+            for samples in [1, 63, 64, 65, 2000] {
+                let stream = rng.gen();
+                let (mut words, mut loop_rng) =
+                    (StdRng::seed_from_u64(stream), StdRng::seed_from_u64(stream));
+                let accuracy = locked.key_accuracy(&oracle, key, samples, &mut words);
+                let expected = accuracy_by_samples(&locked, &oracle, key, samples, &mut loop_rng);
+                prop_assert_eq!(accuracy.to_bits(), expected.to_bits(), "{} samples", samples);
+                prop_assert_eq!(words.gen::<u64>(), loop_rng.gen::<u64>());
+            }
         }
     }
 }

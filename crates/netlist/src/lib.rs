@@ -7,7 +7,8 @@
 //!
 //! - [`Netlist`]: a combinational gate-level netlist with primary
 //!   inputs, named outputs and a topologically ordered gate list,
-//! - simulation ([`Netlist::simulate`]),
+//! - simulation, one pattern at a time ([`Netlist::simulate`]) or 64
+//!   patterns per `u64` word ([`Netlist::simulate_words`]),
 //! - generators ([`generate`]): random DAG circuits, bounded-depth
 //!   `AC⁰` circuits, adders, comparators, parity trees and the classic
 //!   c17 benchmark,

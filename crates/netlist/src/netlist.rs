@@ -88,6 +88,26 @@ impl GateKind {
         }
     }
 
+    /// Evaluates the gate on 64 patterns at once: `values[n]` holds net
+    /// `n`'s value in each lane. The builder has checked the arity.
+    fn eval_word(self, inputs: &[Net], values: &[u64]) -> u64 {
+        let ins = inputs.iter().map(|n| values[n.index()]);
+        match self {
+            GateKind::And => ins.fold(!0, |a, b| a & b),
+            GateKind::Or => ins.fold(0, |a, b| a | b),
+            GateKind::Nand => !ins.fold(!0, |a, b| a & b),
+            GateKind::Nor => !ins.fold(0, |a, b| a | b),
+            GateKind::Xor => ins.fold(0, |a, b| a ^ b),
+            GateKind::Xnor => !ins.fold(0, |a, b| a ^ b),
+            GateKind::Not => !values[inputs[0].index()],
+            GateKind::Buf => values[inputs[0].index()],
+            GateKind::Mux => {
+                let [s, a, b] = [inputs[0], inputs[1], inputs[2]].map(|n| values[n.index()]);
+                (s & b) | (!s & a)
+            }
+        }
+    }
+
     /// Checks that the kind takes `n` inputs: `Not`/`Buf` exactly 1,
     /// `Mux` exactly 3, the rest at least 1. The error names the rule.
     pub(crate) fn check_arity(self, n: usize) -> Result<(), String> {
@@ -212,6 +232,45 @@ impl Netlist {
         values
     }
 
+    /// Simulates 64 input patterns at once. Bit `l` of `inputs[i]` is
+    /// input `i` of pattern `l`; bit `l` of output word `j` is output
+    /// `j` of pattern `l`. Every lane equals what
+    /// [`simulate`](Self::simulate) gives on that lane's pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != self.num_inputs()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mlam_netlist::{GateKind, Netlist};
+    ///
+    /// let mut b = Netlist::builder(2, 1);
+    /// let (x, y) = (b.input(0), b.input(1));
+    /// let g = b.gate(GateKind::Xor, vec![x, y]);
+    /// b.set_output(0, g);
+    /// // Lanes 0..4 hold the patterns 00, 10, 01, 11.
+    /// assert_eq!(b.build().simulate_words(&[0b1010, 0b1100]), vec![0b0110]);
+    /// ```
+    pub fn simulate_words(&self, inputs: &[u64]) -> Vec<u64> {
+        let mut values = Vec::with_capacity(self.num_nets());
+        self.simulate_net_words(inputs, &mut values);
+        self.outputs.iter().map(|o| values[o.index()]).collect()
+    }
+
+    /// The word-parallel [`simulate_nets`](Self::simulate_nets): fills
+    /// `values` with every net's word, reusing its allocation.
+    fn simulate_net_words(&self, inputs: &[u64], values: &mut Vec<u64>) {
+        assert_eq!(inputs.len(), self.num_inputs, "input width mismatch");
+        values.clear();
+        values.extend_from_slice(inputs);
+        for gate in &self.gates {
+            let word = gate.kind.eval_word(&gate.inputs, values);
+            values.push(word);
+        }
+    }
+
     /// Logic depth: the longest input-to-output path measured in gates.
     pub fn depth(&self) -> usize {
         let mut depth = vec![0usize; self.num_nets()];
@@ -231,21 +290,43 @@ impl Netlist {
             .unwrap_or(0)
     }
 
-    /// Exhaustively compares two netlists (small input counts only).
+    /// Exhaustively compares two netlists on all `2^n` input patterns
+    /// (small input counts only), 64 patterns per
+    /// [`simulate_words`](Self::simulate_words) call: pattern
+    /// `64·block + lane` sets input `i < 6` to bit `i` of the lane and
+    /// input `i ≥ 6` to bit `i − 6` of the block. Below six inputs the
+    /// lanes past `2^n` repeat the first `2^n` patterns, so every lane
+    /// holds a valid pattern.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ or `num_inputs > 20`.
     pub fn equivalent_exhaustive(&self, other: &Netlist) -> bool {
-        assert_eq!(self.num_inputs, other.num_inputs, "input width mismatch");
+        // Input `i < 6` of lane `l` is bit `i` of `l`.
+        const LANE_BITS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        let n = self.num_inputs;
+        assert_eq!(n, other.num_inputs, "input width mismatch");
         assert_eq!(self.num_outputs(), other.num_outputs(), "output count");
-        assert!(
-            self.num_inputs <= 20,
-            "exhaustive check limited to 20 inputs"
-        );
-        for v in 0..(1u64 << self.num_inputs) {
-            let bits: Vec<bool> = (0..self.num_inputs).map(|i| v >> i & 1 == 1).collect();
-            if self.simulate(&bits) != other.simulate(&bits) {
+        assert!(n <= 20, "exhaustive check limited to 20 inputs");
+        let mut inputs = vec![0u64; n];
+        let fixed = n.min(6);
+        inputs[..fixed].copy_from_slice(&LANE_BITS[..fixed]);
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+        for block in 0..1u64 << n.saturating_sub(6) {
+            for (i, word) in inputs.iter_mut().enumerate().skip(6) {
+                *word = if block >> (i - 6) & 1 == 1 { !0 } else { 0 };
+            }
+            self.simulate_net_words(&inputs, &mut ours);
+            other.simulate_net_words(&inputs, &mut theirs);
+            let mut pairs = self.outputs.iter().zip(&other.outputs);
+            if pairs.any(|(a, b)| ours[a.index()] != theirs[b.index()]) {
                 return false;
             }
         }

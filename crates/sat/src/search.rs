@@ -60,6 +60,10 @@ impl Solver {
             self.stats.assumption_solves += 1;
         }
         let result = self.search(assumptions);
+        #[cfg(debug_assertions)]
+        if let SatResult::Sat(model) = &result {
+            self.check_model(model, assumptions);
+        }
         // Publish the per-call deltas so attack-level telemetry sees
         // solver work even when solver instances are short-lived.
         let delta = self.stats.since(&before);

@@ -11,6 +11,8 @@
 
 use crate::clause::{ClauseDb, ClauseRef, NO_REASON};
 use crate::propagate::Watcher;
+#[cfg(debug_assertions)]
+use crate::types::Model;
 use crate::types::{Lit, SolverStats, Var};
 use crate::vsids::Vsids;
 
@@ -57,6 +59,11 @@ pub struct Solver {
     /// per assumption as well).
     pub(crate) level_stamp: Vec<u64>,
     pub(crate) stamp: u64,
+    /// Every clause as it was passed to [`add_clause`](Solver::add_clause),
+    /// before root simplification: debug and test builds check each
+    /// model against them.
+    #[cfg(debug_assertions)]
+    pub(crate) original_clauses: Vec<Vec<Lit>>,
 }
 
 impl Solver {
@@ -133,6 +140,8 @@ impl Solver {
                 "literal {l} references an unallocated variable"
             );
         }
+        #[cfg(debug_assertions)]
+        self.original_clauses.push(lits.to_vec());
         if self.unsat {
             return;
         }
@@ -176,5 +185,25 @@ impl Solver {
     #[inline]
     pub(crate) fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
+    }
+
+    /// Panics, naming what broke, unless `model` satisfies every clause
+    /// ever added and every assumption of the call that found it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_model(&self, model: &Model, assumptions: &[Lit]) {
+        for (i, clause) in self.original_clauses.iter().enumerate() {
+            assert!(
+                clause.iter().any(|&l| model.lit_value(l)),
+                "SAT model violates clause {i}: ({})",
+                clause
+                    .iter()
+                    .map(Lit::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" ∨ ")
+            );
+        }
+        for &a in assumptions {
+            assert!(model.lit_value(a), "SAT model violates assumption {a}");
+        }
     }
 }

@@ -311,3 +311,20 @@ fn lit_api() {
     assert_eq!(Lit::new(v, true), Lit::neg(v));
     assert_eq!(format!("{}", Lit::neg(v)), "¬x3");
 }
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "SAT model violates clause 1: (¬x0 ∨ x1)")]
+fn a_model_breaking_a_given_clause_is_reported() {
+    let mut s = Solver::new();
+    let (a, b) = (s.new_var(), s.new_var());
+    s.add_clause(&[Lit::pos(a)]);
+    s.add_clause(&[Lit::neg(a), Lit::pos(b)]);
+    // Root propagation turned both clauses into units, so only the kept
+    // originals still show the second one.
+    assert_eq!(s.num_clauses(), 0);
+    let wrong = crate::types::Model {
+        values: vec![true, false],
+    };
+    s.check_model(&wrong, &[]);
+}

@@ -245,13 +245,6 @@ impl BitVec {
         self.iter().collect()
     }
 
-    /// Returns a copy with bit `i` flipped.
-    pub fn with_flipped(&self, i: usize) -> BitVec {
-        let mut c = self.clone();
-        c.flip(i);
-        c
-    }
-
     /// XORs `other` into `self` bitwise.
     ///
     /// # Panics
@@ -730,14 +723,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         BitVec::zeros(4).get(4);
-    }
-
-    #[test]
-    fn with_flipped_differs_in_one_bit() {
-        let v = BitVec::zeros(9);
-        let w = v.with_flipped(8);
-        assert_eq!(v.hamming(&w), 1);
-        assert!(w.get(8));
     }
 
     #[test]

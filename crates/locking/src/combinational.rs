@@ -309,7 +309,8 @@ mod tests {
         let correct = locked.correct_key().clone();
         let mut breaking = 0;
         for i in 0..6 {
-            let wrong = correct.with_flipped(i);
+            let mut wrong = correct.clone();
+            wrong.flip(i);
             if !locked.equivalent_under_key(&orig, &wrong) {
                 breaking += 1;
             }
@@ -376,7 +377,8 @@ mod formal_tests {
         );
         // A wrong key that breaks the exhaustive check also fails formally.
         for i in 0..6 {
-            let wrong = correct.with_flipped(i);
+            let mut wrong = correct.clone();
+            wrong.flip(i);
             assert_eq!(
                 locked.equivalent_under_key(&orig, &wrong),
                 locked.equivalent_under_key_formal(&orig, &wrong),
@@ -393,7 +395,8 @@ mod formal_tests {
         let locked = lock_xor(&orig, 16, &mut rng);
         let key = locked.correct_key().clone();
         assert!(locked.equivalent_under_key_formal(&orig, &key));
-        let wrong = key.with_flipped(0);
+        let mut wrong = key.clone();
+        wrong.flip(0);
         // A flipped key bit is formally detected (XOR insertion is
         // never masked in an adder's carry chain).
         assert!(!locked.equivalent_under_key_formal(&orig, &wrong));

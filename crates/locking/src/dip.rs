@@ -6,25 +6,28 @@
 //! incremental architecture here keeps **one** [`Solver`] alive for
 //! the whole attack:
 //!
-//! - the miter (two circuit copies with shared inputs, independent key
-//!   vectors) is Tseitin-encoded once; the "some output differs" clause
-//!   is gated by a selector literal, so the same instance answers both
+//! - every circuit copy comes from one forward walk over the netlist
+//!   in which each net is a constant or a solver literal. The key nets
+//!   are the miter's own key variables, NOT/BUF/NAND/NOR/XNOR are
+//!   literal negations, and constants fold through every gate. Only a
+//!   gate left with two or more non-constant inputs gets a fresh
+//!   variable and its Tseitin clauses;
+//! - the miter is two *free* copies, encoded once: both read the same
+//!   input variables and each has its own key vector. Each output pair
+//!   is XORed, and the "some output differs" clause over the XORs is
+//!   gated by a selector literal, so the same instance answers both
 //!   questions the attack asks —
 //!   [`find_dip`](DipSolver::find_dip) solves assuming the selector
 //!   (differ-mode), [`extract_key`](DipSolver::extract_key) solves
 //!   assuming its negation (consistency-mode, the differs clause
 //!   trivially satisfied). The separate key solver is gone, and so is
 //!   its per-DIP circuit copy;
-//! - each DIP adds two *pinned* circuit copies, one per key vector,
-//!   folded at encode time. One forward walk over the netlist makes
-//!   every net either a constant or a solver literal: the DIP's inputs
-//!   are constants, the key nets are the miter's own key variables, and
-//!   constants fold through every gate. Only a gate left with two or
-//!   more non-constant inputs gets a fresh variable and its Tseitin
-//!   clauses, and each output is pinned to the response by a unit
-//!   clause. A copy therefore costs only its key-dependent cone (on
-//!   SARLock, three gate variables over the key bits), so later solves
-//!   never propagate through earlier copies' constant logic;
+//! - each DIP adds two *pinned* copies, one per key vector: the DIP's
+//!   inputs are constants and each output is pinned to the response by
+//!   a unit clause. A pinned copy therefore costs only its
+//!   key-dependent cone (on SARLock, three gate variables over the key
+//!   bits), so later solves never propagate through earlier copies'
+//!   constant logic;
 //! - learnt clauses, VSIDS activities and saved phases survive across
 //!   all of these calls (`mlam-sat`'s incremental contract), so every
 //!   DIP iteration starts from everything the previous ones proved.
@@ -36,7 +39,7 @@
 
 use crate::combinational::LockedNetlist;
 use mlam_boolean::BitVec;
-use mlam_netlist::{cnf::tseitin_encode, Cnf, GateKind};
+use mlam_netlist::GateKind;
 use mlam_sat::{Lit, SatResult, Solver, SolverStats, Var};
 
 /// One persistent solver instance driving an oracle-guided attack.
@@ -68,30 +71,29 @@ impl<'a> DipSolver<'a> {
     /// Encodes the miter for `locked` into a fresh persistent solver.
     pub fn new(locked: &'a LockedNetlist) -> DipSolver<'a> {
         let mut solver = Solver::new();
-        let (in_a, key_a, out_a) = encode_free_copy(locked, &mut solver);
-        let (in_b, key_b, out_b) = encode_free_copy(locked, &mut solver);
-        for (a, b) in in_a.iter().zip(&in_b) {
-            solver.add_clause(&[Lit::pos(*a), Lit::neg(*b)]);
-            solver.add_clause(&[Lit::neg(*a), Lit::pos(*b)]);
-        }
+        let inputs = solver.new_vars(locked.num_primary_inputs());
+        let shared: Vec<Folded> = inputs.iter().map(|&v| Folded::Lit(Lit::pos(v))).collect();
+        let key_a = solver.new_vars(locked.num_key_bits());
+        let out_a = encode_copy(locked, &mut solver, &shared, &key_a);
+        let key_b = solver.new_vars(locked.num_key_bits());
+        let out_b = encode_copy(locked, &mut solver, &shared, &key_b);
         // Some output differs — gated: (d₁ ∨ … ∨ dₙ ∨ ¬sel).
         let sel = solver.new_var();
         let mut diff_clause = Vec::new();
-        for (a, b) in out_a.iter().zip(&out_b) {
-            let d = solver.new_var();
-            // d <-> a XOR b
-            solver.add_clause(&[Lit::neg(d), Lit::pos(*a), Lit::pos(*b)]);
-            solver.add_clause(&[Lit::neg(d), Lit::neg(*a), Lit::neg(*b)]);
-            solver.add_clause(&[Lit::pos(d), Lit::neg(*a), Lit::pos(*b)]);
-            solver.add_clause(&[Lit::pos(d), Lit::pos(*a), Lit::neg(*b)]);
-            diff_clause.push(Lit::pos(d));
+        for (&a, &b) in out_a.iter().zip(&out_b) {
+            // A free copy's inputs and keys are literals, so none of
+            // its nets folds to a constant.
+            let Folded::Lit(d) = xor(&mut solver, [a, b]) else {
+                unreachable!("a free copy has no constant nets")
+            };
+            diff_clause.push(d);
         }
         diff_clause.push(Lit::neg(sel));
         solver.add_clause(&diff_clause);
         DipSolver {
             locked,
             solver,
-            inputs: in_a,
+            inputs,
             key_a,
             key_b,
             differ: Lit::pos(sel),
@@ -175,31 +177,7 @@ impl<'a> DipSolver<'a> {
     }
 }
 
-/// Encodes one unconstrained copy of the locked netlist; returns
-/// `(input_vars, key_vars, output_vars)`.
-fn encode_free_copy(locked: &LockedNetlist, solver: &mut Solver) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
-    let mut cnf = Cnf::new(0);
-    let enc = tseitin_encode(locked.netlist(), &mut cnf);
-    let vars = solver.new_vars(cnf.num_vars);
-    let var_of = |cnf_var: i32| vars[(cnf_var.unsigned_abs() - 1) as usize];
-    for clause in &cnf.clauses {
-        let lits: Vec<Lit> = clause.iter().map(|&l| Lit::new(var_of(l), l < 0)).collect();
-        solver.add_clause(&lits);
-    }
-    let np = locked.num_primary_inputs();
-    let nk = locked.num_key_bits();
-    let inputs: Vec<Var> = (0..np).map(|i| var_of(enc.vars[i])).collect();
-    let keys: Vec<Var> = (0..nk).map(|i| var_of(enc.vars[np + i])).collect();
-    let outputs: Vec<Var> = locked
-        .netlist()
-        .outputs()
-        .iter()
-        .map(|o| var_of(enc.vars[o.index()]))
-        .collect();
-    (inputs, keys, outputs)
-}
-
-/// A net of a pinned copy: folded to a constant, or a solver literal.
+/// A net of a circuit copy: folded to a constant, or a solver literal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Folded {
     Const(bool),
@@ -217,9 +195,8 @@ impl std::ops::Not for Folded {
 }
 
 /// Adds the constraint "under the key `keys`, the locked circuit maps
-/// `input` to `response`" to `solver`, folding the constants as it
-/// encodes (see the module docs). The copy gets no key variables of
-/// its own: its key nets are `keys`.
+/// `input` to `response`" to `solver`: a copy whose inputs are the
+/// constants `input`, with every output pinned to its response.
 ///
 /// An output that folds to a constant other than its response adds
 /// the empty clause, so no key is consistent from then on.
@@ -230,9 +207,30 @@ pub(crate) fn encode_pinned_copy(
     input: &[bool],
     response: &[bool],
 ) {
+    let input: Vec<Folded> = input.iter().map(|&b| Folded::Const(b)).collect();
+    let outputs = encode_copy(locked, solver, &input, keys);
+    for (out, &b) in outputs.into_iter().zip(response) {
+        match out {
+            Folded::Const(c) if c == b => {}
+            Folded::Const(_) => solver.add_clause(&[]),
+            Folded::Lit(l) => solver.add_clause(&[if b { l } else { !l }]),
+        }
+    }
+}
+
+/// Encodes one copy of the locked netlist whose primary inputs are
+/// `inputs` and whose key nets are `keys`, folding the constants as it
+/// walks (see the module docs); returns the copy's output nets. The
+/// copy gets no key variables of its own.
+fn encode_copy(
+    locked: &LockedNetlist,
+    solver: &mut Solver,
+    inputs: &[Folded],
+    keys: &[Var],
+) -> Vec<Folded> {
     let netlist = locked.netlist();
     let mut nets: Vec<Folded> = Vec::with_capacity(netlist.num_nets());
-    nets.extend(input.iter().map(|&b| Folded::Const(b)));
+    nets.extend_from_slice(inputs);
     nets.extend(keys.iter().map(|&k| Folded::Lit(Lit::pos(k))));
     for gate in netlist.gates() {
         let ins = gate.inputs.iter().map(|n| nets[n.index()]);
@@ -275,13 +273,7 @@ pub(crate) fn encode_pinned_copy(
         };
         nets.push(out);
     }
-    for (o, &b) in netlist.outputs().iter().zip(response) {
-        match nets[o.index()] {
-            Folded::Const(c) if c == b => {}
-            Folded::Const(_) => solver.add_clause(&[]),
-            Folded::Lit(l) => solver.add_clause(&[if b { l } else { !l }]),
-        }
-    }
+    netlist.outputs().iter().map(|o| nets[o.index()]).collect()
 }
 
 /// The AND of `ins`: a constant when an input is false or none is

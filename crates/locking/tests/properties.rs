@@ -147,6 +147,50 @@ proptest! {
             prop_assert_eq!(solver.is_key_consistent(&key), reproduces, "key {:05b}", mask);
         }
     }
+
+    /// The miter finds exactly the distinguishing inputs: after any
+    /// constraints, each answered by a random key's simulation, a DIP
+    /// separates two keys consistent with them, and `None` leaves no
+    /// input that separates any two.
+    #[test]
+    fn miter_finds_exactly_the_distinguishing_inputs(
+        seed in any::<u64>(),
+        inputs in 1usize..=4,
+        key_bits in 1usize..=4,
+        constraints in 0usize..=3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let oracle = random_netlist_of_every_kind(inputs, &mut rng);
+        let locked = lock_xor(&oracle, key_bits, &mut rng);
+        let mut solver = DipSolver::new(&locked);
+        let mut observed = Vec::new();
+        for _ in 0..constraints {
+            let x: Vec<bool> = (0..inputs).map(|_| rng.gen()).collect();
+            let response = locked.simulate(&x, &BitVec::random(key_bits, &mut rng));
+            solver.constrain(&x, &response);
+            observed.push((x, response));
+        }
+        let consistent: Vec<BitVec> = (0u32..1 << key_bits)
+            .map(|mask| {
+                let bits: Vec<bool> = (0..key_bits).map(|i| mask >> i & 1 == 1).collect();
+                BitVec::from_bools(&bits)
+            })
+            .filter(|key| observed.iter().all(|(x, response)| locked.simulate(x, key) == *response))
+            .collect();
+        let separates = |x: &[bool]| {
+            let outputs: Vec<Vec<bool>> = consistent.iter().map(|key| locked.simulate(x, key)).collect();
+            outputs.windows(2).any(|pair| pair[0] != pair[1])
+        };
+        match solver.find_dip() {
+            Some(x) => prop_assert!(separates(&x), "DIP {:?} separates no consistent keys", x),
+            None => {
+                for v in 0u32..1 << inputs {
+                    let x: Vec<bool> = (0..inputs).map(|i| v >> i & 1 == 1).collect();
+                    prop_assert!(!separates(&x), "input {:04b} separates consistent keys", v);
+                }
+            }
+        }
+    }
 }
 
 /// `key_accuracy`'s definition: one pattern per sample, drawn input by

@@ -196,59 +196,6 @@ impl BddManager {
         cur == BddRef::TRUE
     }
 
-    /// Number of satisfying assignments of `f` over all `num_vars`
-    /// variables.
-    pub fn sat_count(&self, f: BddRef) -> u128 {
-        fn count(
-            mgr: &BddManager,
-            f: BddRef,
-            from_var: u32,
-            memo: &mut HashMap<(BddRef, u32), u128>,
-        ) -> u128 {
-            let top = if f.is_const() {
-                mgr.num_vars as u32
-            } else {
-                mgr.nodes[f.0 as usize].var
-            };
-            let skipped = (top - from_var) as u128;
-            let base: u128 = if f == BddRef::TRUE {
-                1
-            } else if f == BddRef::FALSE {
-                0
-            } else {
-                if let Some(&c) = memo.get(&(f, top)) {
-                    return c << skipped;
-                }
-                let n = mgr.nodes[f.0 as usize];
-                let c = count(mgr, n.low, top + 1, memo) + count(mgr, n.high, top + 1, memo);
-                memo.insert((f, top), c);
-                c
-            };
-            base << skipped
-        }
-        let mut memo = HashMap::new();
-        count(self, f, 0, &mut memo)
-    }
-
-    /// One satisfying assignment, or `None` for FALSE.
-    pub fn any_sat(&self, f: BddRef) -> Option<Vec<bool>> {
-        if f == BddRef::FALSE {
-            return None;
-        }
-        let mut assignment = vec![false; self.num_vars];
-        let mut cur = f;
-        while !cur.is_const() {
-            let n = self.nodes[cur.0 as usize];
-            if n.high != BddRef::FALSE {
-                assignment[n.var as usize] = true;
-                cur = n.high;
-            } else {
-                cur = n.low;
-            }
-        }
-        Some(assignment)
-    }
-
     /// Builds the BDDs of every output of a netlist.
     ///
     /// # Panics
@@ -292,21 +239,6 @@ impl BddManager {
     }
 }
 
-/// Formal equivalence of two netlists via BDDs: canonical forms make
-/// the check a per-output pointer comparison.
-///
-/// # Panics
-///
-/// Panics if input or output counts differ.
-pub fn equivalent_bdd(a: &Netlist, b: &Netlist) -> bool {
-    assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
-    assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
-    let mut mgr = BddManager::new(a.num_inputs());
-    let oa = mgr.build_netlist(a);
-    let ob = mgr.build_netlist(b);
-    oa == ob
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,44 +277,18 @@ mod tests {
 
     #[test]
     fn equivalence_is_reflexive_and_detects_difference() {
-        let a = c17();
-        assert!(equivalent_bdd(&a, &a));
+        // Canonical forms: one manager builds a netlist twice into the
+        // same refs.
+        let mut mgr = BddManager::new(5);
+        assert_eq!(mgr.build_netlist(&c17()), mgr.build_netlist(&c17()));
         let adder = ripple_adder(3);
-        assert!(equivalent_bdd(&adder, &adder));
+        let mut mgr = BddManager::new(6);
+        assert_eq!(mgr.build_netlist(&adder), mgr.build_netlist(&adder));
         // Comparator vs parity over the same I/O shape: different.
-        let cmp = comparator(2); // 4 in, 1 out
-        let par = parity_tree(4); // 4 in, 1 out
-        assert!(!equivalent_bdd(&cmp, &par));
-    }
-
-    #[test]
-    fn sat_count_of_parity_is_half_the_cube() {
-        let p = parity_tree(10);
-        let mut mgr = BddManager::new(10);
-        let out = mgr.build_netlist(&p)[0];
-        assert_eq!(mgr.sat_count(out), 512);
-    }
-
-    #[test]
-    fn sat_count_of_and() {
-        let mut mgr = BddManager::new(6);
-        let a = mgr.var(0);
-        let b = mgr.var(5);
-        let f = mgr.and(a, b);
-        assert_eq!(mgr.sat_count(f), 16); // 2^4 free variables
-        assert_eq!(mgr.sat_count(BddRef::TRUE), 64);
-        assert_eq!(mgr.sat_count(BddRef::FALSE), 0);
-    }
-
-    #[test]
-    fn any_sat_returns_a_model() {
-        let cmp = comparator(3);
-        let mut mgr = BddManager::new(6);
-        let out = mgr.build_netlist(&cmp)[0];
-        let model = mgr.any_sat(out).expect("a > b is satisfiable");
-        assert!(mgr.eval(out, &model));
-        assert!(cmp.simulate(&model)[0]);
-        assert_eq!(mgr.any_sat(BddRef::FALSE), None);
+        let mut mgr = BddManager::new(4);
+        let cmp = mgr.build_netlist(&comparator(2)); // 4 in, 1 out
+        let par = mgr.build_netlist(&parity_tree(4)); // 4 in, 1 out
+        assert_ne!(cmp, par);
     }
 
     #[test]
@@ -400,8 +306,9 @@ mod tests {
     fn wide_equivalence_beyond_exhaustive_reach() {
         // 24 inputs: exhaustive comparison would need 16.7M sims; BDD
         // equivalence is instant.
-        let a = ripple_adder(12); // 24 inputs
-        let b = ripple_adder(12);
-        assert!(equivalent_bdd(&a, &b));
+        let mut mgr = BddManager::new(24);
+        let a = mgr.build_netlist(&ripple_adder(12)); // 24 inputs
+        let b = mgr.build_netlist(&ripple_adder(12));
+        assert_eq!(a, b);
     }
 }

@@ -12,7 +12,7 @@
 //! - generators ([`generate`]): random DAG circuits, bounded-depth
 //!   `AC⁰` circuits, adders, comparators, parity trees and the classic
 //!   c17 benchmark,
-//! - Tseitin CNF encoding ([`cnf`]) for the SAT attack,
+//! - a hash-consed ROBDD manager ([`bdd`]) for formal equivalence,
 //! - the ISCAS-ish `.bench` text format ([`bench_format`]).
 //!
 //! # Quickstart
@@ -31,10 +31,8 @@
 
 pub mod bdd;
 pub mod bench_format;
-pub mod cnf;
 pub mod generate;
 mod netlist;
 
-pub use bdd::{equivalent_bdd, BddManager, BddRef};
-pub use cnf::{Cnf, TseitinEncoding};
+pub use bdd::{BddManager, BddRef};
 pub use netlist::{Gate, GateKind, Net, Netlist, NetlistBuilder};

@@ -1,8 +1,7 @@
-//! Property-based tests for netlists, generators, CNF encoding and the
-//! `.bench` format.
+//! Property-based tests for netlists, generators and the `.bench`
+//! format.
 
 use mlam_netlist::bench_format::{from_bench, to_bench};
-use mlam_netlist::cnf::{tseitin_encode, Cnf};
 use mlam_netlist::generate::{parity_tree, random_circuit, ripple_adder};
 use mlam_netlist::{GateKind, Net, Netlist};
 use proptest::prelude::*;
@@ -165,41 +164,6 @@ proptest! {
         let bits: Vec<bool> = (0..width).map(|i| v >> i & 1 == 1).collect();
         let expected = bits.iter().filter(|&&b| b).count() % 2 == 1;
         prop_assert_eq!(p.simulate(&bits)[0], expected);
-    }
-
-    /// The Tseitin encoding is satisfied by every real execution:
-    /// assigning each net variable its simulated value (and computing
-    /// the XOR-chain internals consistently) satisfies every clause in
-    /// which only net variables occur, and the full CNF remains
-    /// satisfiable with the output pinned to the simulated value.
-    #[test]
-    fn tseitin_respects_simulation(seed in any::<u64>(), input_mask in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let circuit = random_circuit(5, 12, 1, &mut rng);
-        let mut cnf = Cnf::new(0);
-        let enc = tseitin_encode(&circuit, &mut cnf);
-        let bits: Vec<bool> = (0..5).map(|i| input_mask >> i & 1 == 1).collect();
-        let sim = circuit.simulate(&bits);
-        // Pin inputs and output, solve with the CDCL solver via
-        // brute force over remaining vars (small).
-        for (i, &b) in bits.iter().enumerate() {
-            let v = enc.vars[i];
-            cnf.add_clause(vec![if b { v } else { -v }]);
-        }
-        let ov = enc.vars[circuit.outputs()[0].index()];
-        cnf.add_clause(vec![if sim[0] { ov } else { -ov }]);
-        // The formula must be satisfiable (consistent execution exists).
-        let n = cnf.num_vars;
-        prop_assume!(n <= 22);
-        let mut sat = false;
-        for mask in 0..(1u64 << n) {
-            let assignment: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-            if cnf.eval(&assignment) {
-                sat = true;
-                break;
-            }
-        }
-        prop_assert!(sat, "no consistent execution for inputs {input_mask:b}");
     }
 
     /// Circuit depth never exceeds gate count.

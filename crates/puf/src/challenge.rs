@@ -145,7 +145,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let c = BitVec::random(12, &mut rng);
         let phi = phi_transform(&c);
-        let c2 = c.with_flipped(5);
+        let mut c2 = c.clone();
+        c2.flip(5);
         let phi2 = phi_transform(&c2);
         for i in 0..=5 {
             assert_eq!(phi[i], -phi2[i], "prefix entry {i}");

@@ -92,12 +92,6 @@ impl<P: PufModel> LockdownPuf<P> {
     pub fn remaining_budget(&self) -> usize {
         self.budget - self.answered.get()
     }
-
-    /// The wrapped device (the verifier's enrollment-time access; an
-    /// attacker does not have this).
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
 }
 
 #[cfg(test)]
@@ -154,10 +148,5 @@ mod tests {
             }
         }
         assert_eq!(eavesdropped.len(), 100);
-        // The wrapped device would happily answer more — the interface
-        // is the security boundary.
-        use mlam_boolean::BooleanFunction;
-        let c = BitVec::random(32, &mut rng);
-        let _ = dev.inner().eval(&c);
     }
 }

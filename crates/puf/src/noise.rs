@@ -33,11 +33,6 @@ impl<P: PufModel> ResponseNoise<P> {
         ResponseNoise { inner, flip_rate }
     }
 
-    /// The wrapped model.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// The configured flip rate.
     pub fn flip_rate(&self) -> f64 {
         self.flip_rate

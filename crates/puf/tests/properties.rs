@@ -75,14 +75,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let puf = BistableRingPuf::sample(8, BrPufConfig::linear(), &mut rng);
         let c = BitVec::random(8, &mut rng);
-        let c_flip = c.with_flipped(i);
+        let mut c_flip = c.clone();
+        c_flip.flip(i);
         // Affinity in bit i: flipping it changes the potential by a
         // constant independent of the other bits.
         let delta1 = puf.potential(&c_flip) - puf.potential(&c);
         let mut c2 = c.clone();
         let j = (i + 3) % 8;
         c2.flip(j);
-        let c2_flip = c2.with_flipped(i);
+        let mut c2_flip = c2.clone();
+        c2_flip.flip(i);
         let delta2 = puf.potential(&c2_flip) - puf.potential(&c2);
         prop_assert!((delta1 - delta2).abs() < 1e-9, "{delta1} vs {delta2}");
     }

@@ -32,11 +32,12 @@ fn arbiter_puf_falls_to_phi_perceptron() {
 #[test]
 fn arbiter_puf_falls_to_logistic_regression_under_noise() {
     let mut rng = StdRng::seed_from_u64(2);
-    let puf = ResponseNoise::new(ArbiterPuf::sample(48, 0.0, &mut rng), 0.08);
+    let arbiter = ArbiterPuf::sample(48, 0.0, &mut rng);
+    let puf = ResponseNoise::new(arbiter.clone(), 0.08);
     // Noisy single-shot collection, like a real attack trace.
     let crps = mlam::puf::crp::collect_noisy(&puf, 8000, &mut rng);
     let train = LabeledSet::from_pairs(48, crps.to_labeled());
-    let clean_test = LabeledSet::sample(puf.inner(), 3000, &mut rng);
+    let clean_test = LabeledSet::sample(&arbiter, 3000, &mut rng);
     let out = LogisticRegression::new(LogisticConfig::default()).train_phi(&train, &mut rng);
     let acc = clean_test.accuracy_of(&out.model);
     assert!(acc > 0.88, "LR must tolerate 8 % response noise: {acc}");

@@ -23,7 +23,7 @@
 //! and `--resume`, which this tool supplies). Exits 1 when a child run
 //! fails, after printing its stderr.
 
-use mlam_bench::{try_parse_cli, CLI_FLAGS, EXPERIMENTS, REPRO_SEED};
+use mlam_bench::{try_parse_cli, CLI_FLAGS, REPRO_SEED};
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Instant;
@@ -53,8 +53,8 @@ impl Variant {
             }
         }
         let args = std::iter::once("repro_all".to_string()).chain(flags.iter().cloned());
-        let options = try_parse_cli(args, EXPERIMENTS)
-            .map_err(|e| format!("variant {text:?}: {e}\n{CLI_FLAGS}"))?;
+        let options =
+            try_parse_cli(args).map_err(|e| format!("variant {text:?}: {e}\n{CLI_FLAGS}"))?;
         if options.json_dir.is_some() || options.resume.is_some() {
             return Err(format!("variant {text:?}: repro_ab supplies --json itself"));
         }

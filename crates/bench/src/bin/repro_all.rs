@@ -47,7 +47,7 @@
 //! wall-clock timing fields) are byte-identical with monitoring on or
 //! off. See OBSERVABILITY.md.
 
-use mlam_bench::{parse_cli, run_all, Session, CLI_FLAGS, EXPERIMENTS};
+use mlam_bench::{parse_cli, run_all, Session, CLI_FLAGS};
 
 // Heap gauges on /metrics need the tracking allocator installed at
 // link time; accounting stays off (one relaxed load per allocation)
@@ -56,7 +56,7 @@ use mlam_bench::{parse_cli, run_all, Session, CLI_FLAGS, EXPERIMENTS};
 static ALLOC: mlam_monitor::alloc::TrackingAlloc = mlam_monitor::alloc::TrackingAlloc;
 
 fn main() {
-    let options = parse_cli(std::env::args(), EXPERIMENTS);
+    let options = parse_cli(std::env::args());
     let mut session = Session::start("repro_all", &options).unwrap_or_else(|err| {
         eprintln!("{err}\n{CLI_FLAGS}");
         std::process::exit(2)

@@ -1,6 +1,6 @@
 //! Shared harness for the benchmark binaries: CLI parsing, the
 //! telemetry [`Session`] that turns experiment runs into a
-//! [`RunManifest`], the registry of the paper's experiments
+//! [`RunManifest`], the registry of the reproduction's experiments
 //! ([`EXPERIMENTS`]) and [`run_all`], which runs it for `repro_all`
 //! and the integration tests.
 //!
@@ -24,6 +24,7 @@ use mlam::experiments::ac0::{run_ac0, Ac0Params};
 use mlam::experiments::checkpoint::CheckpointState;
 use mlam::experiments::corollary2::{run_corollary2, Corollary2Params};
 use mlam::experiments::exact_vs_approx::{run_exact_vs_approx, ExactVsApproxParams};
+use mlam::experiments::fault_sweep::{run_fault_sweep, FaultSweepParams};
 use mlam::experiments::interpose::{run_interpose, InterposeParams};
 use mlam::experiments::lockdown::{run_lockdown, LockdownParams};
 use mlam::experiments::locking::{run_locking, LockingParams};
@@ -103,8 +104,7 @@ pub const CLI_FLAGS: &str = "accepted flags: --quick, --json <dir>, --force, --r
 /// Parses `--quick`, `--json <dir>`, `--force`, `--resume <dir>`,
 /// `--monitor <addr>`, `--progress` and `--only <name>[,<name>…]` from
 /// a program's arguments; the first element, the program name, is
-/// skipped. `--only` may name the program's `experiments` (none, for a
-/// tool that runs one fixed experiment).
+/// skipped. `--only` may name the experiments of [`EXPERIMENTS`].
 ///
 /// Malformed input is an error, never a panic: an unknown argument, a
 /// flag without its value, an unknown or empty `--only` name, or
@@ -112,11 +112,8 @@ pub const CLI_FLAGS: &str = "accepted flags: --quick, --json <dir>, --force, --r
 /// stderr with the accepted flags ([`CLI_FLAGS`]) and the process
 /// exits with status 2, so a typo such as `--quik` never runs the
 /// paper-scale suite.
-pub fn parse_cli<I: IntoIterator<Item = String>>(
-    args: I,
-    experiments: &[Experiment],
-) -> CliOptions {
-    try_parse_cli(args, experiments).unwrap_or_else(|err| {
+pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
+    try_parse_cli(args).unwrap_or_else(|err| {
         eprintln!("{err}\n{CLI_FLAGS}");
         std::process::exit(2)
     })
@@ -124,13 +121,10 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
 
 /// [`parse_cli`] without the exit: malformed input is an `Err`
 /// describing it.
-pub fn try_parse_cli<I: IntoIterator<Item = String>>(
-    args: I,
-    experiments: &[Experiment],
-) -> Result<CliOptions, String> {
+pub fn try_parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
     let mut options = CliOptions::default();
     let known = || {
-        let names: Vec<&str> = experiments.iter().map(|e| e.name).collect();
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         format!("experiments: [{}]", names.join(", "))
     };
     let mut args = args.into_iter().skip(1);
@@ -149,7 +143,7 @@ pub fn try_parse_cli<I: IntoIterator<Item = String>>(
                 let list = value("a comma-separated list of experiments")
                     .map_err(|missing| format!("{missing}; {}", known()))?;
                 for name in list.split(',') {
-                    if !experiments.iter().any(|e| e.name == name) {
+                    if !EXPERIMENTS.iter().any(|e| e.name == name) {
                         let problem = if name.is_empty() {
                             "empty experiment name".to_string()
                         } else {
@@ -268,7 +262,7 @@ impl Session {
             // every monitored run pays by default. Without the env the
             // mem gauges on /metrics read zero. Gauges also need the
             // binary to install mlam_monitor::alloc::TrackingAlloc as
-            // its global allocator (repro_all and fault_sweep do).
+            // its global allocator (repro_all does).
             mlam_monitor::alloc::enable();
         }
         // Learning curves ride along whenever there is somewhere for
@@ -338,71 +332,9 @@ impl Session {
         self.progress.as_ref()
     }
 
-    /// The root seed binaries should feed their RNG from.
-    pub fn seed(&self) -> u64 {
-        self.manifest.seed
-    }
-
     /// Whether this session runs the reduced parameter sets.
     pub fn quick(&self) -> bool {
         self.manifest.quick
-    }
-
-    /// Runs one named experiment: times the driver, attributes counter
-    /// increments to it, records an [`ExperimentRecord`], and (under
-    /// `--json`) writes `<dir>/<name>.json` with the rendered tables.
-    /// Returns the driver's result; never writes to stdout.
-    pub fn run<T>(
-        &mut self,
-        name: &str,
-        driver: impl FnOnce() -> T,
-        render: impl FnOnce(&T) -> Vec<Table>,
-    ) -> T {
-        // Attribution through a scope (not a global snapshot diff) so
-        // increments land on this experiment even when other work —
-        // e.g. sibling experiments of a parallel batch — runs
-        // concurrently, and nested parallel regions inherit the scope
-        // via the mlam-par context hook.
-        if let Some(progress) = &self.progress {
-            progress.add_total(1);
-        }
-        if self.curve_sinks.is_some() {
-            self.curve_fresh.insert(name.to_string());
-        }
-        let scope = telemetry::CounterScope::new();
-        let started = Instant::now();
-        let value = {
-            let _guard = scope.enter();
-            let _curves = self
-                .curve_sinks
-                .as_ref()
-                .map(|sinks| curves::enter_series(name, Arc::clone(sinks)));
-            driver()
-        };
-        let seconds = started.elapsed().as_secs_f64();
-        let counters = scope.take();
-        self.manifest.experiments.push(ExperimentRecord {
-            name: name.to_string(),
-            seconds,
-            counters: counters.clone(),
-            degraded: false,
-        });
-        if let Some(store) = &self.store {
-            let record = ExperimentJson {
-                name: name.to_string(),
-                seed: self.manifest.seed,
-                quick: self.manifest.quick,
-                seconds,
-                degraded: false,
-                counters,
-                tables: render(&value).iter().map(TableJson::from_table).collect(),
-            };
-            store.save(&record).unwrap_or_else(|e| panic!("{e}"));
-        }
-        if let Some(progress) = &self.progress {
-            progress.complete_one();
-        }
-        value
     }
 
     /// Runs a batch of experiments, fanned out across `MLAM_THREADS`
@@ -443,7 +375,7 @@ impl Session {
     /// counter deltas only.
     pub fn run_batch(&mut self, experiments: &[Experiment]) -> Vec<ExperimentFailure> {
         telemetry::install_parallel_propagation();
-        let root = self.seed();
+        let root = self.manifest.seed;
         let quick = self.quick();
         let selected: Vec<(usize, Experiment)> = experiments
             .iter()
@@ -761,10 +693,12 @@ macro_rules! params {
     };
 }
 
-/// The paper's experiments, in the order `repro_all` runs and prints
-/// them. An experiment's index here is its `split_seed` index, so
-/// `repro_all --only <name>` reproduces that experiment of the full run
-/// bit for bit.
+/// The reproduction's experiments, in the order `repro_all` runs and
+/// prints them: the paper's tables, the ablations, and last the fault
+/// sweep of `HARNESS.md`. An experiment's index here is its
+/// `split_seed` index, so `repro_all --only <name>` reproduces that
+/// experiment of the full run bit for bit, and a new experiment goes
+/// last to leave the others' seeds alone.
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("table1", |quick, rng| {
         let r = run_table1(&params!(Table1Params, quick), rng);
@@ -806,6 +740,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("ablations", |quick, rng| {
         run_ablations(&params!(AblationParams, quick), rng).to_tables()
     }),
+    Experiment::new("fault_sweep", |quick, rng| {
+        vec![run_fault_sweep(&params!(FaultSweepParams, quick), rng).to_table()]
+    }),
 ];
 
 /// Runs the experiments of [`EXPERIMENTS`] (under `--only`, those it
@@ -830,7 +767,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<CliOptions, String> {
-        try_parse_cli(args.iter().map(|a| a.to_string()), EXPERIMENTS)
+        try_parse_cli(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
@@ -871,9 +808,6 @@ mod tests {
             // Every --only error lists what could have been selected.
             assert!(EXPERIMENTS.iter().all(|e| err.contains(e.name)), "{err}");
         }
-        // A tool without experiments to select refuses every name.
-        let err = try_parse_cli(["bin", "--only", "table3"].map(String::from), &[]).unwrap_err();
-        assert!(err.contains("unknown experiment `table3`"), "{err}");
     }
 
     #[test]
@@ -1149,15 +1083,11 @@ mod tests {
     #[test]
     fn session_records_experiments_without_json() {
         let mut session = Session::start("test-tool", &CliOptions::default()).unwrap();
-        let value = session.run(
-            "demo",
-            || {
-                mlam::telemetry::counter!("bench.test.session_counter", 3);
-                41 + 1
-            },
-            |_| Vec::new(),
-        );
-        assert_eq!(value, 42);
+        let failures = session.run_batch(&[Experiment::new("demo", |_, _| {
+            mlam::telemetry::counter!("bench.test.session_counter", 3);
+            Vec::new()
+        })]);
+        assert!(failures.is_empty());
         let manifest = session.finish();
         assert_eq!(manifest.tool, "test-tool");
         assert_eq!(manifest.experiments.len(), 1);

@@ -1,4 +1,4 @@
-//! The `repro_all`, `fault_sweep` and `repro_ab` command lines.
+//! The `repro_all` and `repro_ab` command lines.
 //! Malformed input — a typo such as `--quik`, an `--only` name the
 //! registry does not know, or a run directory or monitor address the
 //! session cannot claim — exits with status 2 before any experiment
@@ -15,12 +15,7 @@ use std::process::{Command, Output};
 /// setting, so a `--only` run also crosses thread counts against the
 /// 1-thread `baselines/quick`.
 fn repro_all(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_repro_all"), args)
-}
-
-/// Runs the bench binary `bin` as [`repro_all`] does.
-fn run(bin: &str, args: &[&str]) -> Output {
-    let mut command = Command::new(bin);
+    let mut command = Command::new(env!("CARGO_BIN_EXE_repro_all"));
     for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("MLAM_")) {
         command.env_remove(name);
     }
@@ -28,7 +23,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
         .args(args)
         .env("MLAM_THREADS", "4")
         .output()
-        .unwrap_or_else(|e| panic!("run {bin}: {e}"))
+        .expect("run repro_all")
 }
 
 fn read(path: &Path) -> String {
@@ -36,11 +31,10 @@ fn read(path: &Path) -> String {
 }
 
 /// Unusable input exits 2 with the offending argument and the accepted
-/// flags on stderr, from both session binaries: a misspelled flag, an
-/// unknown `--only` name, an unbindable `--monitor` address, a `--json`
-/// directory that cannot be created, a `--resume` directory that does
-/// not exist, and a `--json` directory holding a finished run without
-/// `--force`.
+/// flags on stderr: a misspelled flag, an unknown `--only` name, an
+/// unbindable `--monitor` address, a `--json` directory that cannot be
+/// created, a `--resume` directory that does not exist, and a `--json`
+/// directory holding a finished run without `--force`.
 #[test]
 fn misspelled_flag_exits_2_with_the_accepted_flags() {
     let finished = scratch("finished");
@@ -56,45 +50,51 @@ fn misspelled_flag_exits_2_with_the_accepted_flags() {
         &["--quick", "--resume", missing],
         &["--quick", "--json", finished],
     ];
-    for bin in [
-        env!("CARGO_BIN_EXE_repro_all"),
-        env!("CARGO_BIN_EXE_fault_sweep"),
-    ] {
-        for args in cases {
-            let out = run(bin, args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-            assert!(out.stdout.is_empty(), "{bin} {args:?}: nothing may run");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains(args[args.len() - 1]), "{stderr}");
-            assert!(stderr.contains(mlam_bench::CLI_FLAGS), "{stderr}");
-            assert!(!stderr.contains("panicked at"), "{stderr}");
-        }
+    for args in cases {
+        let out = repro_all(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[args.len() - 1]), "{stderr}");
+        assert!(stderr.contains(mlam_bench::CLI_FLAGS), "{stderr}");
+        assert!(!stderr.contains("panicked at"), "{stderr}");
     }
     assert_eq!(read(&Path::new(finished).join("manifest.json")), "{}\n");
     let _ = std::fs::remove_dir_all(finished);
 }
 
-/// `--only locking,table3` runs `table3` then `locking` (registry
-/// order), each with the counters and learning curve of the full run
-/// recorded in `baselines/quick`. An experiment seeded by its position
-/// in the selection instead of its registry index fails here: `locking`
-/// then draws other circuits.
+/// `--only locking,table3,fault_sweep` runs `table3`, `locking` and
+/// `fault_sweep` (registry order), each with the counters and learning
+/// curve of the full run recorded in `baselines/quick`. An experiment
+/// seeded by its position in the selection instead of its registry
+/// index fails here: `locking` then draws other circuits, and
+/// `fault_sweep`, the registry's last entry, another Arbiter PUF.
 #[test]
 fn only_reproduces_the_full_runs_experiments() {
     let dir = scratch("only");
     let json = dir.to_str().expect("UTF-8 temp dir");
-    let out = repro_all(&["--quick", "--only", "locking,table3", "--json", json]);
+    let out = repro_all(&[
+        "--quick",
+        "--only",
+        "locking,table3,fault_sweep",
+        "--json",
+        json,
+    ]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
     assert!(stdout.starts_with("Table III:"), "{stdout}");
     assert!(stdout.contains("\n\nLogic locking:"), "{stdout}");
+    assert!(
+        stdout.contains("\n\nAttack accuracy vs. oracle fault rate"),
+        "{stdout}"
+    );
 
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/quick");
     let full: RunManifest = serde_json::from_str(&read(&baseline.join("manifest.json"))).unwrap();
     let run: RunManifest = serde_json::from_str(&read(&dir.join("manifest.json"))).unwrap();
     assert_eq!(run.threads, 4);
     let names: Vec<&str> = run.experiments.iter().map(|e| e.name.as_str()).collect();
-    assert_eq!(names, ["table3", "locking"]);
+    assert_eq!(names, ["table3", "locking", "fault_sweep"]);
     for record in &run.experiments {
         let reference = full.experiments.iter().find(|e| e.name == record.name);
         assert_eq!(
@@ -104,14 +104,18 @@ fn only_reproduces_the_full_runs_experiments() {
             record.name
         );
     }
-    // Of the two, only locking records a learning curve.
-    let locking_curve: String = read(&baseline.join(CURVES_FILE))
+    // Of the three, locking and fault_sweep record learning curves.
+    let curves: String = read(&baseline.join(CURVES_FILE))
         .lines()
-        .filter(|line| line.starts_with("{\"series\":\"locking\""))
+        .filter(|line| {
+            line.starts_with("{\"series\":\"locking\"")
+                || line.starts_with("{\"series\":\"fault_sweep\"")
+        })
         .map(|line| format!("{line}\n"))
         .collect();
-    assert!(!locking_curve.is_empty());
-    assert_eq!(read(&dir.join(CURVES_FILE)), locking_curve);
+    assert!(curves.contains("\"series\":\"locking\""));
+    assert!(curves.contains("\"series\":\"fault_sweep\""));
+    assert_eq!(read(&dir.join(CURVES_FILE)), curves);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -62,15 +62,20 @@ pub struct Table3Row {
 /// Result of the Table III reproduction.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Table3Result {
+    /// The tester confidence δ the rows ran with.
+    pub delta: f64,
     /// One row per `(n, #CRPs)` point.
     pub rows: Vec<Table3Row>,
 }
 
 impl Table3Result {
-    /// Renders in the paper's layout.
+    /// Renders in the paper's layout, titled with the δ that ran.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
-            "Table III: how far BR PUFs are from LTFs (halfspace tester, delta = 0.99)",
+            format!(
+                "Table III: how far BR PUFs are from LTFs (halfspace tester, delta = {})",
+                self.delta
+            ),
             &[
                 "n",
                 "# CRPs",
@@ -126,7 +131,10 @@ pub fn run_table3<R: Rng + ?Sized>(params: &Table3Params, rng: &mut R) -> Table3
             }
         })
         .collect();
-    Table3Result { rows }
+    Table3Result {
+        delta: params.delta,
+        rows,
+    }
 }
 
 #[cfg(test)]
@@ -186,5 +194,15 @@ mod tests {
         let result = run_table3(&Table3Params::quick(), &mut rng);
         let text = result.to_table().to_string();
         assert!(text.contains("halfspace"));
+        let title = |delta| {
+            format!("Table III: how far BR PUFs are from LTFs (halfspace tester, delta = {delta})")
+        };
+        assert!(text.starts_with(&title("0.95")), "{text}");
+        // The paper-scale title, without running the paper's 63k CRPs.
+        let paper = Table3Result {
+            delta: Table3Params::paper().delta,
+            rows: Vec::new(),
+        };
+        assert!(paper.to_table().to_string().starts_with(&title("0.99")));
     }
 }

@@ -15,8 +15,8 @@
 //!   independent per attempt, so bounded retry recovers;
 //! - [`Fault::Outage`] — the device is transiently unavailable *for
 //!   this challenge*: the first [`FaultModel::outage_attempts`]
-//!   attempts fail deterministically, then service resumes — retry
-//!   with backoff rides it out.
+//!   attempts fail deterministically, then service resumes — bounded
+//!   retry rides it out.
 //!
 //! Every injected fault increments the matching `oracle.fault.*`
 //! counter, so run manifests record the exact fault history and

@@ -16,8 +16,7 @@
 //!   dropped queries, transient outages) keyed on the challenge bits
 //!   and a fault seed via [`mlam_par::splitmix64`], so the same seed
 //!   produces bit-identical faults at any thread count;
-//! - [`RetryPolicy`] and [`Backoff`] — bounded retry with
-//!   deterministic backoff schedules, and k-of-n majority voting over
+//! - [`RetryPolicy`] — bounded retry and k-of-n majority voting over
 //!   repeated readings (the repetition/majority querying used by
 //!   active-learning PUF attacks);
 //! - [`recover`] — the generic retry/vote executor behind the oracle
@@ -33,14 +32,12 @@
 //! # Example
 //!
 //! ```
-//! use mlam_harness::{recover, Backoff, FaultModel, RetryPolicy};
+//! use mlam_harness::{recover, FaultModel, RetryPolicy};
 //! use mlam_boolean::BitVec;
 //!
 //! // 20% response flips, 10% dropped queries, seeded.
 //! let faults = FaultModel::new(5, 0.2, 0.1);
-//! let policy = RetryPolicy::retries(8)
-//!     .with_votes(3)
-//!     .with_backoff(Backoff::Exponential { base: 1, cap: 8 });
+//! let policy = RetryPolicy::retries(8).with_votes(3);
 //! let challenge = BitVec::ones(16);
 //! // The true response is `true`; readings pass through the fault model.
 //! let result = recover(&policy, |attempt| {
@@ -56,4 +53,4 @@ pub mod fault;
 pub mod retry;
 
 pub use fault::{challenge_fingerprint, Fault, FaultModel, FaultOutcome};
-pub use retry::{recover, Backoff, QueryError, RetryPolicy};
+pub use retry::{recover, QueryError, RetryPolicy};

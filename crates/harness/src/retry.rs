@@ -1,46 +1,12 @@
-//! Recovery policies: bounded retry, deterministic backoff, majority
-//! voting.
+//! Recovery policies: bounded retry and majority voting.
 //!
 //! Recovery is pure bookkeeping over readings — no wall-clock sleeps.
-//! Backoff is expressed in abstract *units* and only **counted**
-//! (`harness.retry.backoff_units`), because in simulation the cost of
-//! waiting is an accounting question, not a latency one; a hardware
-//! front-end would translate units into real delays. Keeping recovery
-//! clock-free is also what keeps it deterministic: the same fault
-//! pattern always produces the same retry/vote trace and the same
+//! Keeping recovery clock-free is what keeps it deterministic: the same
+//! fault pattern always produces the same retry/vote trace and the same
 //! `harness.retry.*` counters, at any thread count.
 
 use mlam_telemetry::counter;
 use serde::{Deserialize, Serialize};
-
-/// A deterministic backoff schedule, in abstract units per retry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Backoff {
-    /// Retry immediately.
-    None,
-    /// Wait a fixed number of units before every retry.
-    Fixed(u64),
-    /// Wait `base << retry` units, saturating at `cap`.
-    Exponential {
-        /// Units before the first retry.
-        base: u64,
-        /// Upper bound on the per-retry wait.
-        cap: u64,
-    },
-}
-
-impl Backoff {
-    /// Units to wait before retry number `retry` (0-based).
-    pub fn units(&self, retry: u32) -> u64 {
-        match *self {
-            Backoff::None => 0,
-            Backoff::Fixed(units) => units,
-            Backoff::Exponential { base, cap } => base
-                .checked_shl(retry)
-                .map_or(cap, |shifted| shifted.min(cap)),
-        }
-    }
-}
 
 /// How a logical query recovers from unreliable readings.
 ///
@@ -58,18 +24,14 @@ pub struct RetryPolicy {
     /// Successful readings aggregated per logical query (odd). `1`
     /// returns the first successful reading unvoted.
     pub votes: u32,
-    /// Wait schedule between attempts after a lost reading.
-    pub backoff: Backoff,
 }
 
 impl Default for RetryPolicy {
-    /// One attempt, no vote, no backoff — the historical perfect-oracle
-    /// behavior.
+    /// One attempt, no vote — the historical perfect-oracle behavior.
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             votes: 1,
-            backoff: Backoff::None,
         }
     }
 }
@@ -98,12 +60,6 @@ impl RetryPolicy {
         assert!(votes % 2 == 1, "vote count must be odd");
         self.votes = votes;
         self.max_attempts = self.max_attempts.max(votes);
-        self
-    }
-
-    /// Sets the backoff schedule.
-    pub fn with_backoff(mut self, backoff: Backoff) -> RetryPolicy {
-        self.backoff = backoff;
         self
     }
 }
@@ -138,9 +94,8 @@ impl std::error::Error for QueryError {}
 /// the first reading); zero successes return [`QueryError`].
 ///
 /// Counters: `harness.retry.attempts` (every raw reading),
-/// `harness.retry.backoff_units`, `harness.retry.vote_disagreements`
-/// (non-unanimous votes), `harness.retry.short_votes`,
-/// `harness.retry.exhausted`.
+/// `harness.retry.vote_disagreements` (non-unanimous votes),
+/// `harness.retry.short_votes`, `harness.retry.exhausted`.
 ///
 /// [`votes`]: RetryPolicy::votes
 /// [`max_attempts`]: RetryPolicy::max_attempts
@@ -166,20 +121,13 @@ pub fn recover(
     let mut ones = 0u32;
     let mut readings = 0u32;
     let mut first = None;
-    let mut losses = 0u32;
     let mut attempt = 0u32;
     while attempt < policy.max_attempts && readings < policy.votes {
         counter!("harness.retry.attempts", 1);
-        match read(attempt) {
-            Some(bit) => {
-                readings += 1;
-                ones += u32::from(bit);
-                first.get_or_insert(bit);
-            }
-            None => {
-                counter!("harness.retry.backoff_units", policy.backoff.units(losses));
-                losses += 1;
-            }
+        if let Some(bit) = read(attempt) {
+            readings += 1;
+            ones += u32::from(bit);
+            first.get_or_insert(bit);
         }
         attempt += 1;
     }
@@ -206,20 +154,6 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_schedules() {
-        assert_eq!(Backoff::None.units(5), 0);
-        assert_eq!(Backoff::Fixed(3).units(0), 3);
-        assert_eq!(Backoff::Fixed(3).units(9), 3);
-        let exp = Backoff::Exponential { base: 2, cap: 16 };
-        assert_eq!(exp.units(0), 2);
-        assert_eq!(exp.units(1), 4);
-        assert_eq!(exp.units(2), 8);
-        assert_eq!(exp.units(3), 16);
-        assert_eq!(exp.units(10), 16);
-        assert_eq!(exp.units(100), 16, "shift overflow saturates at cap");
-    }
 
     #[test]
     fn default_policy_is_single_shot() {

@@ -153,13 +153,13 @@ impl<F: BooleanFunction + ?Sized> MembershipOracle for FunctionOracle<'_, F> {
 /// flips, dropped readings, transient outages) are a pure function of
 /// the fault seed and the challenge bits, so two runs with the same
 /// seed see bit-identical faults at any thread count; recovery
-/// (bounded retry with deterministic backoff, k-of-n majority voting)
-/// is applied per logical query.
+/// (bounded retry, k-of-n majority voting) is applied per logical
+/// query.
 ///
 /// The wrapper distinguishes **logical queries** (what the attack
 /// asked) from **raw reads** (attempts spent against the device); the
 /// ratio is the query overhead the fault model costs the attacker —
-/// the quantity the `fault_sweep` benchmark sweeps.
+/// the quantity the `fault_sweep` experiment sweeps.
 ///
 /// When every reading of a query is lost, the wrapper degrades
 /// gracefully instead of failing the attack: it records the query as
@@ -208,26 +208,6 @@ impl<O> UnreliableOracle<O> {
             logical_queries: AtomicU64::new(0),
             exhausted: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwraps the oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    /// The fault model readings pass through.
-    pub fn faults(&self) -> &FaultModel {
-        &self.faults
-    }
-
-    /// The recovery policy applied per logical query.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Raw readings spent against the device so far.
@@ -315,7 +295,6 @@ impl<O: ExampleOracle> ExampleOracle for UnreliableOracle<O> {
         self.logical_queries.fetch_add(1, Ordering::Relaxed);
         counter!("oracle.query.logical", 1);
         let mut last = None;
-        let mut losses = 0u32;
         for attempt in 0..self.policy.max_attempts {
             counter!("harness.retry.attempts", 1);
             self.raw_reads.fetch_add(1, Ordering::Relaxed);
@@ -323,14 +302,7 @@ impl<O: ExampleOracle> ExampleOracle for UnreliableOracle<O> {
             let (x, y) = self.inner.example(rng);
             match self.faults.roll(&x, attempt).apply(y) {
                 Some(bit) => return (x, bit),
-                None => {
-                    counter!(
-                        "harness.retry.backoff_units",
-                        self.policy.backoff.units(losses)
-                    );
-                    losses += 1;
-                    last = Some((x, y));
-                }
+                None => last = Some((x, y)),
             }
         }
         // Every attempt was lost: degrade to the last drawn example

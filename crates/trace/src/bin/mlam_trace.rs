@@ -5,7 +5,7 @@
 //! mlam-trace profile <run-dir>
 //! mlam-trace compare <baseline-dir> <current-dir>
 //!                    [--threshold 0.2] [--min-wall-ms 100] [--warn-only]
-//!                    [--ignore-counter <prefix>]... [--json]
+//!                    [--json]
 //! mlam-trace bench-history [<dir>]
 //! mlam-trace curves  <run-dir> [--csv] [-o file.csv]
 //! mlam-trace curves  <baseline-dir> <current-dir>
@@ -38,15 +38,11 @@ USAGE:
 
     mlam-trace compare <baseline-dir> <current-dir>
                [--threshold <ratio>] [--min-wall-ms <ms>] [--warn-only]
-               [--ignore-counter <prefix>]... [--json]
+               [--json]
         Diff two runs. Correctness counters must be bit-identical
         (exit 2 on drift, never suppressed); wall-clock regressions
         beyond the threshold (default 0.2 = +20%, noise floor
         --min-wall-ms, default 100) exit 1 unless --warn-only.
-        --ignore-counter (repeatable) excludes counters whose name
-        starts with the prefix from the drift check — for bookkeeping
-        counters that may differ by design (e.g. harness.retry., the
-        retry-policy counters of a fault sweep).
         --json replaces the table with a machine-readable payload
         (verdict, per-counter deltas, wall rows) whose exit_code field
         mirrors the process exit code.
@@ -105,7 +101,7 @@ enum Flags {
     None,
     /// `-o <path>`: the subcommand writes a file.
     Output,
-    /// `compare`'s threshold, counter and output-format flags.
+    /// `compare`'s threshold and output-format flags.
     Compare,
 }
 
@@ -116,7 +112,6 @@ struct Parsed {
     threshold: f64,
     min_wall_ms: u64,
     warn_only: bool,
-    ignore_counters: Vec<String>,
     json: bool,
 }
 
@@ -128,7 +123,6 @@ fn parse(args: &[String], flags: Flags) -> Result<Parsed, String> {
         threshold: 0.20,
         min_wall_ms: 100,
         warn_only: false,
-        ignore_counters: Vec::new(),
         json: false,
     };
     let mut iter = args.iter();
@@ -152,10 +146,6 @@ fn parse(args: &[String], flags: Flags) -> Result<Parsed, String> {
             }
             "--warn-only" if allow_compare_flags => parsed.warn_only = true,
             "--json" if allow_compare_flags => parsed.json = true,
-            "--ignore-counter" if allow_compare_flags => {
-                let value = iter.next().ok_or("missing value for --ignore-counter")?;
-                parsed.ignore_counters.push(value.clone());
-            }
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag '{other}'"));
             }
@@ -242,7 +232,6 @@ fn cmd_compare(args: &[String]) -> i32 {
     let options = compare::CompareOptions {
         threshold: parsed.threshold,
         min_wall_s: parsed.min_wall_ms as f64 / 1000.0,
-        ignore_counters: parsed.ignore_counters,
     };
     let mut report = compare::compare(base_manifest, cur_manifest, &options);
     report.span_notes = compare::span_movers(&baseline.histograms, &current.histograms, &options);

@@ -21,11 +21,6 @@ pub struct CompareOptions {
     /// Absolute wall-clock noise floor in seconds: smaller deltas are
     /// never flagged, whatever the ratio.
     pub min_wall_s: f64,
-    /// Counter-name prefixes excluded from the drift check: bookkeeping
-    /// counters that may differ by design while every behavior counter
-    /// must still match bit for bit (e.g. `harness.retry.`, the
-    /// retry-policy counters a fault sweep's baseline check excludes).
-    pub ignore_counters: Vec<String>,
 }
 
 impl Default for CompareOptions {
@@ -33,14 +28,7 @@ impl Default for CompareOptions {
         CompareOptions {
             threshold: 0.20,
             min_wall_s: 0.1,
-            ignore_counters: Vec::new(),
         }
-    }
-}
-
-impl CompareOptions {
-    fn is_ignored(&self, counter: &str) -> bool {
-        self.ignore_counters.iter().any(|p| counter.starts_with(p))
     }
 }
 
@@ -306,9 +294,6 @@ pub fn compare(
             .chain(cur_exp.counters.keys())
             .collect();
         for key in keys {
-            if opts.is_ignored(key) {
-                continue;
-            }
             let b = base_exp.counters.get(key).copied().unwrap_or(0);
             let c = cur_exp.counters.get(key).copied().unwrap_or(0);
             if b != c {
@@ -433,46 +418,6 @@ mod tests {
         let c = manifest(7, &[("table1", 1.0, &[])]);
         assert!(compare(&a, &c, &CompareOptions::default()).has_counter_drift());
         assert!(compare(&c, &a, &CompareOptions::default()).has_counter_drift());
-    }
-
-    #[test]
-    fn ignored_counter_prefixes_are_excluded_from_drift() {
-        let a = manifest(
-            7,
-            &[(
-                "collect",
-                1.0,
-                &[
-                    ("puf.batch.bitsliced_evals", 4096),
-                    ("bench.crp.response_ones", 2011),
-                ],
-            )],
-        );
-        let b = manifest(
-            7,
-            &[(
-                "collect",
-                1.0,
-                &[
-                    ("puf.batch.scalar_evals", 4096),
-                    ("bench.crp.response_ones", 2011),
-                ],
-            )],
-        );
-        // Without the ignore list, the path counters drift.
-        assert!(compare(&a, &b, &CompareOptions::default()).has_counter_drift());
-        // With it, only the behavior counters are compared — clean.
-        let opts = CompareOptions {
-            ignore_counters: vec!["puf.batch.".to_string()],
-            ..Default::default()
-        };
-        assert!(!compare(&a, &b, &opts).has_counter_drift());
-        // A behavior-counter drift still fails with the ignore list on.
-        let c = manifest(7, &[("collect", 1.0, &[("bench.crp.response_ones", 2012)])]);
-        let report = compare(&a, &c, &opts);
-        assert!(report.has_counter_drift());
-        assert_eq!(report.drift.len(), 1);
-        assert_eq!(report.drift[0].counter, "bench.crp.response_ones");
     }
 
     #[test]

@@ -106,58 +106,6 @@ fn compare_exit_codes_follow_the_contract() {
 }
 
 #[test]
-fn ignore_counter_prefixes_exclude_path_counters_from_drift() {
-    let base_dir = std::env::temp_dir().join(format!("mlam_compare_ignore_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base_dir);
-
-    // Two runs identical except for path-attribution counters: the
-    // scalar run charges `puf.batch.scalar_evals`, the bit-sliced one
-    // `puf.batch.bitsliced_evals`.
-    let make = |path_counter: &str| {
-        let mut manifest = RunManifest::new("crp_throughput", 0xDA7E_2020, true);
-        let mut counters = BTreeMap::new();
-        counters.insert("bench.crp.response_ones".to_string(), 512u64);
-        counters.insert(path_counter.to_string(), 4096u64);
-        manifest.experiments.push(ExperimentRecord {
-            name: "collect".to_string(),
-            seconds: 1.0,
-            degraded: false,
-            counters,
-        });
-        manifest.total_seconds += 1.0;
-        manifest
-    };
-    let scalar = base_dir.join("scalar");
-    write_run(&scalar, &make("puf.batch.scalar_evals"));
-    let batch = base_dir.join("batch");
-    write_run(&batch, &make("puf.batch.bitsliced_evals"));
-
-    // Without the flag the path counters count as behavioral drift.
-    let (code, stdout, _) = run_compare(&scalar, &batch, &[]);
-    assert_eq!(code, 2, "{stdout}");
-    assert!(stdout.contains("puf.batch."), "{stdout}");
-
-    // With the prefix excluded, the remaining counters are identical.
-    let (code, stdout, _) = run_compare(&scalar, &batch, &["--ignore-counter", "puf.batch."]);
-    assert_eq!(code, 0, "{stdout}");
-
-    // The exclusion is surgical: drift in a behavior counter still
-    // fails even with the prefix list active.
-    let mut drifted = make("puf.batch.bitsliced_evals");
-    *drifted.experiments[0]
-        .counters
-        .get_mut("bench.crp.response_ones")
-        .unwrap() += 1;
-    let drift_dir = base_dir.join("drift");
-    write_run(&drift_dir, &drifted);
-    let (code, stdout, _) = run_compare(&scalar, &drift_dir, &["--ignore-counter", "puf.batch."]);
-    assert_eq!(code, 2, "{stdout}");
-    assert!(stdout.contains("bench.crp.response_ones"), "{stdout}");
-
-    let _ = std::fs::remove_dir_all(&base_dir);
-}
-
-#[test]
 fn compare_json_mirrors_the_exit_code_in_the_payload() {
     let base_dir = std::env::temp_dir().join(format!("mlam_compare_json_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);

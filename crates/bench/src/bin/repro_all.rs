@@ -57,7 +57,7 @@ static ALLOC: mlam_monitor::alloc::TrackingAlloc = mlam_monitor::alloc::Tracking
 
 fn main() {
     let options = parse_cli(std::env::args());
-    let mut session = Session::start("repro_all", &options).unwrap_or_else(|err| {
+    let mut session = Session::start(&options).unwrap_or_else(|err| {
         eprintln!("{err}\n{CLI_FLAGS}");
         std::process::exit(2)
     });

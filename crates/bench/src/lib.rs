@@ -200,7 +200,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Starts a session for the named tool. When `--json` was given,
+    /// Starts a `repro_all` session. When `--json` was given,
     /// claims the output directory as a [`telemetry::RunDir`] (created
     /// recursively; an existing `manifest.json` is refused without
     /// `--force`) and installs a [`telemetry::JsonlSink`] for span
@@ -223,11 +223,11 @@ impl Session {
     /// does not exist, an `events.jsonl` that cannot be opened, and a
     /// `--monitor` address that cannot be bound. The binaries print the
     /// message with [`CLI_FLAGS`] and exit 2, as [`parse_cli`] does.
-    pub fn start(tool: &str, options: &CliOptions) -> Result<Session, String> {
+    pub fn start(options: &CliOptions) -> Result<Session, String> {
         // Wire telemetry's thread-local context (counter scopes, span
         // parents) into the parallel runtime before any fan-out runs.
         telemetry::install_parallel_propagation();
-        let mut manifest = RunManifest::new(tool, REPRO_SEED, options.quick);
+        let mut manifest = RunManifest::new("repro_all", REPRO_SEED, options.quick);
         manifest.threads = mlam_par::threads();
         let version = env!("CARGO_PKG_VERSION");
         for name in WORKSPACE_CRATES {
@@ -829,13 +829,13 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let refused = Session::start("test-tool", &options);
+        let refused = Session::start(&options);
         assert!(refused.is_err(), "Session::start must refuse to clobber");
         let forced = CliOptions {
             force: true,
             ..options
         };
-        let session = Session::start("test-tool", &forced).unwrap();
+        let session = Session::start(&forced).unwrap();
         session.finish();
         assert!(dir.join("metrics.jsonl").is_file());
         let _ = std::fs::remove_dir_all(&dir);
@@ -880,7 +880,7 @@ mod tests {
             monitor: Some("127.0.0.1:0".to_string()),
             ..CliOptions::default()
         };
-        let mut session = Session::start("test-monitor", &options).unwrap();
+        let mut session = Session::start(&options).unwrap();
         let progress = Arc::clone(
             session
                 .progress()
@@ -933,7 +933,7 @@ mod tests {
             }),
         ];
 
-        let mut first = Session::start("test-resume", &options).unwrap();
+        let mut first = Session::start(&options).unwrap();
         assert!(first.run_batch(&experiments).is_empty());
         let full = first.finish();
 
@@ -947,7 +947,7 @@ mod tests {
             resume: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut second = Session::start("test-resume", &resumed_options).unwrap();
+        let mut second = Session::start(&resumed_options).unwrap();
         assert!(second.run_batch(&experiments).is_empty());
         let resumed = second.finish();
 
@@ -979,7 +979,7 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut session = Session::start("test-degrade", &options).unwrap();
+        let mut session = Session::start(&options).unwrap();
         let failures = session.run_batch(&[
             Experiment::new("degrade_ok", |_, _| vec![]),
             Experiment::new("degrade_boom", |_, _| {
@@ -1016,7 +1016,7 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut session = Session::start("test-curves", &options).unwrap();
+        let mut session = Session::start(&options).unwrap();
         let curve_x = Experiment::new("curve_x", |_, _| {
             telemetry::counter!("oracle.example_queries", 10);
             curves::checkpoint("demo", 1, 0.5, None);
@@ -1058,7 +1058,7 @@ mod tests {
                 Vec::new()
             }),
         ];
-        let mut first = Session::start("test-curves-resume", &options).unwrap();
+        let mut first = Session::start(&options).unwrap();
         assert!(first.run_batch(&experiments).is_empty());
         first.finish();
         let full = std::fs::read(dir.join(CURVES_FILE)).unwrap();
@@ -1072,7 +1072,7 @@ mod tests {
             resume: Some(dir.clone()),
             ..CliOptions::default()
         };
-        let mut second = Session::start("test-curves-resume", &resumed_options).unwrap();
+        let mut second = Session::start(&resumed_options).unwrap();
         assert!(second.run_batch(&experiments).is_empty());
         second.finish();
         let merged = std::fs::read(dir.join(CURVES_FILE)).unwrap();
@@ -1082,14 +1082,14 @@ mod tests {
 
     #[test]
     fn session_records_experiments_without_json() {
-        let mut session = Session::start("test-tool", &CliOptions::default()).unwrap();
+        let mut session = Session::start(&CliOptions::default()).unwrap();
         let failures = session.run_batch(&[Experiment::new("demo", |_, _| {
             mlam::telemetry::counter!("bench.test.session_counter", 3);
             Vec::new()
         })]);
         assert!(failures.is_empty());
         let manifest = session.finish();
-        assert_eq!(manifest.tool, "test-tool");
+        assert_eq!(manifest.tool, "repro_all");
         assert_eq!(manifest.experiments.len(), 1);
         let exp = &manifest.experiments[0];
         assert_eq!(exp.name, "demo");

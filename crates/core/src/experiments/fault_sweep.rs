@@ -1,5 +1,7 @@
-//! Accuracy under unreliable oracle access: the fault-rate sweep
-//! behind `BENCH_5.json` (see HARNESS.md).
+//! Accuracy under unreliable oracle access: the fault-rate sweep, the
+//! last experiment of the registry. Its full-scale table is in
+//! EXPERIMENTS.md ("Fault sweep"); HARNESS.md specifies the fault model
+//! and recovery policies it runs under ("The fault sweep").
 //!
 //! The paper's access axis says *what kind* of oracle the adversary
 //! holds; this sweep adds the orthogonal *quality* axis. One Arbiter

@@ -464,6 +464,42 @@ mod tests {
         }
     }
 
+    /// The exact search trajectory of one incremental attack: an
+    /// XOR-locked random circuit whose DIP loop solves under
+    /// assumptions, adds clauses between solves, restarts, and crosses
+    /// the first learnt-clause reduction before `extract_key`. A change
+    /// to the solver's data layout must leave every counter where it
+    /// was. `mlam-sat`'s `search_trajectory_is_pinned` pins the
+    /// one-shot case.
+    #[test]
+    fn search_trajectory_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let oracle = random_circuit(12, 300, 6, &mut rng);
+        let locked = lock_xor(&oracle, 64, &mut rng);
+        let mut solver = DipSolver::new(&locked);
+        while let Some(dip) = solver.find_dip() {
+            let response = oracle.simulate(&dip);
+            solver.constrain(&dip, &response);
+        }
+        let key = solver.extract_key();
+        assert!(locked.equivalent_under_key(&oracle, &key));
+        assert_eq!(solver.num_dips(), 12);
+        assert_eq!(
+            solver.stats(),
+            SolverStats {
+                conflicts: 2_060,
+                decisions: 5_646,
+                propagations: 457_895,
+                restarts: 20,
+                learnt_clauses: 1_136,
+                learnts: 2_060,
+                lbd_reductions: 1,
+                assumption_solves: 14,
+                minimized_literals: 4_075,
+            }
+        );
+    }
+
     #[test]
     fn oneshot_pays_more_than_incremental() {
         let oracle = ripple_adder(3);

@@ -34,12 +34,11 @@ impl Solver {
         let current_level = self.decision_level();
 
         loop {
-            if self.db[confl].learnt {
+            if self.db.is_learnt(confl) {
                 self.db.bump(confl);
             }
             let start = usize::from(p.is_some());
-            let lits: Vec<Lit> = self.db[confl].lits[start..].to_vec();
-            for q in lits {
+            for &q in &self.db.lits(confl)[start..] {
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -70,7 +69,7 @@ impl Solver {
             debug_assert_ne!(confl, NO_REASON, "non-decision must have a reason");
             // The reason clause's first literal is q itself; skip it via
             // `start` above.
-            debug_assert_eq!(self.db[confl].lits[0], q);
+            debug_assert_eq!(self.db.lits(confl)[0], q);
             p = Some(q);
         }
         learnt[0] = p.expect("UIP found").negate();
@@ -121,7 +120,7 @@ impl Solver {
             let q = learnt[i];
             let r = self.reason[q.var().index()];
             let redundant = r != NO_REASON
-                && self.db[r].lits[1..]
+                && self.db.lits(r)[1..]
                     .iter()
                     .all(|&a| self.seen[a.var().index()] || self.level[a.var().index()] == 0);
             if redundant {

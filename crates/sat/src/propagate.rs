@@ -19,7 +19,7 @@
 //! matters on attack miters where watch lists grow with every DIP.
 
 use crate::clause::{ClauseRef, NO_REASON};
-use crate::solver::{Solver, UNASSIGNED};
+use crate::solver::Solver;
 use crate::types::Lit;
 
 /// One entry in a watch list.
@@ -32,10 +32,13 @@ pub(crate) struct Watcher {
     pub blocker: Lit,
 }
 
+// Eight watchers share a 64-byte cache line.
+const _: () = assert!(std::mem::size_of::<Watcher>() == 8);
+
 impl Solver {
     /// Stores a clause and installs its two watchers. `lbd` is the
     /// literal-block distance for learnt clauses (0 for originals).
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
+    pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let (w0, w1) = (lits[0], lits[1]);
         let cref = self.db.push(lits, learnt, lbd);
@@ -53,8 +56,9 @@ impl Solver {
         for w in &mut self.watches {
             w.clear();
         }
-        for (cref, c) in self.db.clauses.iter().enumerate() {
-            let (w0, w1) = (c.lits[0], c.lits[1]);
+        for cref in self.db.crefs() {
+            let lits = self.db.lits(cref);
+            let (w0, w1) = (lits[0], lits[1]);
             self.watches[w0.code()].push(Watcher { cref, blocker: w1 });
             self.watches[w1.code()].push(Watcher { cref, blocker: w0 });
         }
@@ -68,11 +72,11 @@ impl Solver {
             Some(false) => false,
             None => {
                 let v = l.var();
-                let value = !l.is_negated();
-                self.assign[v.index()] = u8::from(value);
+                self.vals[l.code()] = Some(true);
+                self.vals[l.negate().code()] = Some(false);
                 self.level[v.index()] = self.decision_level();
                 self.reason[v.index()] = reason;
-                self.vsids.save_phase(v, value);
+                self.vsids.save_phase(v, !l.is_negated());
                 self.trail.push(l);
                 true
             }
@@ -90,42 +94,33 @@ impl Solver {
             let mut watch_list = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut i = 0;
             while i < watch_list.len() {
+                let Watcher { cref, blocker } = watch_list[i];
                 // Blocker short-circuit: satisfied clause, watcher stays.
-                if self.lit_value(watch_list[i].blocker) == Some(true) {
+                if self.vals[blocker.code()] == Some(true) {
                     i += 1;
                     continue;
                 }
-                let cref = watch_list[i].cref;
+                let lits = self.db.lits_mut(cref);
                 // Make sure the false literal is at position 1.
-                let (w0, w1) = {
-                    let c = &mut self.db[cref];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    (c.lits[0], c.lits[1])
-                };
-                debug_assert_eq!(w1, false_lit);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let w0 = lits[0];
                 // If the other watch is true, the clause is satisfied;
                 // remember it as the blocker for next time.
-                if self.lit_value(w0) == Some(true) {
+                if self.vals[w0.code()] == Some(true) {
                     watch_list[i].blocker = w0;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut moved = false;
-                let len = self.db[cref].lits.len();
-                for k in 2..len {
-                    let lk = self.db[cref].lits[k];
-                    if self.lit_value(lk) != Some(false) {
-                        self.db[cref].lits.swap(1, k);
-                        self.watches[lk.code()].push(Watcher { cref, blocker: w0 });
-                        watch_list.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) = (2..lits.len()).find(|&k| self.vals[lits[k].code()] != Some(false))
+                {
+                    let lk = lits[k];
+                    lits.swap(1, k);
+                    self.watches[lk.code()].push(Watcher { cref, blocker: w0 });
+                    watch_list.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting on w0.
@@ -144,14 +139,16 @@ impl Solver {
     }
 
     /// Undoes assignments above `level`, re-enqueueing the freed
-    /// variables for decision.
+    /// variables for decision (which keeps every unassigned variable
+    /// in the VSIDS heap).
     pub(crate) fn cancel_until(&mut self, level: u32) {
         while self.decision_level() > level {
             let lim = self.trail_lim.pop().expect("level > 0");
             while self.trail.len() > lim {
                 let l = self.trail.pop().expect("non-empty trail");
                 let v = l.var();
-                self.assign[v.index()] = UNASSIGNED;
+                self.vals[l.code()] = None;
+                self.vals[l.negate().code()] = None;
                 self.reason[v.index()] = NO_REASON;
                 self.vsids.insert(v);
             }

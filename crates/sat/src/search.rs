@@ -4,7 +4,7 @@
 
 use crate::clause::NO_REASON;
 use crate::solver::Solver;
-use crate::types::{Lit, Model, SatResult};
+use crate::types::{Lit, Model, SatResult, Var};
 
 impl Solver {
     /// Solves the instance without assumptions.
@@ -130,7 +130,7 @@ impl Solver {
                     let target = learnt.backjump.max(assumption_levels);
                     self.cancel_until(target);
                     let asserting = learnt.lits[0];
-                    let cref = self.attach_clause(learnt.lits, true, learnt.lbd);
+                    let cref = self.attach_clause(&learnt.lits, true, learnt.lbd);
                     let ok = self.enqueue(asserting, cref);
                     debug_assert!(ok, "asserting literal must enqueue");
                 }
@@ -174,9 +174,15 @@ impl Solver {
                 }
                 match self.pick_branch() {
                     None => {
-                        // All variables assigned: SAT.
+                        // All variables assigned: SAT. A variable's value
+                        // is its positive literal's.
                         let model = Model {
-                            values: self.assign.iter().map(|&v| v == 1).collect(),
+                            values: self
+                                .vals
+                                .iter()
+                                .step_by(2)
+                                .map(|&v| v == Some(true))
+                                .collect(),
                         };
                         self.cancel_until(0);
                         return SatResult::Sat(model);
@@ -195,15 +201,42 @@ impl Solver {
     /// Pops the most active unassigned variable off the VSIDS heap and
     /// pairs it with its saved phase. `None` means every variable is
     /// assigned — the search found a model.
+    ///
+    /// Two facts make the choice independent of the heap's layout and
+    /// of which assigned entries linger in it:
+    ///
+    /// 1. every unassigned variable is in the heap: `new_var` inserts
+    ///    it, `cancel_until` re-inserts it when it is unassigned, and
+    ///    this loop pops only assigned entries and the one it decides;
+    /// 2. (activity descending, index ascending) is a strict total
+    ///    order, so the heap's maximum is unique.
+    ///
+    /// The first unassigned entry popped is therefore the maximum over
+    /// all unassigned variables. So a full trail returns `None` at
+    /// once, without draining the assigned entries left in the heap:
+    /// the decisions after the next backjump are the same either way.
     fn pick_branch(&mut self) -> Option<Lit> {
-        while let Some(v) = self.vsids.pop_max() {
-            if self.assign[v.index()] == crate::solver::UNASSIGNED {
+        debug_assert!(
+            (0..self.num_vars()).all(|v| {
+                let v = Var(v as u32);
+                self.lit_value(Lit::pos(v)).is_some() || self.vsids.contains(v)
+            }),
+            "an unassigned variable is missing from the VSIDS heap"
+        );
+        if self.trail.len() == self.num_vars() {
+            return None;
+        }
+        loop {
+            let v = self
+                .vsids
+                .pop_max()
+                .expect("an unassigned variable is queued");
+            if self.lit_value(Lit::pos(v)).is_none() {
                 return Some(Lit::new(v, !self.vsids.saved_phase(v)));
             }
             // Lazy deletion: assigned entries are discarded here and
             // re-inserted by `cancel_until` when unassigned.
         }
-        None
     }
 
     /// Number of decision levels occupied by assumptions.

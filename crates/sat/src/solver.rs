@@ -16,8 +16,6 @@ use crate::types::Model;
 use crate::types::{Lit, SolverStats, Var};
 use crate::vsids::Vsids;
 
-pub(crate) const UNASSIGNED: u8 = 2;
-
 /// The incremental CDCL solver. See the [crate docs](crate) for the
 /// algorithm list and `SOLVER.md` at the repo root for the
 /// architecture tour.
@@ -37,8 +35,10 @@ pub struct Solver {
     /// Watch lists: for literal code `c`, the watchers of clauses
     /// currently watching that literal.
     pub(crate) watches: Vec<Vec<Watcher>>,
-    /// Assignment per variable: 0 = false, 1 = true, 2 = unassigned.
-    pub(crate) assign: Vec<u8>,
+    /// Value per literal code: `vals[l.code()]` is `l`'s truth value,
+    /// `None` while its variable is unassigned. Both literals of a
+    /// variable are written together, so a literal's value is one load.
+    pub(crate) vals: Vec<Option<bool>>,
     /// Decision level per variable.
     pub(crate) level: Vec<u32>,
     /// Reason clause per variable (antecedent), [`NO_REASON`] for
@@ -59,6 +59,9 @@ pub struct Solver {
     /// per assumption as well).
     pub(crate) level_stamp: Vec<u64>,
     pub(crate) stamp: u64,
+    /// Scratch for [`add_clause`](Solver::add_clause)'s root
+    /// simplification.
+    clause_buf: Vec<Lit>,
     /// Every clause as it was passed to [`add_clause`](Solver::add_clause),
     /// before root simplification: debug and test builds check each
     /// model against them.
@@ -74,7 +77,7 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of clauses (original + learnt).
@@ -90,8 +93,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(UNASSIGNED);
+        let v = Var(self.num_vars() as u32);
+        self.vals.extend([None, None]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.seen.push(false);
@@ -145,41 +148,54 @@ impl Solver {
         if self.unsat {
             return;
         }
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort();
-        lits.dedup();
-        // Tautology or satisfied-at-root check; drop root-false literals.
-        let mut filtered = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
-            if i + 1 < lits.len() && lits[i + 1] == l.negate() {
-                return; // tautology (sorted order places v, ¬v adjacent)
-            }
-            match self.lit_value(l) {
-                Some(true) => return, // already satisfied at root
-                Some(false) => {}     // drop
-                None => filtered.push(l),
-            }
-        }
-        match filtered.len() {
-            0 => self.unsat = true,
-            1 => {
-                if !self.enqueue(filtered[0], NO_REASON) || self.propagate().is_some() {
-                    self.unsat = true;
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        if self.simplify_at_root(lits, &mut clause) {
+            match clause[..] {
+                [] => self.unsat = true,
+                [unit] => {
+                    if !self.enqueue(unit, NO_REASON) || self.propagate().is_some() {
+                        self.unsat = true;
+                    }
+                }
+                _ => {
+                    self.attach_clause(&clause, false, 0);
                 }
             }
-            _ => {
-                self.attach_clause(filtered, false, 0);
+        }
+        self.clause_buf = clause;
+    }
+
+    /// Writes `lits` into `out` sorted, without duplicates and without
+    /// root-false literals. Returns false, leaving `out` unspecified,
+    /// when the clause is a tautology or already satisfied at the root.
+    fn simplify_at_root(&self, lits: &[Lit], out: &mut Vec<Lit>) -> bool {
+        out.clear();
+        out.extend_from_slice(lits);
+        out.sort_unstable();
+        out.dedup();
+        let mut kept = 0;
+        for i in 0..out.len() {
+            let l = out[i];
+            if i + 1 < out.len() && out[i + 1] == l.negate() {
+                return false; // tautology (sorted order places v, ¬v adjacent)
+            }
+            match self.lit_value(l) {
+                Some(true) => return false, // already satisfied at root
+                Some(false) => {}           // drop
+                None => {
+                    out[kept] = l;
+                    kept += 1;
+                }
             }
         }
+        out.truncate(kept);
+        true
     }
 
     /// The current value of a literal, if its variable is assigned.
     #[inline]
     pub(crate) fn lit_value(&self, l: Lit) -> Option<bool> {
-        match self.assign[l.var().index()] {
-            UNASSIGNED => None,
-            v => Some((v == 1) != l.is_negated()),
-        }
+        self.vals[l.code()]
     }
 
     #[inline]

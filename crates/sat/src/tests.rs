@@ -2,7 +2,7 @@
 //! property-based suite lives in `tests/properties.rs`).
 
 use crate::search::luby;
-use crate::types::{Lit, SatResult, Var};
+use crate::types::{Lit, SatResult, SolverStats, Var};
 use crate::Solver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,20 +69,7 @@ fn trivial_instances() {
 
 #[test]
 fn pigeonhole_3_into_2_is_unsat() {
-    // p_{i,j}: pigeon i in hole j. Vars 1..=6.
-    let p = |i: usize, j: usize| (i * 2 + j + 1) as i32;
-    let mut clauses = Vec::new();
-    for i in 0..3 {
-        clauses.push(vec![p(i, 0), p(i, 1)]);
-    }
-    for j in 0..2 {
-        for a in 0..3 {
-            for b in (a + 1)..3 {
-                clauses.push(vec![-p(a, j), -p(b, j)]);
-            }
-        }
-    }
-    assert!(!solve_ints(6, &clauses).is_sat());
+    assert!(!pigeonhole(3, 2).solve().is_sat());
 }
 
 #[test]
@@ -232,36 +219,83 @@ fn stats_track_incremental_work() {
     assert_eq!(s.stats().since(&s.stats()).conflicts, 0);
 }
 
-#[test]
-fn learnt_reduction_keeps_verdicts() {
-    // Pigeonhole instances generate many learnt clauses; after forcing
-    // reductions the verdict must stay UNSAT and reasons stay valid.
-    let p = |i: usize, j: usize, holes: usize| (i * holes + j + 1) as i32;
-    let (pigeons, holes) = (7, 6);
-    let mut clauses = Vec::new();
+/// The pigeonhole formula PHP(`pigeons`, `holes`): every pigeon sits
+/// in some hole and no hole holds two. UNSAT whenever
+/// `pigeons > holes`, and hard for resolution, so it learns many
+/// clauses.
+fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
+    let mut s = Solver::new();
+    let vars = s.new_vars(pigeons * holes);
+    let p = |i: usize, j: usize| vars[i * holes + j];
     for i in 0..pigeons {
-        clauses.push((0..holes).map(|j| p(i, j, holes)).collect::<Vec<_>>());
+        let lits: Vec<Lit> = (0..holes).map(|j| Lit::pos(p(i, j))).collect();
+        s.add_clause(&lits);
     }
     for j in 0..holes {
         for a in 0..pigeons {
             for b in (a + 1)..pigeons {
-                clauses.push(vec![-p(a, j, holes), -p(b, j, holes)]);
+                s.add_clause(&[Lit::neg(p(a, j)), Lit::neg(p(b, j))]);
             }
         }
     }
-    let mut s = Solver::new();
-    let vars = s.new_vars(pigeons * holes);
-    for clause in &clauses {
-        let lits: Vec<Lit> = clause
-            .iter()
-            .map(|&l| Lit::new(vars[(l.unsigned_abs() - 1) as usize], l < 0))
-            .collect();
-        s.add_clause(&lits);
-    }
+    s
+}
+
+#[test]
+fn learnt_reduction_keeps_verdicts() {
+    // PHP(8,7) runs past the first reduction limit (2000 conflicts), so
+    // the arena is compacted and the reasons remapped mid-search; the
+    // verdict must stay UNSAT.
+    let mut s = pigeonhole(8, 7);
     assert!(!s.solve().is_sat());
     let stats = s.stats();
-    assert!(stats.conflicts > 0);
     assert!(stats.learnts > 0, "pigeonhole must learn clauses");
+    assert!(stats.lbd_reductions > 0, "no reduction ran: {stats:?}");
+}
+
+/// The exact search trajectory on two pigeonhole instances: PHP(8,7)
+/// runs one learnt-clause reduction, PHP(9,8) eight. A change to the
+/// solver's data layout must leave every decision, propagation,
+/// learnt clause, restart and reduction where it was, so every counter
+/// is pinned. `dip::tests::search_trajectory_is_pinned` in
+/// `mlam-locking` pins the incremental case.
+#[test]
+fn search_trajectory_is_pinned() {
+    let expected = [
+        (
+            (8, 7),
+            SolverStats {
+                conflicts: 3_831,
+                decisions: 4_777,
+                propagations: 50_930,
+                restarts: 29,
+                learnt_clauses: 2_831,
+                learnts: 3_830,
+                lbd_reductions: 1,
+                assumption_solves: 0,
+                minimized_literals: 6_261,
+            },
+        ),
+        (
+            (9, 8),
+            SolverStats {
+                conflicts: 34_801,
+                decisions: 43_424,
+                propagations: 525_110,
+                restarts: 167,
+                learnt_clauses: 9_799,
+                learnts: 34_800,
+                lbd_reductions: 8,
+                assumption_solves: 0,
+                minimized_literals: 124_129,
+            },
+        ),
+    ];
+    for ((pigeons, holes), stats) in expected {
+        let mut s = pigeonhole(pigeons, holes);
+        assert!(!s.solve().is_sat());
+        assert_eq!(s.stats(), stats, "PHP({pigeons},{holes})");
+    }
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! The heap replaces the seed solver's `O(n)` scan over all variables
 //! per decision with `O(log n)` pops; on attack-sized miters (tens of
 //! thousands of variables after a few dozen DIPs) the scan was a
-//! dominant cost. Determinism: ties on activity break toward the
-//! smaller variable index, and the heap itself is only mutated by the
+//! dominant cost. Determinism: the heap orders variables by one packed
+//! key, activity descending and then index ascending — a strict total
+//! order — and the heap itself is only mutated by the
 //! (single-threaded) search loop, so decision sequences are a pure
 //! function of the clause set and the call sequence.
 
@@ -21,7 +22,7 @@ pub(crate) struct Vsids {
     heap: Vec<u32>,
     /// Position of each variable in `heap`, or [`ABSENT`].
     position: Vec<u32>,
-    /// Bump-and-decay activity per variable.
+    /// Bump-and-decay activity per variable: finite and ≥ 0.
     activity: Vec<f64>,
     /// Activity increment (inflated on decay, rescaled on overflow).
     inc: f64,
@@ -67,14 +68,21 @@ impl Vsids {
     pub fn bump(&mut self, v: Var) {
         let i = v.index();
         self.activity[i] += self.inc;
+        if self.contains(v) {
+            self.sift_up(self.position[i] as usize);
+        }
         if self.activity[i] > 1e100 {
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
             self.inc *= 1e-100;
-        }
-        if self.position[i] != ABSENT {
-            self.sift_up(self.position[i] as usize);
+            // Scaling keeps the order of activities but can merge two of
+            // them (rounding, underflow to 0), and a merged pair then
+            // ranks by index: sift every entry again so the heap stays
+            // ordered. Where nothing merged, no entry moves.
+            for j in (0..self.heap.len() / 2).rev() {
+                self.sift_down(j);
+            }
         }
     }
 
@@ -86,12 +94,17 @@ impl Vsids {
     /// Re-enqueues `v` (no-op if already queued). Called when
     /// backtracking unassigns variables.
     pub fn insert(&mut self, v: Var) {
-        if self.position[v.index()] != ABSENT {
+        if self.contains(v) {
             return;
         }
         self.position[v.index()] = self.heap.len() as u32;
         self.heap.push(v.0);
         self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Whether `v` is queued.
+    pub fn contains(&self, v: Var) -> bool {
+        self.position[v.index()] != ABSENT
     }
 
     /// Pops the queued variable with maximal activity (smallest index
@@ -112,53 +125,68 @@ impl Vsids {
         Some(Var(top))
     }
 
-    /// Heap ordering: higher activity first, smaller index on ties.
+    /// The heap key of `v`: higher activity first, smaller index on
+    /// ties. Activities are finite and ≥ 0, so their bit patterns
+    /// order like their values.
     #[inline]
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (aa, ab) = (self.activity[a as usize], self.activity[b as usize]);
-        aa > ab || (aa == ab && a < b)
+    fn key(&self, v: u32) -> u128 {
+        u128::from(self.activity[v as usize].to_bits()) << 32 | u128::from(!v)
     }
 
+    /// Moves the entry at `i` up to its place, shifting the parents it
+    /// passes down into the hole it leaves.
     fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        let key = self.key(v);
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.before(self.heap[i], self.heap[parent]) {
-                self.swap(i, parent);
-                i = parent;
-            } else {
+            let p = self.heap[parent];
+            if key <= self.key(p) {
                 break;
             }
+            self.place(p, i);
+            i = parent;
         }
+        self.place(v, i);
     }
 
+    /// Moves the entry at `i` down to its place, shifting the larger
+    /// child up into the hole at each level.
     fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        let key = self.key(v);
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut best = i;
-            if l < self.heap.len() && self.before(self.heap[l], self.heap[best]) {
-                best = l;
-            }
-            if r < self.heap.len() && self.before(self.heap[r], self.heap[best]) {
-                best = r;
-            }
-            if best == i {
+            if l >= self.heap.len() {
                 break;
             }
-            self.swap(i, best);
-            i = best;
+            let child = if r < self.heap.len() && self.key(self.heap[r]) > self.key(self.heap[l]) {
+                r
+            } else {
+                l
+            };
+            let c = self.heap[child];
+            if self.key(c) <= key {
+                break;
+            }
+            self.place(c, i);
+            i = child;
         }
+        self.place(v, i);
     }
 
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.position[self.heap[i] as usize] = i as u32;
-        self.position[self.heap[j] as usize] = j as u32;
+    /// Stores variable `v` at heap slot `i`.
+    fn place(&mut self, v: u32, i: usize) {
+        self.heap[i] = v;
+        self.position[v as usize] = i as u32;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::prop::sample::Index;
 
     #[test]
     fn pops_by_activity_then_index() {
@@ -206,5 +234,113 @@ mod tests {
         }
         v.bump(Var(1)); // one fresh bump beats an old one after decay
         assert_eq!(v.pop_max(), Some(Var(1)));
+    }
+
+    /// Decays until the increment is about to cross the rescale
+    /// threshold, then bumps `v` over it.
+    fn rescale_via(v: &mut Vsids, var: Var) {
+        for _ in 0..4_500 {
+            v.decay();
+        }
+        v.bump(var);
+    }
+
+    #[test]
+    fn a_rescale_that_merges_activities_keeps_the_heap_ordered() {
+        let mut v = Vsids::default();
+        for _ in 0..3 {
+            v.new_var();
+        }
+        // Var 0 drives the rescales from outside the heap.
+        assert_eq!(v.pop_max(), Some(Var(0)));
+        // Var 2 outranks var 1 and sits above it in the heap.
+        v.bump(Var(2));
+        assert_eq!(v.heap, [2, 1]);
+        // Four rescales by 1e-100 underflow var 2's activity of 1 to 0,
+        // var 1's: the tie now ranks var 1 first.
+        for _ in 0..4 {
+            rescale_via(&mut v, Var(0));
+        }
+        assert_eq!(v.activity[1], 0.0);
+        assert_eq!(v.activity[2], 0.0);
+        assert_eq!(v.pop_max(), Some(Var(1)));
+        assert_eq!(v.pop_max(), Some(Var(2)));
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        NewVar,
+        Bump(Index),
+        Decay(u16),
+        Insert(Index),
+        PopMax,
+    }
+
+    /// Ops weighted 1 : 4 : 2 : 2 : 3 (new var, bump, decay, insert,
+    /// pop). A few thousand decays carry the increment past 1e100, so
+    /// long sequences cross several rescales.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..12, any::<Index>(), 1..3_000u16).prop_map(|(kind, i, times)| match kind {
+            0 => Op::NewVar,
+            1..=4 => Op::Bump(i),
+            5..=6 => Op::Decay(times),
+            7..=8 => Op::Insert(i),
+            _ => Op::PopMax,
+        })
+    }
+
+    proptest! {
+        /// Every pop is the maximum, under (activity descending, index
+        /// ascending), of a plain list of the queued variables whose
+        /// activities follow the same arithmetic — across rescales.
+        #[test]
+        fn pops_match_a_reference_list(ops in prop::collection::vec(op(), 1..300)) {
+            let mut heap = Vsids::default();
+            let mut activity: Vec<f64> = Vec::new();
+            let mut inc = 1.0f64;
+            let mut queued: Vec<bool> = Vec::new();
+            for op in ops {
+                let n = activity.len();
+                match op {
+                    Op::NewVar => {
+                        heap.new_var();
+                        activity.push(0.0);
+                        queued.push(true);
+                    }
+                    Op::Bump(i) if n > 0 => {
+                        let v = i.index(n);
+                        heap.bump(Var(v as u32));
+                        activity[v] += inc;
+                        if activity[v] > 1e100 {
+                            for a in &mut activity {
+                                *a *= 1e-100;
+                            }
+                            inc *= 1e-100;
+                        }
+                    }
+                    Op::Decay(times) => {
+                        for _ in 0..times {
+                            heap.decay();
+                            inc /= 0.95;
+                        }
+                    }
+                    Op::Insert(i) if n > 0 => {
+                        let v = i.index(n);
+                        heap.insert(Var(v as u32));
+                        queued[v] = true;
+                    }
+                    Op::PopMax => {
+                        let expected = (0..n).filter(|&v| queued[v]).max_by(|&a, &b| {
+                            activity[a].total_cmp(&activity[b]).then(b.cmp(&a))
+                        });
+                        if let Some(v) = expected {
+                            queued[v] = false;
+                        }
+                        prop_assert_eq!(heap.pop_max(), expected.map(|v| Var(v as u32)));
+                    }
+                    Op::Bump(_) | Op::Insert(_) => {}
+                }
+            }
+        }
     }
 }

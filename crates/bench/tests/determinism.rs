@@ -14,14 +14,16 @@
 //! | resume | t4, `--resume` on a copy of the reference directory cut as a kill would leave it |
 //!
 //! The reference run must parse into its schema types and agree with
-//! `baselines/quick`; [`check_cell`] then holds every other cell's run
+//! `baselines/quick`, the checked-in record of a 1-thread quick run: the
+//! same seed and parameter set, the same `(name, degraded, counters)`
+//! experiment records in the same order, and the same `curves.jsonl`
+//! byte for byte. [`check_cell`] then holds every other cell's run
 //! directory against the reference's. Wall clock is the one thing no
 //! cell compares. That `--only` reproduces its experiments of the full
 //! run is checked in `cli.rs`, against `baselines/quick`.
 
 use mlam::telemetry::{EventKind, RunManifest, CURVES_FILE};
 use mlam_bench::{ExperimentJson, EXPERIMENTS, REPRO_SEED};
-use mlam_trace::compare::{compare, CompareOptions};
 use mlam_trace::run::{load_events, load_manifest, load_metrics};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -79,6 +81,26 @@ fn repro_all(env: &[(&str, &str)], args: &[&str], dir: PathBuf) -> Run {
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Asserts `got` holds the same bytes as `want`. On a difference the
+/// message names the first line that differs instead of printing both
+/// files (`curves.jsonl` is about 65 KB at `--quick`).
+fn assert_same_bytes(got: &Path, want: &Path, context: &str) {
+    let (got_text, want_text) = (read(got), read(want));
+    if got_text == want_text {
+        return;
+    }
+    let (mut got_lines, mut want_lines) = (got_text.lines(), want_text.lines());
+    for line in 1.. {
+        let (a, b) = (got_lines.next(), want_lines.next());
+        if a != b || a.is_none() {
+            panic!(
+                "{} {context} at line {line}:\n  got: {a:?}\n want: {b:?}",
+                got.display()
+            );
+        }
+    }
 }
 
 /// The lines of `text` without the ones naming the wall-clock field.
@@ -214,16 +236,28 @@ fn check_reference(run: &Run) {
 
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/quick");
     let recorded = load_manifest(&baseline.join("manifest.json")).unwrap_or_else(|e| panic!("{e}"));
-    let report = compare(&recorded, &manifest, &CompareOptions::default());
-    assert!(
-        !report.has_counter_drift(),
-        "the reference run drifts from baselines/quick:\n{}",
-        report.render()
+    assert_eq!(
+        (manifest.seed, manifest.quick),
+        (recorded.seed, recorded.quick),
+        "the reference run's seed or parameter set differs from baselines/quick"
     );
     assert_eq!(
-        read(&run.file(CURVES_FILE)),
-        read(&baseline.join(CURVES_FILE)),
-        "curves.jsonl differs from baselines/quick"
+        experiment_names(&recorded),
+        registry,
+        "baselines/quick records other experiments than the registry"
+    );
+    for (want, record) in recorded.experiments.iter().zip(&manifest.experiments) {
+        assert_eq!(
+            (record.degraded, &record.counters),
+            (want.degraded, &want.counters),
+            "{}: the reference run drifts from baselines/quick",
+            want.name
+        );
+    }
+    assert_same_bytes(
+        &run.file(CURVES_FILE),
+        &baseline.join(CURVES_FILE),
+        "differs from baselines/quick",
     );
 }
 
@@ -250,6 +284,11 @@ fn check_cell(reference: &Run, run: &Run, cell: Cell) {
     let manifest = run.manifest();
     assert_eq!(manifest.threads, 4, "{label}");
     assert_eq!(
+        (manifest.seed, manifest.quick),
+        (expected.seed, expected.quick),
+        "seed or parameter set differs in {label}"
+    );
+    assert_eq!(
         experiment_names(&manifest),
         experiment_names(&expected),
         "experiment order differs in {label}"
@@ -271,17 +310,15 @@ fn check_cell(reference: &Run, run: &Run, cell: Cell) {
             "{file} differs in {label}"
         );
     }
-    let report = compare(&expected, &manifest, &CompareOptions::default());
-    assert!(!report.has_counter_drift(), "{label}:\n{}", report.render());
     check_events(run);
 
     if cell == Cell::CurvesOff {
         assert!(!run.file(CURVES_FILE).exists(), "{label} wrote curves");
     } else {
-        assert_eq!(
-            read(&run.file(CURVES_FILE)),
-            read(&reference.file(CURVES_FILE)),
-            "curves.jsonl differs in {label}"
+        assert_same_bytes(
+            &run.file(CURVES_FILE),
+            &reference.file(CURVES_FILE),
+            "differs from the reference run's",
         );
     }
 

@@ -19,8 +19,8 @@
 //!   retry rides it out.
 //!
 //! Every injected fault increments the matching `oracle.fault.*`
-//! counter, so run manifests record the exact fault history and
-//! `mlam-trace compare` can hold it bit-identical across runs.
+//! counter, so run manifests record the exact fault history and the
+//! workspace's determinism test can hold it bit-identical across runs.
 
 use mlam_boolean::BitVec;
 use mlam_par::splitmix64;

@@ -23,8 +23,8 @@
 //!   adapter in `mlam-learn` ([`UnreliableOracle`]).
 //!
 //! Everything is observable: injected faults count under
-//! `oracle.fault.*` and recovery work under `harness.retry.*`, so
-//! `mlam-trace compare` can verify that two same-seed runs saw
+//! `oracle.fault.*` and recovery work under `harness.retry.*`, so the
+//! workspace's determinism test can verify that two same-seed runs saw
 //! *exactly* the same faults.
 //!
 //! [`UnreliableOracle`]: https://docs.rs/mlam-learn

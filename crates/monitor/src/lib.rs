@@ -28,8 +28,8 @@
 //! # The determinism firewall
 //!
 //! The workspace's core contract is that same-seed runs are
-//! bit-identical — `metrics.jsonl` included — and CI diffs runs with
-//! `mlam-trace compare`. Monitoring must therefore never write into
+//! bit-identical — `metrics.jsonl` included — and CI's determinism test
+//! fails on any difference. Monitoring must therefore never write into
 //! the telemetry registry: every monitor-internal statistic (scrape
 //! counts, sampler ticks, progress, allocator bytes, in-flight spans)
 //! lives in plain atomics owned by this crate and is exposed *only*

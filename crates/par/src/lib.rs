@@ -4,9 +4,10 @@
 //! coefficient estimation, evaluation sweeps, and the `repro_all`
 //! experiment fan-out — funnels through this crate. The design goal is
 //! a **hard determinism contract**: for a fixed seed, results are
-//! bit-identical at *any* thread count, so `MLAM_THREADS=4` must pass
-//! `mlam-trace compare` against an `MLAM_THREADS=1` run of the same
-//! seed. Three rules make that hold:
+//! bit-identical at *any* thread count, so an `MLAM_THREADS=4` run must
+//! match an `MLAM_THREADS=1` run of the same seed in every counter and
+//! table (`crates/bench/tests/determinism.rs` checks it). Three rules
+//! make that hold:
 //!
 //! 1. **Pure element maps** ([`par_map`], [`par_for_each_mut`]): each
 //!    element's result depends only on that element, so scheduling

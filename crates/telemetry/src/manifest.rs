@@ -42,7 +42,7 @@ pub struct RunManifest {
     pub quick: bool,
     /// Worker threads used for the run (`MLAM_THREADS`). Recorded for
     /// performance context only: results are thread-count invariant,
-    /// and `mlam-trace compare` accepts runs with different `threads`.
+    /// so runs with different `threads` must agree on everything else.
     pub threads: usize,
     /// Wall-clock start of the run, Unix milliseconds.
     pub started_unix_ms: u64,

@@ -288,11 +288,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean observation, or `None` for an empty histogram.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
     /// The `q`-quantile (`q` in `[0, 1]`, clamped) estimated from the
     /// log₂ buckets, or `None` for an empty histogram.
     ///
@@ -590,7 +585,6 @@ mod tests {
         assert_eq!(buckets[&3], 1); // 7 in [4, 8)
         assert_eq!(buckets[&4], 1); // 8 in [8, 16)
         assert_eq!(buckets[&64], 1); // u64::MAX
-        assert_eq!(snap.mean(), Some(snap.sum as f64 / 5.0));
     }
 
     #[test]
@@ -731,10 +725,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_has_no_mean() {
+    fn empty_histogram_snapshots_as_default() {
         let h = histogram_handle("test.metrics.empty");
-        assert_eq!(h.snapshot().mean(), None);
-        assert!(h.snapshot().buckets.is_empty());
+        assert_eq!(h.snapshot(), HistogramSnapshot::default());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! threads would lose them — experiment counters would leak out of
 //! their scope and worker spans would become roots, *only* at thread
 //! counts above one. That asymmetry would break the determinism
-//! contract (`mlam-trace compare` treats counter drift as a hard
-//! failure), so propagation is not optional polish: it is what makes
-//! observability output thread-count invariant.
+//! contract (`crates/bench/tests/determinism.rs` fails on any counter
+//! that differs between thread counts), so propagation is not optional
+//! polish: it is what makes observability output thread-count
+//! invariant.
 //!
 //! The bridge uses `mlam-par`'s context hook, keeping the dependency
 //! direction telemetry → par: the runtime knows nothing about

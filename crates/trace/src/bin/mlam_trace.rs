@@ -3,29 +3,21 @@
 //! ```text
 //! mlam-trace export  <run-dir|events.jsonl> [-o trace.json]
 //! mlam-trace profile <run-dir>
-//! mlam-trace compare <baseline-dir> <current-dir>
-//!                    [--threshold 0.2] [--min-wall-ms 100] [--warn-only]
-//!                    [--json]
 //! mlam-trace bench-history [<dir>]
 //! mlam-trace curves  <run-dir> [--csv] [-o file.csv]
-//! mlam-trace curves  <baseline-dir> <current-dir>
-//!                    [--query-threshold 0.1] [--warn-only]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` wall-clock regression beyond the
-//! threshold (suppressed by `--warn-only`), `2` correctness-counter
-//! drift or structural mismatch (never suppressed), `64` usage or I/O
-//! error.
+//! Exit codes: `0` done, `64` usage or I/O error. No subcommand
+//! compares runs: `cargo test -p mlam-bench --test determinism` holds a
+//! quick run against `baselines/quick`, and `repro_ab` times two builds.
 
-use mlam_trace::{bench_history, chrome, compare, curves, profile, RunData};
+use mlam_trace::{bench_history, chrome, curves, profile, RunData};
 use std::path::{Path, PathBuf};
 
 const EXIT_OK: i32 = 0;
-const EXIT_WALL_REGRESSION: i32 = 1;
-const EXIT_COUNTER_DRIFT: i32 = 2;
 const EXIT_USAGE: i32 = 64;
 
-const USAGE: &str = "mlam-trace: turn telemetry run output into profiles and diffs
+const USAGE: &str = "mlam-trace: turn telemetry run output into traces, profiles and tables
 
 USAGE:
     mlam-trace export  <run-dir|events.jsonl> [-o <trace.json>]
@@ -35,17 +27,6 @@ USAGE:
     mlam-trace profile <run-dir>
         Print the inclusive/self-time span tree with call counts and
         p50/p95 latencies, siblings sorted by self time.
-
-    mlam-trace compare <baseline-dir> <current-dir>
-               [--threshold <ratio>] [--min-wall-ms <ms>] [--warn-only]
-               [--json]
-        Diff two runs. Correctness counters must be bit-identical
-        (exit 2 on drift, never suppressed); wall-clock regressions
-        beyond the threshold (default 0.2 = +20%, noise floor
-        --min-wall-ms, default 100) exit 1 unless --warn-only.
-        --json replaces the table with a machine-readable payload
-        (verdict, per-counter deltas, wall rows) whose exit_code field
-        mirrors the process exit code.
 
     mlam-trace bench-history [<dir>]
         List every BENCH_<n>.json under <dir> (default: .) in index
@@ -58,13 +39,7 @@ USAGE:
         series,label,iteration,queries,raw_reads,train_acc,holdout_acc
         rows instead, for accuracy-vs-queries plots (default: stdout).
 
-    mlam-trace curves <baseline-dir> <current-dir>
-               [--query-threshold <ratio>] [--warn-only]
-        Diff two runs' learning curves. Series sets, checkpoint
-        schedules and final accuracies must match (exit 2 on drift,
-        never suppressed); reaching the same final accuracy with more
-        than the threshold's extra queries (default 0.1 = +10%) exits
-        1 unless --warn-only.
+Exit codes: 0 done, 64 usage or I/O error.
 ";
 
 fn main() {
@@ -76,7 +51,6 @@ fn real_main() -> i32 {
     match args.first().map(String::as_str) {
         Some("export") => cmd_export(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
         Some("bench-history") => cmd_bench_history(&args[1..]),
         Some("curves") => cmd_curves(&args[1..]),
         Some("--help" | "-h" | "help") => {
@@ -101,51 +75,31 @@ enum Flags {
     None,
     /// `-o <path>`: the subcommand writes a file.
     Output,
-    /// `compare`'s threshold and output-format flags.
-    Compare,
+    /// `-o <path>` and `--csv`: `curves`' output file and format.
+    Curves,
 }
 
 /// A subcommand's positionals and flags.
 struct Parsed {
     positionals: Vec<String>,
     output: Option<PathBuf>,
-    threshold: f64,
-    min_wall_ms: u64,
-    warn_only: bool,
-    json: bool,
+    csv: bool,
 }
 
 fn parse(args: &[String], flags: Flags) -> Result<Parsed, String> {
-    let allow_compare_flags = flags == Flags::Compare;
     let mut parsed = Parsed {
         positionals: Vec::new(),
         output: None,
-        threshold: 0.20,
-        min_wall_ms: 100,
-        warn_only: false,
-        json: false,
+        csv: false,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-o" | "--output" if flags == Flags::Output => {
+            "-o" | "--output" if flags != Flags::None => {
                 let value = iter.next().ok_or("missing value for -o/--output")?;
                 parsed.output = Some(PathBuf::from(value));
             }
-            "--threshold" if allow_compare_flags => {
-                let value = iter.next().ok_or("missing value for --threshold")?;
-                parsed.threshold = value
-                    .parse()
-                    .map_err(|e| format!("bad --threshold '{value}': {e}"))?;
-            }
-            "--min-wall-ms" if allow_compare_flags => {
-                let value = iter.next().ok_or("missing value for --min-wall-ms")?;
-                parsed.min_wall_ms = value
-                    .parse()
-                    .map_err(|e| format!("bad --min-wall-ms '{value}': {e}"))?;
-            }
-            "--warn-only" if allow_compare_flags => parsed.warn_only = true,
-            "--json" if allow_compare_flags => parsed.json = true,
+            "--csv" if flags == Flags::Curves => parsed.csv = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag '{other}'"));
             }
@@ -210,67 +164,6 @@ fn cmd_profile(args: &[String]) -> i32 {
     EXIT_OK
 }
 
-fn cmd_compare(args: &[String]) -> i32 {
-    let parsed = match parse(args, Flags::Compare) {
-        Ok(p) => p,
-        Err(e) => return usage_error(e),
-    };
-    let [baseline_dir, current_dir] = parsed.positionals.as_slice() else {
-        return usage_error("compare takes exactly two run directories");
-    };
-    let baseline = match RunData::load(baseline_dir) {
-        Ok(run) => run,
-        Err(e) => return usage_error(e),
-    };
-    let current = match RunData::load(current_dir) {
-        Ok(run) => run,
-        Err(e) => return usage_error(e),
-    };
-    let (Some(base_manifest), Some(cur_manifest)) = (&baseline.manifest, &current.manifest) else {
-        return usage_error("compare needs a manifest.json in both run directories");
-    };
-    let options = compare::CompareOptions {
-        threshold: parsed.threshold,
-        min_wall_s: parsed.min_wall_ms as f64 / 1000.0,
-    };
-    let mut report = compare::compare(base_manifest, cur_manifest, &options);
-    report.span_notes = compare::span_movers(&baseline.histograms, &current.histograms, &options);
-    // The machine verdict is authoritative for the exit code in both
-    // output modes; the stderr notes stay on for scripts that only
-    // capture stdout.
-    let machine = report.machine(parsed.warn_only);
-    debug_assert!(matches!(
-        machine.exit_code,
-        EXIT_OK | EXIT_WALL_REGRESSION | EXIT_COUNTER_DRIFT
-    ));
-    if parsed.json {
-        match serde_json::to_string_pretty(&machine) {
-            Ok(json) => println!("{json}"),
-            Err(e) => return usage_error(e),
-        }
-    } else {
-        print!("{}", report.render());
-    }
-    match machine.verdict.as_str() {
-        "counter-drift" => {
-            eprintln!(
-                "mlam-trace: counter drift — the runs differ behaviorally, not just in speed"
-            );
-        }
-        "wall-regression" if parsed.warn_only => {
-            eprintln!("mlam-trace: wall-clock regression (suppressed by --warn-only)");
-        }
-        "wall-regression" => {
-            eprintln!(
-                "mlam-trace: wall-clock regression beyond +{:.0}%",
-                options.threshold * 100.0
-            );
-        }
-        _ => {}
-    }
-    machine.exit_code
-}
-
 fn cmd_bench_history(args: &[String]) -> i32 {
     let parsed = match parse(args, Flags::None) {
         Ok(p) => p,
@@ -293,97 +186,30 @@ fn cmd_bench_history(args: &[String]) -> i32 {
 }
 
 fn cmd_curves(args: &[String]) -> i32 {
-    // Own flag loop: `curves` mixes export flags (--csv/-o) with
-    // compare flags (--query-threshold/--warn-only), unlike the
-    // shared parser's split.
-    let mut positionals: Vec<String> = Vec::new();
-    let mut csv = false;
-    let mut output: Option<PathBuf> = None;
-    let mut warn_only = false;
-    let mut options = curves::CurveCompareOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--csv" => csv = true,
-            "-o" | "--output" => {
-                let Some(value) = iter.next() else {
-                    return usage_error("missing value for -o/--output");
-                };
-                output = Some(PathBuf::from(value));
+    let parsed = match parse(args, Flags::Curves) {
+        Ok(p) => p,
+        Err(e) => return usage_error(e),
+    };
+    let [input] = parsed.positionals.as_slice() else {
+        return usage_error("curves takes exactly one run directory (or curves.jsonl)");
+    };
+    let series = match curves::load(Path::new(input)) {
+        Ok(series) => series,
+        Err(e) => return usage_error(e),
+    };
+    let rendered = if parsed.csv {
+        curves::to_csv(&series)
+    } else {
+        curves::summarize(&series)
+    };
+    match parsed.output {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, rendered) {
+                return usage_error(format!("cannot write {}: {e}", path.display()));
             }
-            "--warn-only" => warn_only = true,
-            "--query-threshold" => {
-                let Some(value) = iter.next() else {
-                    return usage_error("missing value for --query-threshold");
-                };
-                options.query_threshold = match value.parse() {
-                    Ok(v) => v,
-                    Err(e) => return usage_error(format!("bad --query-threshold '{value}': {e}")),
-                };
-            }
-            other if other.starts_with('-') => {
-                return usage_error(format!("unknown flag '{other}'"));
-            }
-            _ => positionals.push(arg.clone()),
+            println!("wrote {} ({} series)", path.display(), series.len());
         }
+        None => print!("{rendered}"),
     }
-    match positionals.as_slice() {
-        [input] => {
-            let series = match curves::load(Path::new(input)) {
-                Ok(series) => series,
-                Err(e) => return usage_error(e),
-            };
-            let rendered = if csv {
-                curves::to_csv(&series)
-            } else {
-                curves::summarize(&series)
-            };
-            match output {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(&path, rendered) {
-                        return usage_error(format!("cannot write {}: {e}", path.display()));
-                    }
-                    println!("wrote {} ({} series)", path.display(), series.len());
-                }
-                None => print!("{rendered}"),
-            }
-            EXIT_OK
-        }
-        [baseline_dir, current_dir] => {
-            let baseline = match curves::load(Path::new(baseline_dir)) {
-                Ok(series) => series,
-                Err(e) => return usage_error(e),
-            };
-            let current = match curves::load(Path::new(current_dir)) {
-                Ok(series) => series,
-                Err(e) => return usage_error(e),
-            };
-            let report = curves::compare(&baseline, &current, &options);
-            print!("{}", report.render());
-            match report.verdict() {
-                "curve-drift" => {
-                    eprintln!("mlam-trace: learning-curve drift — the runs differ behaviorally");
-                }
-                "query-regression" if warn_only => {
-                    eprintln!(
-                        "mlam-trace: query-efficiency regression (suppressed by --warn-only)"
-                    );
-                }
-                "query-regression" => {
-                    eprintln!(
-                        "mlam-trace: query-efficiency regression beyond +{:.0}%",
-                        options.query_threshold * 100.0
-                    );
-                }
-                _ => {}
-            }
-            let exit = report.exit_code(warn_only);
-            debug_assert!(matches!(
-                exit,
-                EXIT_OK | EXIT_WALL_REGRESSION | EXIT_COUNTER_DRIFT
-            ));
-            exit
-        }
-        _ => usage_error("curves takes one run directory (summary/CSV) or two (compare)"),
-    }
+    EXIT_OK
 }

@@ -1,17 +1,5 @@
-//! Learning-curve analysis: summaries, CSV export and cross-run
-//! curve diffing for `curves.jsonl` artifacts.
-//!
-//! The artifact is deterministic (same seed ⇒ byte-identical), so the
-//! compare here distinguishes two failure classes the way
-//! [`crate::compare`] does for counters and wall-clock:
-//!
-//! - **structural / accuracy drift** — different series sets, point
-//!   schedules or final accuracies mean the runs differ behaviorally;
-//!   exit 2, never suppressed.
-//! - **query-efficiency regression** — the same final accuracy now
-//!   costs more than `query_threshold` extra queries; exit 1 unless
-//!   `--warn-only`, mirroring the wall-clock policy (spending more of
-//!   the adversary's budget is a perf problem, not a wrong answer).
+//! Learning-curve analysis: summaries and CSV export for
+//! `curves.jsonl` artifacts.
 
 use mlam_telemetry::curves::{read_curves_jsonl, CurvePoint, CURVES_FILE};
 use std::collections::BTreeMap;
@@ -75,188 +63,6 @@ pub fn to_csv(series: &CurveSeries) -> String {
     out
 }
 
-/// Options for [`compare`].
-pub struct CurveCompareOptions {
-    /// Relative extra final queries tolerated before the efficiency
-    /// verdict fires (0.10 = +10%).
-    pub query_threshold: f64,
-    /// Absolute final-accuracy difference tolerated before the drift
-    /// verdict fires. Same-seed runs are bit-identical, so the default
-    /// is an exact match.
-    pub acc_epsilon: f64,
-}
-
-impl Default for CurveCompareOptions {
-    fn default() -> Self {
-        CurveCompareOptions {
-            query_threshold: 0.10,
-            acc_epsilon: 0.0,
-        }
-    }
-}
-
-/// One per-series row of a curve diff.
-pub struct CurveDiffRow {
-    /// Series name.
-    pub name: String,
-    /// Final queries in the baseline / current run.
-    pub base_queries: u64,
-    /// Final queries in the current run.
-    pub cur_queries: u64,
-    /// Final training accuracy in the baseline run.
-    pub base_acc: f64,
-    /// Final training accuracy in the current run.
-    pub cur_acc: f64,
-}
-
-/// The outcome of a curve diff: structural problems, accuracy drift,
-/// query regressions, and the per-series rows behind them.
-#[derive(Default)]
-pub struct CurveCompareReport {
-    /// Series present in only one run, or with mismatched schedules.
-    pub structural: Vec<String>,
-    /// Series whose final accuracy moved beyond the epsilon.
-    pub accuracy_drift: Vec<String>,
-    /// Series whose final accuracy held but now costs more queries.
-    pub query_regressions: Vec<String>,
-    /// Per-series endpoint comparison for every common series.
-    pub rows: Vec<CurveDiffRow>,
-}
-
-impl CurveCompareReport {
-    /// The verdict string the exit code derives from.
-    pub fn verdict(&self) -> &'static str {
-        if !self.structural.is_empty() || !self.accuracy_drift.is_empty() {
-            "curve-drift"
-        } else if !self.query_regressions.is_empty() {
-            "query-regression"
-        } else {
-            "ok"
-        }
-    }
-
-    /// Maps the verdict onto the `mlam-trace` exit-code contract:
-    /// drift 2 (never suppressed), query regression 1 (0 under
-    /// `warn_only`), clean 0.
-    pub fn exit_code(&self, warn_only: bool) -> i32 {
-        match self.verdict() {
-            "curve-drift" => 2,
-            "query-regression" if !warn_only => 1,
-            _ => 0,
-        }
-    }
-
-    /// Renders the human-readable diff.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<24} {:>12} {:>12} {:>9} {:>10} {:>10}",
-            "series", "base_q", "cur_q", "Δq%", "base_acc", "cur_acc"
-        );
-        for row in &self.rows {
-            let delta = if row.base_queries == 0 {
-                0.0
-            } else {
-                (row.cur_queries as f64 - row.base_queries as f64) / row.base_queries as f64 * 100.0
-            };
-            let _ = writeln!(
-                out,
-                "{:<24} {:>12} {:>12} {:>+8.1}% {:>10.4} {:>10.4}",
-                row.name, row.base_queries, row.cur_queries, delta, row.base_acc, row.cur_acc
-            );
-        }
-        for note in &self.structural {
-            let _ = writeln!(out, "structural: {note}");
-        }
-        for note in &self.accuracy_drift {
-            let _ = writeln!(out, "accuracy drift: {note}");
-        }
-        for note in &self.query_regressions {
-            let _ = writeln!(out, "query regression: {note}");
-        }
-        let _ = writeln!(out, "verdict: {}", self.verdict());
-        out
-    }
-}
-
-/// Diffs two curve artifacts series-by-series (see the module docs for
-/// the verdict semantics).
-pub fn compare(
-    baseline: &CurveSeries,
-    current: &CurveSeries,
-    options: &CurveCompareOptions,
-) -> CurveCompareReport {
-    let mut report = CurveCompareReport::default();
-    for name in baseline.keys() {
-        if !current.contains_key(name) {
-            report
-                .structural
-                .push(format!("series '{name}' missing from current run"));
-        }
-    }
-    for name in current.keys() {
-        if !baseline.contains_key(name) {
-            report
-                .structural
-                .push(format!("series '{name}' missing from baseline run"));
-        }
-    }
-    for (name, base_points) in baseline {
-        let Some(cur_points) = current.get(name) else {
-            continue;
-        };
-        let (Some(base_last), Some(cur_last)) = (base_points.last(), cur_points.last()) else {
-            report
-                .structural
-                .push(format!("series '{name}' has no checkpoints"));
-            continue;
-        };
-        // The checkpoint schedule (labels + iterations) is part of the
-        // deterministic contract: a changed schedule means the loops
-        // themselves changed.
-        let base_sched: Vec<(&str, u64)> = base_points
-            .iter()
-            .map(|p| (p.label.as_str(), p.iteration))
-            .collect();
-        let cur_sched: Vec<(&str, u64)> = cur_points
-            .iter()
-            .map(|p| (p.label.as_str(), p.iteration))
-            .collect();
-        if base_sched != cur_sched {
-            report.structural.push(format!(
-                "series '{name}': checkpoint schedule changed ({} vs {} points)",
-                base_points.len(),
-                cur_points.len()
-            ));
-        }
-        report.rows.push(CurveDiffRow {
-            name: name.clone(),
-            base_queries: base_last.queries,
-            cur_queries: cur_last.queries,
-            base_acc: base_last.train_acc,
-            cur_acc: cur_last.train_acc,
-        });
-        if (base_last.train_acc - cur_last.train_acc).abs() > options.acc_epsilon {
-            report.accuracy_drift.push(format!(
-                "series '{name}': final accuracy {} -> {}",
-                base_last.train_acc, cur_last.train_acc
-            ));
-        } else if (cur_last.queries as f64)
-            > base_last.queries as f64 * (1.0 + options.query_threshold)
-        {
-            report.query_regressions.push(format!(
-                "series '{name}': same accuracy now costs {} queries (baseline {}, +{:.1}% > +{:.0}% threshold)",
-                cur_last.queries,
-                base_last.queries,
-                (cur_last.queries as f64 / base_last.queries as f64 - 1.0) * 100.0,
-                options.query_threshold * 100.0
-            ));
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,51 +81,6 @@ mod tests {
 
     fn series_of(points: Vec<CurvePoint>) -> CurveSeries {
         [("table1".to_string(), points)].into_iter().collect()
-    }
-
-    #[test]
-    fn identical_curves_are_clean() {
-        let base = series_of(vec![point("p", 1, 10, 0.5), point("p", 2, 20, 0.9)]);
-        let report = compare(&base, &base, &CurveCompareOptions::default());
-        assert_eq!(report.verdict(), "ok");
-        assert_eq!(report.exit_code(false), 0);
-        assert_eq!(report.rows.len(), 1);
-    }
-
-    #[test]
-    fn missing_series_and_changed_schedules_are_structural() {
-        let base = series_of(vec![point("p", 1, 10, 0.9)]);
-        let report = compare(&base, &CurveSeries::new(), &CurveCompareOptions::default());
-        assert_eq!(report.verdict(), "curve-drift");
-        assert_eq!(report.exit_code(true), 2, "drift is never suppressed");
-
-        let resched = series_of(vec![point("p", 1, 10, 0.9), point("p", 2, 20, 0.9)]);
-        let report = compare(&base, &resched, &CurveCompareOptions::default());
-        assert_eq!(report.verdict(), "curve-drift");
-    }
-
-    #[test]
-    fn accuracy_drift_beats_query_regression() {
-        let base = series_of(vec![point("p", 1, 10, 0.9)]);
-        let drifted = series_of(vec![point("p", 1, 100, 0.8)]);
-        let report = compare(&base, &drifted, &CurveCompareOptions::default());
-        assert_eq!(report.verdict(), "curve-drift");
-        assert_eq!(report.exit_code(true), 2);
-    }
-
-    #[test]
-    fn query_regression_fires_past_threshold_and_warns_only_on_request() {
-        let base = series_of(vec![point("p", 1, 100, 0.9)]);
-        let ok = series_of(vec![point("p", 1, 105, 0.9)]);
-        assert_eq!(
-            compare(&base, &ok, &CurveCompareOptions::default()).verdict(),
-            "ok"
-        );
-        let slow = series_of(vec![point("p", 1, 150, 0.9)]);
-        let report = compare(&base, &slow, &CurveCompareOptions::default());
-        assert_eq!(report.verdict(), "query-regression");
-        assert_eq!(report.exit_code(false), 1);
-        assert_eq!(report.exit_code(true), 0);
     }
 
     #[test]

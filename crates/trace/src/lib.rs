@@ -12,21 +12,20 @@
 //!   Perfetto / `chrome://tracing`;
 //! - [`profile`] — an inclusive/self-time span tree with call counts
 //!   and p50/p95 latencies, sorted by self time;
-//! - [`compare`] — a cross-run diff that flags wall-clock regressions
-//!   beyond a threshold and *enforces* bit-identical correctness
-//!   counters (oracle queries, SAT conflicts) for same-seed runs;
 //! - [`bench_history`] — the one `BENCH_<n>.json` schema (rows of
 //!   `{workload, seed, metrics}`) and an index-ordered listing of every
 //!   checked-in file;
-//! - [`curves`] — learning-curve (`curves.jsonl`) summaries, CSV
-//!   export for accuracy-vs-queries plots, and a cross-run curve diff
-//!   with a query-efficiency verdict.
+//! - [`curves`] — learning-curve (`curves.jsonl`) summaries and CSV
+//!   export for accuracy-vs-queries plots.
+//!
+//! Nothing here judges a run against another. Same-seed runs must agree
+//! exactly, and `crates/bench/tests/determinism.rs` holds them to it
+//! against `baselines/quick`; `repro_ab` times two builds.
 
 #![warn(missing_docs)]
 
 pub mod bench_history;
 pub mod chrome;
-pub mod compare;
 pub mod curves;
 pub mod profile;
 pub mod run;

@@ -7,26 +7,21 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Everything a run directory contains, parsed. `manifest` and the
-/// metric maps are empty/`None` when the corresponding file is absent,
-/// so tools can work from a bare `events.jsonl` too.
+/// The span stream of a run directory, and its histograms when the
+/// run wrote a `metrics.jsonl`.
 pub struct RunData {
     /// The run directory the data came from.
     pub dir: PathBuf,
     /// Parsed `events.jsonl` span stream.
     pub events: Vec<Event>,
-    /// Parsed `manifest.json`, when present.
-    pub manifest: Option<RunManifest>,
-    /// Counter lines from `metrics.jsonl`.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram lines from `metrics.jsonl`.
+    /// Histogram lines from `metrics.jsonl` (empty when it is absent).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl RunData {
     /// Loads a run directory (or, for convenience, a bare
-    /// `events.jsonl` file, in which case siblings are looked up next
-    /// to it).
+    /// `events.jsonl` file, in which case `metrics.jsonl` is looked up
+    /// next to it). A missing `events.jsonl` is an error naming it.
     pub fn load(path: impl Into<PathBuf>) -> io::Result<RunData> {
         let path = path.into();
         let (dir, events_path) = if path.is_file() {
@@ -35,28 +30,16 @@ impl RunData {
         } else {
             (path.clone(), path.join("events.jsonl"))
         };
-        let events = if events_path.is_file() {
-            load_events(&events_path)?
-        } else {
-            Vec::new()
-        };
-        let manifest_path = dir.join("manifest.json");
-        let manifest = if manifest_path.is_file() {
-            Some(load_manifest(&manifest_path)?)
-        } else {
-            None
-        };
+        let events = load_events(&events_path)?;
         let metrics_path = dir.join("metrics.jsonl");
-        let (counters, histograms) = if metrics_path.is_file() {
-            load_metrics(&metrics_path)?
+        let histograms = if metrics_path.is_file() {
+            load_metrics(&metrics_path)?.1
         } else {
-            (BTreeMap::new(), BTreeMap::new())
+            BTreeMap::new()
         };
         Ok(RunData {
             dir,
             events,
-            manifest,
-            counters,
             histograms,
         })
     }
@@ -158,12 +141,19 @@ mod tests {
     }
 
     #[test]
-    fn missing_files_load_as_empty() {
+    fn missing_events_file_is_an_error_naming_it() {
         let dir = scratch("empty");
+        let err = RunData::load(&dir).err().expect("no events.jsonl");
+        let msg = err.to_string();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{msg}");
+        assert!(
+            msg.contains(&dir.join("events.jsonl").display().to_string()),
+            "{msg}"
+        );
+        // metrics.jsonl stays optional.
+        std::fs::write(dir.join("events.jsonl"), "").unwrap();
         let run = RunData::load(&dir).unwrap();
         assert!(run.events.is_empty());
-        assert!(run.manifest.is_none());
-        assert!(run.counters.is_empty());
         assert!(run.histograms.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

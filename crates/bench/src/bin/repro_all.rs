@@ -40,20 +40,15 @@
 //!
 //! With `--monitor <addr>` (e.g. `127.0.0.1:9100`), serves live
 //! observability for the duration of the run: `/metrics` (Prometheus
-//! text exposition), `/progress` (JSON completed/total + ETA) and
-//! `/healthz`. `--progress` prints progress/ETA lines to stderr as
-//! experiments finish. Neither perturbs results: stdout and every
+//! text exposition), `/progress` (JSON completed/total + ETA),
+//! `/curves` (the `curves.jsonl` lines recorded so far) and `/healthz`.
+//! `--progress` prints one progress/ETA line to stderr per finished
+//! experiment. Neither perturbs results: stdout and every
 //! deterministic output (counters, tables, manifests — everything but
 //! wall-clock timing fields) are byte-identical with monitoring on or
 //! off. See OBSERVABILITY.md.
 
 use mlam_bench::{parse_cli, run_all, Session, CLI_FLAGS};
-
-// Heap gauges on /metrics need the tracking allocator installed at
-// link time; accounting stays off (one relaxed load per allocation)
-// unless MLAM_TRACK_ALLOC=1 opts in.
-#[global_allocator]
-static ALLOC: mlam_monitor::alloc::TrackingAlloc = mlam_monitor::alloc::TrackingAlloc;
 
 fn main() {
     let options = parse_cli(std::env::args());

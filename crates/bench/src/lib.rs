@@ -35,16 +35,16 @@ use mlam::experiments::{
     run_table1, run_table2, run_table3, Table1Params, Table2Params, Table3Params,
 };
 use mlam::report::Table;
-use mlam::telemetry::curves::{self, CurveRecorder, CurveSink, CURVES_FILE};
+use mlam::telemetry::curves::{self, CurveRecorder, CURVES_FILE};
 use mlam::telemetry::{self, ExperimentRecord, RunManifest};
-use mlam_monitor::{LiveCurves, Monitor, MonitorHandle, Progress, ProgressReporter};
+use mlam_monitor::{Monitor, MonitorHandle, Progress};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use mlam::experiments::checkpoint::{CheckpointStore, ExperimentJson, TableJson};
 
@@ -84,10 +84,10 @@ pub struct CliOptions {
     /// directory, skipping every experiment whose checkpoint is
     /// complete and re-running corrupt, degraded or missing ones.
     pub resume: Option<PathBuf>,
-    /// Serve live observability (`/metrics`, `/progress`, `/healthz`)
-    /// on this address (e.g. `127.0.0.1:9100`) for the duration of the
-    /// run. Monitoring never perturbs results: stdout and the `--json`
-    /// files are byte-identical with it on or off (see
+    /// Serve live observability (`/metrics`, `/progress`, `/curves`,
+    /// `/healthz`) on this address (e.g. `127.0.0.1:9100`) for the
+    /// duration of the run. Monitoring never perturbs results: stdout
+    /// and the `--json` files are byte-identical with it on or off (see
     /// `OBSERVABILITY.md`).
     pub monitor: Option<String>,
     /// Print progress/ETA lines to **stderr** as experiments complete.
@@ -185,15 +185,15 @@ pub struct Session {
     // Observability (all None/off unless --monitor/--progress asked):
     // lives entirely outside the telemetry registry, so none of it can
     // change metrics.jsonl — see mlam-monitor's determinism firewall.
+    // Under --progress, `progress` prints a line per completion.
     progress: Option<Arc<Progress>>,
     monitor: Option<MonitorHandle>,
-    reporter: Option<ProgressReporter>,
     // Learning-curve recording (on whenever a run directory or the
-    // monitor is active, off via MLAM_CURVES=0): checkpoints fan out
-    // to these sinks from the experiment's own thread, the recorder
-    // becomes curves.jsonl at finish(). Like the monitor state, none
-    // of this touches the telemetry registry.
-    curve_sinks: Option<Arc<Vec<Arc<dyn CurveSink>>>>,
+    // monitor is active, off via MLAM_CURVES=0): checkpoints land in
+    // this one store from the experiment's own thread; the monitor
+    // serves it at /curves, and under --json it becomes curves.jsonl
+    // at finish(). Like the monitor state, none of this touches the
+    // telemetry registry.
     curve_recorder: Option<Arc<CurveRecorder>>,
     /// Series recorded fresh this session (vs. restored on resume).
     curve_fresh: BTreeSet<String>,
@@ -253,38 +253,15 @@ impl Session {
             })
             .transpose()?;
         let store = run_dir.as_ref().map(|dir| CheckpointStore::new(dir.path()));
-        let progress =
-            (options.monitor.is_some() || options.progress).then(|| Arc::new(Progress::new(0)));
-        if matches!(std::env::var("MLAM_TRACK_ALLOC"), Ok(v) if !v.is_empty() && v != "0") {
-            // Heap accounting is opt-in even under --monitor: the
-            // per-allocation atomics cost ~1% of the quick suite, and
-            // the overhead_pct < 2.0 bar in BENCH_6.json covers what
-            // every monitored run pays by default. Without the env the
-            // mem gauges on /metrics read zero. Gauges also need the
-            // binary to install mlam_monitor::alloc::TrackingAlloc as
-            // its global allocator (repro_all does).
-            mlam_monitor::alloc::enable();
-        }
+        let progress = (options.monitor.is_some() || options.progress)
+            .then(|| Arc::new(Progress::new(0, options.progress)));
         // Learning curves ride along whenever there is somewhere for
         // them to go: a run directory (curves.jsonl) or a monitor
         // (/curves). MLAM_CURVES=0 switches recording off for overhead
         // A/B measurements (`repro_ab '--quick MLAM_CURVES=0' '--quick'`).
         let curves_enabled = (run_dir.is_some() || options.monitor.is_some())
             && !matches!(std::env::var("MLAM_CURVES"), Ok(v) if v == "0");
-        let curve_recorder =
-            (curves_enabled && run_dir.is_some()).then(|| Arc::new(CurveRecorder::new()));
-        let live_curves =
-            (curves_enabled && options.monitor.is_some()).then(|| Arc::new(LiveCurves::new()));
-        let curve_sinks = {
-            let mut sinks: Vec<Arc<dyn CurveSink>> = Vec::new();
-            if let Some(recorder) = &curve_recorder {
-                sinks.push(Arc::clone(recorder) as Arc<dyn CurveSink>);
-            }
-            if let Some(live) = &live_curves {
-                sinks.push(Arc::clone(live) as Arc<dyn CurveSink>);
-            }
-            (!sinks.is_empty()).then(|| Arc::new(sinks))
-        };
+        let curve_recorder = curves_enabled.then(|| Arc::new(CurveRecorder::new()));
         let monitor = options
             .monitor
             .as_ref()
@@ -293,8 +270,8 @@ impl Session {
                 if let Some(progress) = &progress {
                     config = config.progress(Arc::clone(progress));
                 }
-                if let Some(live) = &live_curves {
-                    config = config.curves(Arc::clone(live));
+                if let Some(recorder) = &curve_recorder {
+                    config = config.curves(Arc::clone(recorder));
                 }
                 let handle = config
                     .start()
@@ -306,10 +283,6 @@ impl Session {
                 Ok::<_, String>(handle)
             })
             .transpose()?;
-        let reporter = options.progress.then(|| {
-            let progress = progress.as_ref().expect("progress state exists");
-            ProgressReporter::start(Arc::clone(progress), Duration::from_millis(500))
-        });
         Ok(Session {
             manifest,
             run_dir,
@@ -319,8 +292,6 @@ impl Session {
             started: Instant::now(),
             progress,
             monitor,
-            reporter,
-            curve_sinks,
             curve_recorder,
             curve_fresh: BTreeSet::new(),
         })
@@ -439,7 +410,7 @@ impl Session {
                 Some(CheckpointState::Missing) | None => {}
             }
             slots.push(Slot::Fresh);
-            if self.curve_sinks.is_some() {
+            if self.curve_recorder.is_some() {
                 self.curve_fresh.insert(experiment.name.to_string());
             }
             // Workers carry their own store/progress handles so each
@@ -449,9 +420,9 @@ impl Session {
             // checkpoint files already on disk.
             let store = self.store.clone();
             let progress = self.progress.clone();
-            let curve_sinks = self.curve_sinks.clone();
+            let curves = self.curve_recorder.clone();
             tasks.push(Box::new(move || {
-                run_experiment(experiment, root, quick, index, store, progress, curve_sinks)
+                run_experiment(experiment, root, quick, index, store, progress, curves)
             }) as Box<dyn FnOnce() -> BatchOutcome + Send>);
         }
         let mut fresh = mlam_par::par_run(tasks).into_iter();
@@ -509,10 +480,9 @@ impl Session {
     }
 
     /// Finalizes the manifest (total wall-clock, final metrics) and,
-    /// under `--json`, writes `manifest.json` and `metrics.jsonl`.
-    /// Shuts the progress reporter (after its final line) and the
-    /// monitor endpoint down. Returns the manifest for in-process
-    /// inspection.
+    /// under `--json`, writes `manifest.json`, `metrics.jsonl` and
+    /// `curves.jsonl`. Shuts the monitor endpoint down. Returns the
+    /// manifest for in-process inspection.
     pub fn finish(mut self) -> RunManifest {
         self.manifest.total_seconds = self.started.elapsed().as_secs_f64();
         self.manifest.final_metrics = telemetry::snapshot();
@@ -546,9 +516,6 @@ impl Session {
                 curves::write_curves_jsonl(file, &series)
                     .unwrap_or_else(|e| panic!("cannot write {}: {e}", curves_path.display()));
             }
-        }
-        if let Some(reporter) = self.reporter.take() {
-            reporter.shutdown();
         }
         if let Some(monitor) = self.monitor.take() {
             monitor.shutdown();
@@ -614,7 +581,7 @@ fn run_experiment(
     index: usize,
     store: Option<CheckpointStore>,
     progress: Option<Arc<Progress>>,
-    curve_sinks: Option<Arc<Vec<Arc<dyn CurveSink>>>>,
+    curves: Option<Arc<CurveRecorder>>,
 ) -> BatchOutcome {
     let name = experiment.name;
     let scope = telemetry::CounterScope::new();
@@ -624,9 +591,7 @@ fn run_experiment(
         // The curve context lives on the worker thread running the
         // driver, exactly where the counter scope lives — checkpoints
         // read this experiment's own query totals and nothing else.
-        let _curves = curve_sinks
-            .as_ref()
-            .map(|sinks| curves::enter_series(name, Arc::clone(sinks)));
+        let _curves = curves.map(|recorder| curves::enter_series(name, recorder));
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut rng = StdRng::seed_from_u64(mlam_par::split_seed(root, index as u64));
             (experiment.run)(quick, &mut rng)

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | reference | `MLAM_THREADS=1` |
 //! | threads | `MLAM_THREADS=4` |
-//! | observability | t4, `--monitor 127.0.0.1:0 --progress`, `MLAM_LOG=debug`, `MLAM_TRACK_ALLOC=1` |
+//! | observability | t4, `--monitor 127.0.0.1:0 --progress`, `MLAM_LOG=debug` |
 //! | curves off | t4, `MLAM_CURVES=0` |
 //! | resume | t4, `--resume` on a copy of the reference directory cut as a kill would leave it |
 //!
@@ -18,8 +18,9 @@
 //! same seed and parameter set, the same `(name, degraded, counters)`
 //! experiment records in the same order, and the same `curves.jsonl`
 //! byte for byte. [`check_cell`] then holds every other cell's run
-//! directory against the reference's. Wall clock is the one thing no
-//! cell compares. That `--only` reproduces its experiments of the full
+//! directory against the reference's, and the observability cell's
+//! stderr must hold one `--progress` line per experiment, in count
+//! order. Wall clock is the one thing no cell compares. That `--only` reproduces its experiments of the full
 //! run is checked in `cli.rs`, against `baselines/quick`.
 
 use mlam::telemetry::{EventKind, RunManifest, CURVES_FILE};
@@ -354,22 +355,32 @@ fn every_knob_reproduces_the_reference_run() {
     check_cell(&reference, &threads, Cell::Full);
 
     let observability = repro_all(
-        &[t4, ("MLAM_LOG", "debug"), ("MLAM_TRACK_ALLOC", "1")],
+        &[t4, ("MLAM_LOG", "debug")],
         &["--monitor", "127.0.0.1:0", "--progress", "--json"],
         base.join("observability"),
     );
     check_cell(&reference, &observability, Cell::Full);
+    assert!(
+        observability.stderr.contains("monitor listening on"),
+        "no monitor line on stderr:\n{}",
+        observability.stderr
+    );
+    // Every completion prints its own line, whichever of the 4 workers
+    // finished it, so the counts read 1/14, 2/14, ..., 14/14.
     let total = EXPERIMENTS.len();
-    for line in [
-        "monitor listening on".to_string(),
-        format!("progress {total}/{total}"),
-    ] {
-        assert!(
-            observability.stderr.contains(&line),
-            "no `{line}` on stderr:\n{}",
-            observability.stderr
-        );
-    }
+    let progress: Vec<String> = observability
+        .stderr
+        .lines()
+        .filter_map(|line| line.strip_prefix("mlam: progress "))
+        .filter_map(|rest| rest.split(' ').next())
+        .map(str::to_string)
+        .collect();
+    let want: Vec<String> = (1..=total).map(|k| format!("{k}/{total}")).collect();
+    assert_eq!(
+        progress, want,
+        "progress lines on stderr:\n{}",
+        observability.stderr
+    );
 
     let curves_off = repro_all(
         &[t4, ("MLAM_CURVES", "0")],

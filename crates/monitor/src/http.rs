@@ -1,34 +1,38 @@
 //! The zero-dependency HTTP endpoint: `/metrics`, `/progress`,
-//! `/healthz`.
+//! `/curves`, `/healthz`.
 //!
 //! Built directly on `std::net::TcpListener` — no HTTP crate, no async
-//! runtime. The listener runs non-blocking on its own thread, polling
-//! for connections between short sleeps so shutdown is prompt; each
-//! request is tiny (one line plus headers) and answered inline with
-//! `Connection: close`. Scrapes read the [`Sampler`]'s last published
-//! snapshot, so even an aggressive scraper never locks the telemetry
-//! registry from this thread.
+//! runtime. The listener runs non-blocking on the monitor's one thread,
+//! polling for connections between short sleeps so shutdown is prompt;
+//! each request is tiny (one line plus headers) and answered inline
+//! with `Connection: close`. Every answer is built at request time from
+//! state the run already keeps, so nothing here holds a copy to go
+//! stale.
 //!
 //! Routes:
 //!
-//! - `GET /metrics` — Prometheus text exposition (format 0.0.4) of all
-//!   registry counters/histograms plus monitor gauges (progress, heap,
-//!   in-flight spans). `Content-Type: text/plain; version=0.0.4`.
+//! - `GET /metrics` — Prometheus text exposition (format 0.0.4) of a
+//!   [`mlam_telemetry::snapshot`] taken for this scrape, plus monitor
+//!   gauges (progress, resident memory, in-flight spans).
+//!   `Content-Type: text/plain; version=0.0.4`. The registry is locked
+//!   only for the snapshot, and increments through cached handles
+//!   never wait for that lock.
 //! - `GET /progress` — the current [`ProgressSnapshot`] as JSON.
-//! - `GET /curves` — the live [`LiveCurvesSnapshot`] as JSON
-//!   (accuracy-vs-queries checkpoints per experiment, when the session
-//!   attached one via [`Monitor::curves`]).
+//! - `GET /curves` — the learning-curve checkpoints recorded so far,
+//!   as the `curves.jsonl` lines the run directory will hold
+//!   ([`mlam_telemetry::curves::write_curves_jsonl`] of the recorder
+//!   attached with [`Monitor::curves`]); empty without a recorder or
+//!   before the first checkpoint.
 //! - `GET /healthz` — `200 ok`, for readiness loops in CI.
 //! - anything else — `404`.
 //!
 //! [`ProgressSnapshot`]: crate::progress::ProgressSnapshot
-//! [`LiveCurvesSnapshot`]: crate::curves::LiveCurvesSnapshot
 
-use crate::curves::LiveCurves;
 use crate::progress::Progress;
-use crate::prometheus::{self, Exposition};
-use crate::sampler::{Sampler, DEFAULT_PERIOD};
+use crate::prometheus::{self, Exposition, ResidentMemory};
 use crate::spans::{LiveSpanTracker, LiveSpans};
+use mlam_telemetry::curves::write_curves_jsonl;
+use mlam_telemetry::CurveRecorder;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,9 +42,8 @@ use std::time::Duration;
 /// Monitor configuration: where to listen and what to expose.
 pub struct Monitor {
     addr: String,
-    sample_period: Duration,
     progress: Option<Arc<Progress>>,
-    curves: Option<Arc<LiveCurves>>,
+    curves: Option<Arc<CurveRecorder>>,
 }
 
 impl Monitor {
@@ -49,16 +52,9 @@ impl Monitor {
     pub fn new(addr: &str) -> Monitor {
         Monitor {
             addr: addr.to_string(),
-            sample_period: DEFAULT_PERIOD,
             progress: None,
             curves: None,
         }
-    }
-
-    /// Overrides the sampling period (default 250 ms).
-    pub fn sample_period(mut self, period: Duration) -> Monitor {
-        self.sample_period = period;
-        self
     }
 
     /// Attaches run progress, enabling `/progress` payloads and the
@@ -68,16 +64,16 @@ impl Monitor {
         self
     }
 
-    /// Attaches a live curve store, enabling `/curves` payloads. The
-    /// session registers the same store as a checkpoint sink, so the
-    /// endpoint reflects training progress as it happens.
-    pub fn curves(mut self, curves: Arc<LiveCurves>) -> Monitor {
+    /// Attaches the run's curve recorder, enabling `/curves` payloads.
+    /// The session records every checkpoint into this one store, so the
+    /// endpoint serves training progress as it happens.
+    pub fn curves(mut self, curves: Arc<CurveRecorder>) -> Monitor {
         self.curves = Some(curves);
         self
     }
 
-    /// Binds the listener, starts the sampler and the serving thread,
-    /// and installs the live-span sink.
+    /// Binds the listener, starts the serving thread and installs the
+    /// live-span sink.
     pub fn start(self) -> std::io::Result<MonitorHandle> {
         let listener = TcpListener::bind(&self.addr)?;
         let local_addr = listener.local_addr()?;
@@ -86,16 +82,12 @@ impl Monitor {
         let (tracker, spans) = LiveSpanTracker::new();
         mlam_telemetry::add_sink(Box::new(tracker));
 
-        let sampler = Arc::new(Sampler::start(self.sample_period));
         let stop = Arc::new(AtomicBool::new(false));
-        let scrapes = Arc::new(AtomicU64::new(0));
-
         let server = ServerState {
-            sampler: Arc::clone(&sampler),
             spans,
             progress: self.progress,
             curves: self.curves,
-            scrapes: Arc::clone(&scrapes),
+            scrapes: AtomicU64::new(0),
             stop: Arc::clone(&stop),
         };
         let thread = std::thread::Builder::new()
@@ -106,7 +98,6 @@ impl Monitor {
             local_addr,
             stop,
             thread: Some(thread),
-            sampler: Some(sampler),
         })
     }
 }
@@ -117,7 +108,6 @@ pub struct MonitorHandle {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
-    sampler: Option<Arc<Sampler>>,
 }
 
 impl MonitorHandle {
@@ -126,7 +116,7 @@ impl MonitorHandle {
         self.local_addr
     }
 
-    /// Stops the serving thread and the sampler.
+    /// Stops the serving thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -135,13 +125,6 @@ impl MonitorHandle {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
-        }
-        if let Some(sampler) = self.sampler.take() {
-            // We hold the only non-thread reference by now; unwrap the
-            // Arc if possible so shutdown joins the sampler thread.
-            if let Ok(sampler) = Arc::try_unwrap(sampler) {
-                sampler.shutdown();
-            }
         }
     }
 }
@@ -153,11 +136,10 @@ impl Drop for MonitorHandle {
 }
 
 struct ServerState {
-    sampler: Arc<Sampler>,
     spans: Arc<LiveSpans>,
     progress: Option<Arc<Progress>>,
-    curves: Option<Arc<LiveCurves>>,
-    scrapes: Arc<AtomicU64>,
+    curves: Option<Arc<CurveRecorder>>,
+    scrapes: AtomicU64,
     stop: Arc<AtomicBool>,
 }
 
@@ -198,14 +180,11 @@ impl ServerState {
         let (status, content_type, body) = match path.as_str() {
             "/metrics" => {
                 let n = self.scrapes.fetch_add(1, Ordering::Relaxed) + 1;
-                let state = self.sampler.state();
                 let exposition = Exposition {
-                    metrics: state.snapshot,
-                    rates: state.rates,
-                    alloc: crate::alloc::stats(),
+                    metrics: mlam_telemetry::snapshot(),
+                    resident: ResidentMemory::read(),
                     progress: self.progress.as_ref().map(|p| p.snapshot()),
                     inflight_spans: self.spans.counts(),
-                    sampler_ticks: self.sampler.ticks(),
                     scrapes: n,
                 };
                 (
@@ -217,18 +196,21 @@ impl ServerState {
             "/progress" => {
                 let snap = match &self.progress {
                     Some(p) => p.snapshot(),
-                    None => Progress::new(0).snapshot(),
+                    None => Progress::new(0, false).snapshot(),
                 };
                 let body = serde_json::to_string(&snap).unwrap_or_else(|_| "{}".to_string());
                 ("200 OK", "application/json", body + "\n")
             }
             "/curves" => {
-                let snap = match &self.curves {
-                    Some(c) => c.snapshot(),
-                    None => crate::curves::LiveCurvesSnapshot { series: Vec::new() },
-                };
-                let body = serde_json::to_string(&snap).unwrap_or_else(|_| "{}".to_string());
-                ("200 OK", "application/json", body + "\n")
+                let mut body = Vec::new();
+                if let Some(recorder) = &self.curves {
+                    write_curves_jsonl(&mut body, &recorder.series())?;
+                }
+                (
+                    "200 OK",
+                    "application/jsonl; charset=utf-8",
+                    String::from_utf8(body).expect("serde_json writes UTF-8"),
+                )
             }
             "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
             _ => (

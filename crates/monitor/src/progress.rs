@@ -1,15 +1,16 @@
 //! Experiment progress: completed/total, throughput and ETA.
 //!
-//! A [`Progress`] is shared between the run loop (which reports
-//! completions as checkpoints land) and the observers: the `/progress`
-//! endpoint and the stderr [`ProgressReporter`] behind `--progress`.
-//! Counts are plain atomics — progress never touches the telemetry
-//! registry, so enabling it cannot perturb `metrics.jsonl` (see the
-//! crate-level determinism firewall).
+//! A [`Progress`] is shared between the run loop, which reports
+//! completions as checkpoints land, and the `/progress` endpoint. Under
+//! `--progress` each completion also prints its own stderr line, from
+//! the thread that finished the experiment. Counts are plain atomics —
+//! progress never touches the telemetry registry, so enabling it
+//! cannot perturb `metrics.jsonl` (see the crate-level determinism
+//! firewall).
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Shared progress state for one run: experiments completed out of a
@@ -24,16 +25,24 @@ pub struct Progress {
     total: AtomicU64,
     completed: AtomicU64,
     started: Instant,
+    /// Set when completions print: held across each increment and its
+    /// stderr line, so the lines come out in count order.
+    lines: Option<Mutex<()>>,
 }
 
 impl Progress {
     /// Fresh progress over `total` expected experiments (the total can
-    /// grow later via [`Progress::add_total`]).
-    pub fn new(total: u64) -> Progress {
+    /// grow later via [`Progress::add_total`]). With `print_lines`,
+    /// every [`complete_one`] prints `mlam: <render>` to **stderr**,
+    /// so stdout stays byte-identical with `--progress` on or off.
+    ///
+    /// [`complete_one`]: Progress::complete_one
+    pub fn new(total: u64, print_lines: bool) -> Progress {
         Progress {
             total: AtomicU64::new(total),
             completed: AtomicU64::new(0),
             started: Instant::now(),
+            lines: print_lines.then(|| Mutex::new(())),
         }
     }
 
@@ -43,9 +52,18 @@ impl Progress {
         self.total.fetch_add(more, Ordering::Relaxed);
     }
 
-    /// Records one finished experiment.
+    /// Records one finished experiment, and prints its progress line
+    /// when this progress prints lines. The increment and the line share
+    /// one lock, so the `k`-th line printed reads `k/total` whichever
+    /// worker finished first.
     pub fn complete_one(&self) {
+        let Some(lines) = &self.lines else {
+            self.completed.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let _in_order = lines.lock().expect("a progress line panicked");
         self.completed.fetch_add(1, Ordering::Relaxed);
+        eprintln!("mlam: {}", self.snapshot().render());
     }
 
     /// Experiments finished so far.
@@ -127,83 +145,14 @@ impl ProgressSnapshot {
     }
 }
 
-/// Background thread printing `mlam: progress …` lines to **stderr**
-/// whenever the completed count changes (and once at shutdown), so
-/// stdout stays byte-identical with the reporter on or off.
-pub struct ProgressReporter {
-    // Condvar-paired stop flag: shutdown wakes the thread instead of
-    // waiting out a polling period (see the sampler, which does the
-    // same).
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ProgressReporter {
-    /// Starts the reporter over `progress`, polling every `period`.
-    pub fn start(progress: Arc<Progress>, period: Duration) -> ProgressReporter {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop_pair = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("mlam-progress".into())
-            .spawn(move || {
-                let (flag, wake) = &*stop_pair;
-                let mut last_reported = u64::MAX;
-                loop {
-                    let snap = progress.snapshot();
-                    if snap.completed != last_reported {
-                        last_reported = snap.completed;
-                        eprintln!("mlam: {}", snap.render());
-                    }
-                    let stopped = flag.lock().expect("stop flag poisoned");
-                    if *stopped {
-                        // One final line so the terminal ends on the
-                        // true completion state.
-                        let snap = progress.snapshot();
-                        if snap.completed != last_reported {
-                            eprintln!("mlam: {}", snap.render());
-                        }
-                        return;
-                    }
-                    let _unused = wake
-                        .wait_timeout(stopped, period)
-                        .expect("stop flag poisoned");
-                }
-            })
-            .expect("spawn progress reporter");
-        ProgressReporter {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stops the reporter and waits for its final line.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let (flag, wake) = &*self.stop;
-        *flag.lock().expect("stop flag poisoned") = true;
-        wake.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for ProgressReporter {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn counts_are_monotone_and_snapshot_consistent() {
-        let p = Progress::new(4);
+        let p = Progress::new(4, false);
         assert_eq!(p.completed(), 0);
         assert_eq!(p.total(), 4);
         assert_eq!(p.snapshot().eta_s, None, "no rate before a completion");
@@ -220,7 +169,7 @@ mod tests {
 
     #[test]
     fn finished_run_reports_zero_eta() {
-        let p = Progress::new(2);
+        let p = Progress::new(2, false);
         p.complete_one();
         p.complete_one();
         assert_eq!(p.snapshot().eta_s, Some(0.0));
@@ -244,17 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn reporter_writes_stderr_only_and_shuts_down() {
-        let p = Arc::new(Progress::new(1));
-        let reporter = ProgressReporter::start(Arc::clone(&p), Duration::from_millis(5));
-        p.complete_one();
-        std::thread::sleep(Duration::from_millis(20));
-        reporter.shutdown();
-    }
-
-    #[test]
     fn concurrent_completions_all_land() {
-        let p = Arc::new(Progress::new(100));
+        let p = Arc::new(Progress::new(100, true));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let p = Arc::clone(&p);

@@ -2,10 +2,11 @@
 //!
 //! Telemetry counters become `counter` series and the log₂-bucketed
 //! histograms become native Prometheus `histogram` series with
-//! cumulative `le` buckets. Monitor-internal state — progress, heap
-//! accounting, in-flight spans, scrape counts — is rendered alongside
-//! as gauges under `mlam_monitor_*` / `mlam_mem_*` / `mlam_progress_*`
-//! names that exist only in the exposition, never in the registry.
+//! cumulative `le` buckets. Monitor-internal state — progress,
+//! in-flight spans, scrape counts — and the process's resident memory
+//! are rendered alongside under `mlam_monitor_*` / `mlam_process_*` /
+//! `mlam_progress_*` names that exist only in the exposition, never in
+//! the registry.
 //!
 //! Metric names: the registry's dotted names (`oracle.example_queries`)
 //! are mapped to `mlam_oracle_example_queries` — `mlam_` prefix, every
@@ -14,7 +15,6 @@
 //! newlines and non-ASCII, so the mapping cannot produce a malformed
 //! exposition line.
 
-use crate::alloc::AllocStats;
 use crate::progress::ProgressSnapshot;
 use mlam_telemetry::metrics::{bucket_upper_bound, HISTOGRAM_BUCKETS};
 use mlam_telemetry::{HistogramSnapshot, MetricsSnapshot};
@@ -76,21 +76,49 @@ fn write_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
     let _ = writeln!(out, "{prom}_count {}", h.count);
 }
 
+/// The process's resident memory as the OS reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ResidentMemory {
+    /// Resident set size now (`VmRSS`), in bytes.
+    pub current_bytes: u64,
+    /// Peak resident set size so far (`VmHWM`), in bytes.
+    pub peak_bytes: u64,
+}
+
+impl ResidentMemory {
+    /// Reads `/proc/self/status`; `None` where that file cannot be read
+    /// or lacks either field.
+    pub(crate) fn read() -> Option<ResidentMemory> {
+        ResidentMemory::parse(&std::fs::read_to_string("/proc/self/status").ok()?)
+    }
+
+    /// The `VmRSS` and `VmHWM` lines (`VmRSS:    1234 kB`) of a
+    /// `/proc/<pid>/status` text, in bytes.
+    fn parse(status: &str) -> Option<ResidentMemory> {
+        let bytes = |field: &str| {
+            status.lines().find_map(|line| {
+                let kib = line.strip_prefix(field)?.strip_suffix("kB")?;
+                kib.trim().parse::<u64>().ok()?.checked_mul(1024)
+            })
+        };
+        Some(ResidentMemory {
+            current_bytes: bytes("VmRSS:")?,
+            peak_bytes: bytes("VmHWM:")?,
+        })
+    }
+}
+
 /// Everything one `/metrics` response needs, gathered by the server.
 #[derive(Default)]
 pub struct Exposition {
-    /// The latest sampled registry snapshot.
+    /// The registry snapshot taken for this scrape.
     pub metrics: MetricsSnapshot,
-    /// Per-counter rates over the last sampler interval, increments/s.
-    pub rates: BTreeMap<String, f64>,
-    /// Heap accounting (zeros when the tracking allocator is off).
-    pub alloc: AllocStats,
+    /// Resident memory, where the OS reports it.
+    pub resident: Option<ResidentMemory>,
     /// Run progress, when a session is feeding one.
     pub progress: Option<ProgressSnapshot>,
     /// In-flight span counts by name.
     pub inflight_spans: BTreeMap<String, u64>,
-    /// Sampler ticks completed so far.
-    pub sampler_ticks: u64,
     /// `/metrics` scrapes served so far (including this one).
     pub scrapes: u64,
 }
@@ -116,16 +144,6 @@ pub fn render(e: &Exposition) -> String {
     for (name, h) in &e.metrics.histograms {
         write_histogram(&mut out, name, h);
     }
-    if !e.rates.is_empty() {
-        let _ = writeln!(out, "# TYPE mlam_counter_rate_per_s gauge");
-        for (name, rate) in &e.rates {
-            let _ = writeln!(
-                out,
-                "mlam_counter_rate_per_s{{counter=\"{}\"}} {rate}",
-                escape_label(name)
-            );
-        }
-    }
     if !e.inflight_spans.is_empty() {
         let _ = writeln!(out, "# TYPE mlam_spans_inflight gauge");
         for (name, count) in &e.inflight_spans {
@@ -136,14 +154,14 @@ pub fn render(e: &Exposition) -> String {
             );
         }
     }
-    for (name, value) in [
-        ("mlam_mem_alloc_current_bytes", e.alloc.current_bytes),
-        ("mlam_mem_alloc_peak_bytes", e.alloc.peak_bytes),
-        ("mlam_mem_allocs_total", e.alloc.allocs),
-        ("mlam_mem_deallocs_total", e.alloc.deallocs),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
+    if let Some(resident) = &e.resident {
+        for (name, value) in [
+            ("mlam_process_resident_bytes", resident.current_bytes),
+            ("mlam_process_resident_peak_bytes", resident.peak_bytes),
+        ] {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "{name} {value}");
+        }
     }
     if let Some(p) = &e.progress {
         let _ = writeln!(out, "# TYPE mlam_progress_completed gauge");
@@ -157,8 +175,6 @@ pub fn render(e: &Exposition) -> String {
             let _ = writeln!(out, "mlam_progress_eta_seconds {eta}");
         }
     }
-    let _ = writeln!(out, "# TYPE mlam_monitor_sampler_ticks_total counter");
-    let _ = writeln!(out, "mlam_monitor_sampler_ticks_total {}", e.sampler_ticks);
     let _ = writeln!(out, "# TYPE mlam_monitor_scrapes_total counter");
     let _ = writeln!(out, "mlam_monitor_scrapes_total {}", e.scrapes);
     out
@@ -231,7 +247,10 @@ mod tests {
                 buckets: vec![(3, 2), (5, 1)],
             },
         );
-        e.rates.insert("oracle.example_queries".into(), 12.5);
+        e.resident = Some(ResidentMemory {
+            current_bytes: 4096,
+            peak_bytes: 8192,
+        });
         e.inflight_spans.insert("bench.run_all".into(), 1);
         e.progress = Some(ProgressSnapshot {
             completed: 2,
@@ -255,7 +274,8 @@ mod tests {
         assert!(text.contains("mlam_span_attack_micros_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("mlam_span_attack_micros_sum 70"));
         assert!(text.contains("mlam_span_attack_micros_count 3"));
-        assert!(text.contains("mlam_counter_rate_per_s{counter=\"oracle.example_queries\"} 12.5"));
+        assert!(text.contains("mlam_process_resident_bytes 4096"));
+        assert!(text.contains("mlam_process_resident_peak_bytes 8192"));
         assert!(text.contains("mlam_spans_inflight{span=\"bench.run_all\"} 1"));
         assert!(text.contains("mlam_progress_completed 2"));
         assert!(text.contains("mlam_progress_eta_seconds 5.5"));
@@ -286,6 +306,27 @@ mod tests {
         assert!(validate("no_value\n").is_err());
         assert!(validate("1leading_digit 5\n").is_err());
         assert!(validate("name{le=\"7\" 3\n").is_err());
+    }
+
+    #[test]
+    fn resident_memory_parses_proc_status() {
+        let status = "Name:\trepro_all\nVmHWM:\t   20480 kB\nVmRSS:\t   12288 kB\nThreads:\t3\n";
+        assert_eq!(
+            ResidentMemory::parse(status),
+            Some(ResidentMemory {
+                current_bytes: 12288 * 1024,
+                peak_bytes: 20480 * 1024,
+            })
+        );
+        assert_eq!(ResidentMemory::parse("VmRSS:\t   12288 kB\n"), None);
+        assert_eq!(
+            ResidentMemory::parse("VmRSS:\tlots kB\nVmHWM:\t1 kB\n"),
+            None
+        );
+        // Without the gauges the exposition still renders and validates.
+        let text = render(&Exposition::default());
+        validate(&text).unwrap();
+        assert!(!text.contains("mlam_process_resident"));
     }
 
     #[test]

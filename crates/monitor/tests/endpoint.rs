@@ -1,14 +1,15 @@
-//! End-to-end endpoint test: bind an ephemeral port, scrape the three
+//! End-to-end endpoint test: bind an ephemeral port, scrape the
 //! routes over a raw `TcpStream`, and validate what comes back. This
 //! is the timing-independent counterpart of the CI monitor-smoke leg.
 
 use mlam_monitor::prometheus;
 use mlam_monitor::{Monitor, Progress, ProgressSnapshot};
-use mlam_telemetry::counter;
+use mlam_telemetry::curves::{self, write_curves_jsonl};
+use mlam_telemetry::{counter, counter_handle, CounterScope, CurveRecorder};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One HTTP GET against the monitor; returns (status line, body).
 fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -32,9 +33,8 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn endpoints_serve_metrics_progress_and_health() {
-    let progress = Arc::new(Progress::new(13));
+    let progress = Arc::new(Progress::new(13, false));
     let handle = Monitor::new("127.0.0.1:0")
-        .sample_period(Duration::from_millis(10))
         .progress(Arc::clone(&progress))
         .start()
         .expect("monitor binds an ephemeral port");
@@ -45,23 +45,26 @@ fn endpoints_serve_metrics_progress_and_health() {
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(body, "ok\n");
 
-    // Exercise some telemetry, then wait for the sampler to see it.
+    // Every scrape snapshots the registry, so a counter bumped just
+    // before it is already there.
     counter!("test.endpoint.queries", 42);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let text = loop {
-        let (status, body) = get(addr, "/metrics");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        if body.contains("mlam_test_endpoint_queries") {
-            break body;
-        }
-        assert!(Instant::now() < deadline, "sampler never saw the counter");
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    let (status, text) = get(addr, "/metrics");
+    assert_eq!(status, "HTTP/1.1 200 OK");
     prometheus::validate(&text).expect("exposition must parse");
     assert!(text.contains("# TYPE mlam_test_endpoint_queries counter"));
+    assert!(text.contains("\nmlam_test_endpoint_queries 42\n"));
     assert!(text.contains("mlam_monitor_scrapes_total"));
     assert!(text.contains("mlam_progress_total 13"));
-    assert!(text.contains("mlam_mem_alloc_peak_bytes"));
+    // Resident memory comes from the OS, wherever it reports it.
+    if std::fs::read_to_string("/proc/self/status").is_ok() {
+        let peak: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("mlam_process_resident_peak_bytes "))
+            .expect("peak resident gauge present")
+            .parse()
+            .expect("peak resident gauge numeric");
+        assert!(peak > 0, "peak resident bytes read 0");
+    }
 
     // Progress JSON tracks completions and stays monotone.
     let (_, body) = get(addr, "/progress");
@@ -87,73 +90,68 @@ fn endpoints_serve_metrics_progress_and_health() {
     );
 }
 
+/// The `/curves` body, and what `curves.jsonl` would hold if the run
+/// finished now.
+fn live_and_on_disk(addr: std::net::SocketAddr, recorder: &CurveRecorder) -> (String, String) {
+    let (status, body) = get(addr, "/curves");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let mut file = Vec::new();
+    write_curves_jsonl(&mut file, &recorder.series()).unwrap();
+    (body, String::from_utf8(file).unwrap())
+}
+
 #[test]
 fn curves_endpoint_serves_live_series() {
-    use mlam_monitor::LiveCurves;
-    use mlam_telemetry::{CurvePoint, CurveSink};
-
-    // Without an attached store the endpoint answers an empty payload.
-    let bare = Monitor::new("127.0.0.1:0")
-        .sample_period(Duration::from_millis(10))
-        .start()
-        .expect("monitor binds");
+    // Without an attached recorder the endpoint answers an empty body.
+    let bare = Monitor::new("127.0.0.1:0").start().expect("monitor binds");
     let (status, body) = get(bare.addr(), "/curves");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    assert_eq!(body.trim(), r#"{"series":[]}"#);
+    assert_eq!(body, "");
     bare.shutdown();
 
-    // With a store, checkpoints become visible as soon as they land.
-    let live = Arc::new(LiveCurves::new());
+    // With one, the body is the recorder's curves.jsonl lines, byte for
+    // byte, at every moment: empty before the first checkpoint, then
+    // each checkpoint as soon as it lands.
+    let recorder = Arc::new(CurveRecorder::new());
     let handle = Monitor::new("127.0.0.1:0")
-        .sample_period(Duration::from_millis(10))
-        .curves(Arc::clone(&live))
+        .curves(Arc::clone(&recorder))
         .start()
         .expect("monitor binds");
-    for (iteration, queries, acc) in [(1u64, 8u64, 0.55), (2, 16, 0.7), (4, 32, 0.9)] {
-        live.on_point(
-            "table1_quick",
-            &CurvePoint {
-                label: "perceptron".to_string(),
-                iteration,
-                queries,
-                raw_reads: queries,
-                train_acc: acc,
-                holdout_acc: None,
-                counters: std::collections::BTreeMap::new(),
-            },
-        );
+    let addr = handle.addr();
+    assert_eq!(
+        live_and_on_disk(addr, &recorder),
+        (String::new(), String::new())
+    );
+    let mut lines = 0;
+    for (series, accuracies) in [
+        ("table1_quick", [0.55, 0.7, 0.9]),
+        ("spectral_quick", [0.5, 0.625, 0.75]),
+    ] {
+        let scope = CounterScope::new();
+        let _counters = scope.enter();
+        let _curves = curves::enter_series(series, Arc::clone(&recorder));
+        for (iteration, acc) in (1u64..).zip(accuracies) {
+            counter_handle("oracle.example_queries").add(8 * iteration);
+            curves::checkpoint("perceptron", iteration, acc, None);
+            lines += 1;
+            let (live, on_disk) = live_and_on_disk(addr, &recorder);
+            assert_eq!(live, on_disk);
+            assert_eq!(live.lines().count(), lines);
+        }
     }
-    let (status, body) = get(handle.addr(), "/curves");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    assert!(body.contains(r#""name":"table1_quick""#), "body: {body}");
-    assert!(body.contains(r#""points_total":3"#), "body: {body}");
-    assert!(body.contains(r#""label":"perceptron""#), "body: {body}");
-
-    // Iterations and query counts must be strictly increasing in the
-    // served order — the live view mirrors emission order exactly.
-    let extract = |key: &str| -> Vec<u64> {
-        body.match_indices(&format!("\"{key}\":"))
-            .map(|(at, found)| {
-                body[at + found.len()..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect::<String>()
-                    .parse()
-                    .expect("numeric field")
-            })
-            .collect()
-    };
-    assert_eq!(extract("iteration"), vec![1, 2, 4]);
-    assert_eq!(extract("queries"), vec![8, 16, 32]);
+    let (live, _) = live_and_on_disk(addr, &recorder);
+    assert!(
+        live.contains(
+            r#""series":"spectral_quick","label":"perceptron","iteration":3,"queries":48,"#
+        ),
+        "{live}"
+    );
     handle.shutdown();
 }
 
 #[test]
 fn scrapes_are_counted_and_concurrent_scrapes_survive() {
-    let handle = Monitor::new("127.0.0.1:0")
-        .sample_period(Duration::from_millis(10))
-        .start()
-        .expect("monitor binds");
+    let handle = Monitor::new("127.0.0.1:0").start().expect("monitor binds");
     let addr = handle.addr();
     // Hammer the endpoint from several threads; every response must be
     // a complete, valid exposition.

@@ -11,12 +11,12 @@
 //!   active [`CounterScope`]), training accuracy, optional holdout
 //!   accuracy, and the raw counter deltas the queries were derived
 //!   from.
-//! - [`CurveSink`] — where checkpoints go. [`CurveRecorder`] buffers
-//!   them for the `curves.jsonl` run artifact; `mlam-monitor` feeds a
-//!   live `/curves` endpoint from its own sink.
+//! - [`CurveRecorder`] — the one store of a run's checkpoints. The
+//!   session writes it out as the `curves.jsonl` run artifact, and
+//!   `mlam-monitor` serves the same lines live at `/curves`.
 //! - [`enter_series`] — installs a thread-local recording context
-//!   (series name + sinks) around one experiment driver, exactly like
-//!   [`CounterScope::enter`] installs counter attribution.
+//!   (series name + recorder) around one experiment driver, exactly
+//!   like [`CounterScope::enter`] installs counter attribution.
 //! - [`checkpoint`] — called from training loops; a no-op costing one
 //!   thread-local read when no context is installed, so instrumented
 //!   loops are zero-cost in ordinary library use.
@@ -128,17 +128,9 @@ impl CurveLine {
     }
 }
 
-/// A destination for curve checkpoints. Implementations must tolerate
-/// concurrent calls from different experiment threads (each series is
-/// only ever fed from one thread, but distinct series may run in
-/// parallel).
-pub trait CurveSink: Send + Sync {
-    /// Receives one checkpoint for `series`.
-    fn on_point(&self, series: &str, point: &CurvePoint);
-}
-
-/// The buffering sink behind the `curves.jsonl` artifact: collects
-/// every checkpoint per series, to be written out at session finish.
+/// The store behind the `curves.jsonl` artifact: collects every
+/// checkpoint per series. Each series is fed from one thread, but
+/// distinct series may record in parallel.
 #[derive(Default)]
 pub struct CurveRecorder {
     series: Mutex<BTreeMap<String, Vec<CurvePoint>>>,
@@ -155,16 +147,14 @@ impl CurveRecorder {
     pub fn series(&self) -> BTreeMap<String, Vec<CurvePoint>> {
         self.series.lock().expect("curve recorder poisoned").clone()
     }
-}
 
-impl CurveSink for CurveRecorder {
-    fn on_point(&self, series: &str, point: &CurvePoint) {
+    fn push(&self, series: &str, point: CurvePoint) {
         self.series
             .lock()
             .expect("curve recorder poisoned")
             .entry(series.to_owned())
             .or_default()
-            .push(point.clone());
+            .push(point);
     }
 }
 
@@ -210,7 +200,7 @@ pub fn read_curves_jsonl(path: &Path) -> io::Result<BTreeMap<String, Vec<CurvePo
 /// The thread-local recording context installed by [`enter_series`].
 struct SeriesContext {
     name: Arc<str>,
-    sinks: Arc<Vec<Arc<dyn CurveSink>>>,
+    recorder: Arc<CurveRecorder>,
 }
 
 thread_local! {
@@ -233,15 +223,15 @@ impl Drop for CurveSeriesGuard {
 }
 
 /// Installs a recording context on the current thread: checkpoints
-/// emitted while the guard lives are tagged with `series` and fanned
-/// out to every sink. Install it on the same thread that runs the
+/// emitted while the guard lives are tagged with `series` and recorded
+/// into `recorder`. Install it on the same thread that runs the
 /// experiment driver (next to the [`crate::CounterScope`] guard), so
 /// the query totals read at each checkpoint are the experiment's own.
-pub fn enter_series(series: &str, sinks: Arc<Vec<Arc<dyn CurveSink>>>) -> CurveSeriesGuard {
+pub fn enter_series(series: &str, recorder: Arc<CurveRecorder>) -> CurveSeriesGuard {
     CURVE_CONTEXT.with(|slot| {
         let prev = slot.borrow_mut().replace(SeriesContext {
             name: Arc::from(series),
-            sinks,
+            recorder,
         });
         CurveSeriesGuard { prev }
     })
@@ -288,8 +278,9 @@ pub fn query_budget(totals: &BTreeMap<String, u64>) -> (u64, u64) {
     (queries, raw_reads)
 }
 
-/// Emits one checkpoint to the sinks of the context installed on this
-/// thread. No-op (one thread-local read) when none is installed.
+/// Records one checkpoint into the recorder of the context installed
+/// on this thread. No-op (one thread-local read) when none is
+/// installed.
 ///
 /// Query counts are read non-destructively from the active
 /// [`crate::CounterScope`] at call time, so they are exact up to the
@@ -311,9 +302,7 @@ pub fn checkpoint(label: &str, iteration: u64, train_acc: f64, holdout_acc: Opti
             holdout_acc,
             counters,
         };
-        for sink in context.sinks.iter() {
-            sink.on_point(&context.name, &point);
-        }
+        context.recorder.push(&context.name, point);
     });
 }
 
@@ -322,15 +311,11 @@ mod tests {
     use super::*;
     use crate::CounterScope;
 
-    fn sinks_of(recorder: &Arc<CurveRecorder>) -> Arc<Vec<Arc<dyn CurveSink>>> {
-        Arc::new(vec![Arc::clone(recorder) as Arc<dyn CurveSink>])
-    }
-
     #[test]
     fn checkpoint_without_context_is_a_no_op() {
         assert!(!recording());
         checkpoint("orphan", 1, 0.5, None);
-        // Nothing to assert beyond "did not panic": no context, no sink.
+        // Nothing to assert beyond "did not panic": no context, no recorder.
         assert!(!recording());
     }
 
@@ -340,7 +325,7 @@ mod tests {
         let scope = CounterScope::new();
         {
             let _counters = scope.enter();
-            let _curves = enter_series("test_curves.exp_a", sinks_of(&recorder));
+            let _curves = enter_series("test_curves.exp_a", Arc::clone(&recorder));
             assert!(recording());
             crate::counter_handle("oracle.example_queries").add(40);
             crate::counter_handle("oracle.membership_queries").add(2);
@@ -395,10 +380,10 @@ mod tests {
     fn series_contexts_nest_and_restore() {
         let outer = Arc::new(CurveRecorder::new());
         let inner = Arc::new(CurveRecorder::new());
-        let _outer_guard = enter_series("test_curves.outer", sinks_of(&outer));
+        let _outer_guard = enter_series("test_curves.outer", Arc::clone(&outer));
         checkpoint("a", 1, 0.1, None);
         {
-            let _inner_guard = enter_series("test_curves.inner", sinks_of(&inner));
+            let _inner_guard = enter_series("test_curves.inner", Arc::clone(&inner));
             checkpoint("b", 1, 0.2, None);
         }
         checkpoint("c", 2, 0.3, None);

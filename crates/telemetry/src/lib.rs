@@ -38,7 +38,7 @@ pub mod recorder;
 pub mod rundir;
 pub mod span;
 
-pub use curves::{CurvePoint, CurveRecorder, CurveSink, CURVES_FILE};
+pub use curves::{CurvePoint, CurveRecorder, CURVES_FILE};
 pub use manifest::{ExperimentRecord, RunManifest};
 pub use metrics::{
     counter_handle, histogram_handle, scope_counter_totals, snapshot, write_metrics_jsonl, Counter,

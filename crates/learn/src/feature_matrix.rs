@@ -6,18 +6,13 @@
 //! module each walk either re-derived features from the challenges or
 //! chased `Vec<Vec<f64>>` pointers; a [`FeatureMatrix`] computes the
 //! features **once** per `(LabeledSet, FeatureMap)` pair and stores them
-//! struct-of-arrays:
+//! in one layout: packed sign bits. Every feature of every
+//! [`FeatureMap`] is `±1.0`, so each is one *bit* (set ⇔ the feature is
+//! `−1.0`), a row of 65 Φ features costs 16 bytes instead of 520, and
+//! whole training sets fit in cache.
 //!
-//! * **Packed signs** — when the map
-//!   [packs sign words](crate::features::FeatureMap::sign_words_into)
-//!   (all three built-in maps do), each feature is one *bit* (set ⇔ the
-//!   feature is `−1.0`), so a row of 65 Φ features costs 16 bytes
-//!   instead of 520 and whole training sets fit in cache.
-//! * **Dense values** — any other map falls back to a contiguous
-//!   row-major `Vec<f64>`.
-//!
-//! Every kernel reproduces the one-row scalar loop **bit for bit**: a
-//! sign-valued feature `f ∈ {+1, −1}` turns `w·f` into an IEEE-exact
+//! Every `f64` kernel reproduces the one-row scalar loop **bit for
+//! bit**: a feature `f ∈ {+1, −1}` turns `w·f` into an IEEE-exact
 //! sign-bit flip of `w` ([`sign_select`]), and each value is
 //! accumulated from the same start in the same order as the scalar loop
 //! it replaces, so trained weights, mistake counts, and accuracies are
@@ -34,6 +29,16 @@
 //!   gradient entries in registers while the batch's rows subtract
 //!   from them in batch order, so each entry sees the same subtractions
 //!   in the same order as a row-at-a-time loop.
+//!
+//! The Perceptron's update pass scores one row at a time, because each
+//! row's update changes the weights the next row is scored with. Its
+//! weights are integers (they start at 0 and move by `±1`), so its two
+//! kernels, `margin` and `add_signed`, work on `i32` weights padded to
+//! whole 8-feature tiles, whose padding stays 0: each tile adds its 8
+//! sign-flipped weights in 8 integer lanes at once. Integer sums are
+//! exact in any order, and the `f64` loop they replace never holds a
+//! `−0.0` (`x + (−x)` rounds to `+0.0`), so the weights converted back
+//! to `f64` are that loop's bit for bit ([`crate::perceptron`]).
 
 use crate::dataset::LabeledSet;
 use crate::features::FeatureMap;
@@ -43,23 +48,28 @@ use mlam_boolean::to_pm;
 /// Rows the score kernel adds side by side, one `f64` accumulator each.
 const SCORE_ROWS: usize = 8;
 
-/// Features per tile of the gradient and update kernels: one byte of a
-/// sign word, whose two nibbles index [`NIBBLE_SIGNS`].
+/// Features per tile of the gradient and Perceptron kernels: one byte
+/// of a sign word, which indexes [`BYTE_LANES`] (its two nibbles index
+/// [`NIBBLE_SIGNS`]).
 const TILE_FEATURES: usize = 8;
 
-/// Row-major feature storage: packed sign bits or dense values.
-#[derive(Clone, Debug)]
-enum Storage {
-    /// One bit per feature, set ⇔ the feature is `−1.0`; each row is
-    /// `words_per_row` consecutive `u64`s, with the bits past the
-    /// dimension zero.
-    Signs {
-        words_per_row: usize,
-        words: Vec<u64>,
-    },
-    /// Row-major `f64` values for maps that are not sign-valued.
-    Dense { values: Vec<f64> },
-}
+/// The integer twin of [`NIBBLE_SIGNS`], one entry per byte of a sign
+/// word: lane `k` of entry `b` is `−1` (all bits set) ⇔ bit `k` of `b`
+/// is set, and `0` otherwise. For such a mask `m`, `(v ^ m) − m` is `v`
+/// times the feature's sign, `v` or `−v`. 256 × 32 bytes = 8 KiB.
+static BYTE_LANES: [[i32; TILE_FEATURES]; 256] = {
+    let mut table = [[0i32; TILE_FEATURES]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < TILE_FEATURES {
+            table[b][k] = -(((b >> k) & 1) as i32);
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// A feature matrix cached once per `(LabeledSet, FeatureMap)` pair,
 /// shared across training epochs and CMA-ES population scoring.
@@ -90,7 +100,12 @@ pub struct FeatureMatrix {
     dim: usize,
     /// ±1 labels, `to_pm` encoding (logic 1 ⇔ −1.0).
     labels: Vec<f64>,
-    storage: Storage,
+    /// `dim.div_ceil(64)`: the sign words of one row.
+    words_per_row: usize,
+    /// One bit per feature, set ⇔ the feature is `−1.0`; row `r` is
+    /// `words[r * words_per_row..][..words_per_row]`, with the bits past
+    /// the dimension zero.
+    words: Vec<u64>,
 }
 
 impl FeatureMatrix {
@@ -98,43 +113,28 @@ impl FeatureMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty, the map's arity differs from the
-    /// data's, or the map packs sign words for some inputs but not for
-    /// others.
+    /// Panics if `data` is empty or the map's arity differs from the
+    /// data's.
     pub fn build<M: FeatureMap + ?Sized>(map: &M, data: &LabeledSet) -> Self {
         assert!(!data.is_empty(), "cannot build from an empty set");
         assert_eq!(map.num_inputs(), data.num_inputs(), "feature map arity");
         let m = data.len();
         let d = map.dimension();
         let labels: Vec<f64> = data.pairs().iter().map(|(_, y)| to_pm(*y)).collect();
-        let pairs = data.pairs();
         let words_per_row = d.div_ceil(64);
-        let mut words = vec![0u64; words_per_row];
-        let storage = if map.sign_words_into(&pairs[0].0, &mut words) {
-            words.resize(m * words_per_row, 0);
-            for (row, (x, _)) in pairs.iter().enumerate().skip(1) {
-                let row_words = &mut words[row * words_per_row..(row + 1) * words_per_row];
-                let packed = map.sign_words_into(x, row_words);
-                assert!(packed, "a map packs sign words for every input or for none");
-            }
-            Storage::Signs {
-                words_per_row,
-                words,
-            }
-        } else {
-            let mut buf = Vec::with_capacity(d);
-            let mut values = Vec::with_capacity(m * d);
-            for (x, _) in pairs {
-                map.features_into(x, &mut buf);
-                values.extend_from_slice(&buf);
-            }
-            Storage::Dense { values }
-        };
+        let mut words = vec![0u64; m * words_per_row];
+        for (row, (x, _)) in data.pairs().iter().enumerate() {
+            map.sign_words_into(
+                x,
+                &mut words[row * words_per_row..(row + 1) * words_per_row],
+            );
+        }
         FeatureMatrix {
             examples: m,
             dim: d,
             labels,
-            storage,
+            words_per_row,
+            words,
         }
     }
 
@@ -148,11 +148,6 @@ impl FeatureMatrix {
         self.dim
     }
 
-    /// Whether the rows are stored as packed sign bits.
-    pub fn is_packed(&self) -> bool {
-        matches!(self.storage, Storage::Signs { .. })
-    }
-
     /// The ±1 labels in example order.
     pub fn labels(&self) -> &[f64] {
         &self.labels
@@ -162,6 +157,12 @@ impl FeatureMatrix {
     #[inline]
     pub fn label(&self, row: usize) -> f64 {
         self.labels[row]
+    }
+
+    /// The sign words of example `row`.
+    #[inline]
+    fn signs(&self, row: usize) -> &[u64] {
+        &self.words[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
     /// The dot product `w · φ(x_row)`, bit-identical to the scalar
@@ -178,7 +179,7 @@ impl FeatureMatrix {
     }
 
     /// The scores `out[i] = w · φ(x_{rows[i]})`, each bit-identical to
-    /// [`dot`](Self::dot), computed 8 packed rows at a time.
+    /// [`dot`](Self::dot), computed 8 rows at a time.
     ///
     /// # Panics
     ///
@@ -190,8 +191,8 @@ impl FeatureMatrix {
     }
 
     /// Calls `f(row, w · φ(x_row))` for every row in order, each score
-    /// bit-identical to [`dot`](Self::dot) and computed 8 packed rows
-    /// at a time.
+    /// bit-identical to [`dot`](Self::dot) and computed 8 rows at a
+    /// time.
     ///
     /// # Panics
     ///
@@ -201,9 +202,9 @@ impl FeatureMatrix {
     }
 
     /// Calls `f(i, w · φ(x_{row(i)}))` for `i` in `0..count`, in order:
-    /// full tiles of [`SCORE_ROWS`] packed rows through the multi-row
-    /// kernel, the tail rows through its one-row case. Every score
-    /// starts at `0.0` and adds its terms in index order.
+    /// full tiles of [`SCORE_ROWS`] rows through the multi-row kernel,
+    /// the tail rows through its one-row case. Every score starts at
+    /// `0.0` and adds its terms in index order.
     #[inline]
     fn scores_by(
         &self,
@@ -213,81 +214,86 @@ impl FeatureMatrix {
         mut f: impl FnMut(usize, f64),
     ) {
         assert_eq!(w.len(), self.dim, "weight dimension mismatch");
-        match &self.storage {
-            Storage::Signs {
-                words_per_row,
-                words,
-            } => {
-                let signs = |i: usize| {
-                    let r = row(i);
-                    &words[r * words_per_row..(r + 1) * words_per_row]
-                };
-                let tiled = count - count % SCORE_ROWS;
-                for base in (0..tiled).step_by(SCORE_ROWS) {
-                    let tile =
-                        sign_scores::<SCORE_ROWS>(std::array::from_fn(|k| signs(base + k)), w);
-                    for (k, s) in tile.into_iter().enumerate() {
-                        f(base + k, s);
-                    }
-                }
-                for i in tiled..count {
-                    f(i, sign_scores([signs(i)], w)[0]);
-                }
+        let signs = |i: usize| self.signs(row(i));
+        let tiled = count - count % SCORE_ROWS;
+        for base in (0..tiled).step_by(SCORE_ROWS) {
+            let tile = sign_scores::<SCORE_ROWS>(std::array::from_fn(|k| signs(base + k)), w);
+            for (k, s) in tile.into_iter().enumerate() {
+                f(base + k, s);
             }
-            Storage::Dense { values } => {
-                for i in 0..count {
-                    let r = row(i);
-                    let mut s = 0.0f64;
-                    for (&fj, &wj) in values[r * self.dim..(r + 1) * self.dim].iter().zip(w) {
-                        s += fj * wj;
-                    }
-                    f(i, s);
-                }
-            }
+        }
+        for i in tiled..count {
+            f(i, sign_scores([signs(i)], w)[0]);
         }
     }
 
-    /// The Perceptron update `w[j] += t * φ(x_row)[j]`, bit-identical to
-    /// the scalar loop.
+    /// Length of an integer weight vector for [`margin`](Self::margin)
+    /// and [`add_signed`](Self::add_signed): the dimension rounded up to
+    /// whole 8-feature tiles.
+    pub(crate) fn padded_dimension(&self) -> usize {
+        self.dim.next_multiple_of(TILE_FEATURES)
+    }
+
+    /// The integer margin `w · φ(x_row)` over weights padded to
+    /// [`padded_dimension`](Self::padded_dimension), whose padding is
+    /// zero. Each tile adds its 8 sign-flipped weights `(w ^ m) − m` to
+    /// 8 lane sums; a padding lane adds `0` whatever its sign bit. The
+    /// caller keeps every partial sum inside `i32`.
     ///
     /// # Panics
     ///
-    /// Panics if `w.len() != self.dimension()` or `row` is out of range.
+    /// Panics if `w.len() != self.padded_dimension()` or `row` is out
+    /// of range.
     #[inline]
-    pub fn add_signed(&self, row: usize, t: f64, w: &mut [f64]) {
-        assert_eq!(w.len(), self.dim, "weight dimension mismatch");
-        match &self.storage {
-            Storage::Signs {
-                words_per_row,
-                words,
-            } => {
-                let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                let t = t.to_bits();
-                for (tile, ws) in w.chunks_mut(TILE_FEATURES).enumerate() {
-                    let masks = tile_signs(signs, tile);
-                    for (wj, mask) in ws.iter_mut().zip(masks) {
-                        *wj += f64::from_bits(t ^ mask);
-                    }
-                }
+    pub(crate) fn margin(&self, row: usize, w: &[i32]) -> i32 {
+        assert_eq!(w.len(), self.padded_dimension(), "padded weight length");
+        let (tiles, _) = w.as_chunks::<TILE_FEATURES>();
+        let mut acc = [0i32; TILE_FEATURES];
+        for (ws, byte) in tiles.iter().zip(tile_bytes(self.signs(row))) {
+            let masks = &BYTE_LANES[usize::from(byte)];
+            for k in 0..TILE_FEATURES {
+                acc[k] += (ws[k] ^ masks[k]) - masks[k];
             }
-            Storage::Dense { values } => {
-                let f = &values[row * self.dim..(row + 1) * self.dim];
-                for (wj, &fj) in w.iter_mut().zip(f) {
-                    *wj += t * fj;
-                }
+        }
+        acc.iter().sum()
+    }
+
+    /// The Perceptron update `w[j] += t * φ(x_row)[j]` for `t = ±1` over
+    /// weights padded to [`padded_dimension`](Self::padded_dimension),
+    /// tile by tile; the padding lanes past the dimension are left as
+    /// they are. The caller keeps every weight inside `i32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != self.padded_dimension()` or `row` is out
+    /// of range.
+    #[inline]
+    pub(crate) fn add_signed(&self, row: usize, t: i32, w: &mut [i32]) {
+        assert_eq!(w.len(), self.padded_dimension(), "padded weight length");
+        let (tiles, tail) = w[..self.dim].as_chunks_mut::<TILE_FEATURES>();
+        let mut bytes = tile_bytes(self.signs(row));
+        for (ws, byte) in tiles.iter_mut().zip(&mut bytes) {
+            let masks = &BYTE_LANES[usize::from(byte)];
+            for k in 0..TILE_FEATURES {
+                ws[k] += (t ^ masks[k]) - masks[k];
+            }
+        }
+        if let Some(byte) = bytes.next() {
+            let masks = &BYTE_LANES[usize::from(byte)];
+            for (wj, &m) in tail.iter_mut().zip(masks) {
+                *wj += (t ^ m) - m;
             }
         }
     }
 
     /// The minibatch logistic gradient: for each `rows[i]` in order,
     /// `g[j] -= t * φ(x)[j] * sigmas[i]` with `t` the row's label,
-    /// bit-identical to that row-at-a-time loop (for a sign-valued
-    /// feature the scalar product `(t * ±1) * sigma` is exactly
-    /// `±(t * sigma)`).
+    /// bit-identical to that row-at-a-time loop (for a ±1 feature the
+    /// scalar product `(t * ±1) * sigma` is exactly `±(t * sigma)`).
     ///
-    /// Packed rows are read one 8-feature tile at a time: the tile's
-    /// gradient entries stay in registers while every row of the batch,
-    /// in order, subtracts its sign-flipped `t * sigma` from them.
+    /// Rows are read one 8-feature tile at a time: the tile's gradient
+    /// entries stay in registers while every row of the batch, in order,
+    /// subtracts its sign-flipped `t * sigma` from them.
     ///
     /// # Panics
     ///
@@ -296,33 +302,16 @@ impl FeatureMatrix {
     pub fn grad_sub_batch(&self, rows: &[usize], sigmas: &[f64], g: &mut [f64]) {
         assert_eq!(g.len(), self.dim, "gradient dimension mismatch");
         assert_eq!(rows.len(), sigmas.len(), "one sigma per row");
-        match &self.storage {
-            Storage::Signs {
-                words_per_row,
-                words,
-            } => {
-                for (tile, gs) in g.chunks_mut(TILE_FEATURES).enumerate() {
-                    let mut acc = [0.0f64; TILE_FEATURES];
-                    acc[..gs.len()].copy_from_slice(gs);
-                    for (&row, &sigma) in rows.iter().zip(sigmas) {
-                        let signs = &words[row * words_per_row..(row + 1) * words_per_row];
-                        let c = (self.labels[row] * sigma).to_bits();
-                        for (a, mask) in acc.iter_mut().zip(tile_signs(signs, tile)) {
-                            *a -= f64::from_bits(c ^ mask);
-                        }
-                    }
-                    gs.copy_from_slice(&acc[..gs.len()]);
+        for (tile, gs) in g.chunks_mut(TILE_FEATURES).enumerate() {
+            let mut acc = [0.0f64; TILE_FEATURES];
+            acc[..gs.len()].copy_from_slice(gs);
+            for (&row, &sigma) in rows.iter().zip(sigmas) {
+                let c = (self.labels[row] * sigma).to_bits();
+                for (a, mask) in acc.iter_mut().zip(tile_signs(self.signs(row), tile)) {
+                    *a -= f64::from_bits(c ^ mask);
                 }
             }
-            Storage::Dense { values } => {
-                for (&row, &sigma) in rows.iter().zip(sigmas) {
-                    let t = self.labels[row];
-                    let f = &values[row * self.dim..(row + 1) * self.dim];
-                    for (gj, &fj) in g.iter_mut().zip(f) {
-                        *gj -= t * fj * sigma;
-                    }
-                }
-            }
+            gs.copy_from_slice(&acc[..gs.len()]);
         }
     }
 
@@ -358,6 +347,13 @@ fn sign_scores<const R: usize>(rows: [&[u64]; R], w: &[f64]) -> [f64; R] {
     acc
 }
 
+/// The bytes of one packed row in feature order: byte `i` holds the
+/// sign bits of features `8 * i .. 8 * i + 8`.
+#[inline(always)]
+fn tile_bytes(signs: &[u64]) -> impl Iterator<Item = u8> + '_ {
+    signs.iter().flat_map(|word| word.to_le_bytes())
+}
+
 /// The IEEE sign masks of features `8 * tile .. 8 * tile + 8` of one
 /// packed row, from the two [`NIBBLE_SIGNS`] entries of their byte.
 #[inline(always)]
@@ -373,29 +369,10 @@ fn tile_signs(signs: &[u64], tile: usize) -> [u64; TILE_FEATURES] {
 mod tests {
     use super::*;
     use crate::features::{ArbiterPhiFeatures, LowDegreeFeatures, PlusMinusFeatures};
-    use mlam_boolean::{BitVec, LinearThreshold};
+    use mlam_boolean::LinearThreshold;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-
-    /// A deliberately non-sign-valued map to exercise the dense path.
-    struct ScaledBits {
-        n: usize,
-    }
-
-    impl FeatureMap for ScaledBits {
-        fn num_inputs(&self) -> usize {
-            self.n
-        }
-        fn dimension(&self) -> usize {
-            self.n + 1
-        }
-        fn features(&self, x: &BitVec) -> Vec<f64> {
-            let mut v: Vec<f64> = (0..self.n).map(|i| 0.5 * x.pm(i)).collect();
-            v.push(0.25);
-            v
-        }
-    }
 
     fn sample_set(n: usize, m: usize, seed: u64) -> LabeledSet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -452,7 +429,6 @@ mod tests {
             ];
             for map in &maps {
                 let fm = FeatureMatrix::build(map.as_ref(), &data);
-                assert!(fm.is_packed());
                 let w = random_weights(fm.dimension(), &mut rng);
                 assert_scores_match(map.as_ref(), &data, &fm, &w, &mut rng);
                 for (row, (_, y)) in data.pairs().iter().enumerate() {
@@ -463,43 +439,34 @@ mod tests {
     }
 
     #[test]
-    fn dense_fallback_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let data = sample_set(10, 60, 3);
-        let map = ScaledBits { n: 10 };
-        let fm = FeatureMatrix::build(&map, &data);
-        assert!(!fm.is_packed());
-        let w = random_weights(fm.dimension(), &mut rng);
-        assert_scores_match(&map, &data, &fm, &w, &mut rng);
-    }
-
-    #[test]
     fn add_signed_matches_scalar_update() {
-        let mut rng = StdRng::seed_from_u64(3);
         let data = sample_set(17, 50, 4);
         let map = ArbiterPhiFeatures::new(17);
         let fm = FeatureMatrix::build(&map, &data);
-        let mut w_fast = random_weights(fm.dimension(), &mut rng);
-        let mut w_ref = w_fast.clone();
+        assert_eq!(fm.padded_dimension(), 24);
+        let mut w_fast = vec![0i32; fm.padded_dimension()];
+        let mut w_ref = vec![0.0f64; fm.dimension()];
         for (row, (x, y)) in data.pairs().iter().enumerate() {
             let t = to_pm(*y);
-            fm.add_signed(row, t, &mut w_fast);
+            let margin: f64 = map.features(x).iter().zip(&w_ref).map(|(f, w)| f * w).sum();
+            assert_eq!(f64::from(fm.margin(row, &w_fast)), margin, "row {row}");
+            fm.add_signed(row, t as i32, &mut w_fast);
             for (wi, fi) in w_ref.iter_mut().zip(map.features(x)) {
                 *wi += t * fi;
             }
         }
-        for (a, b) in w_fast.iter().zip(&w_ref) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let as_f64: Vec<f64> = w_fast.iter().map(|&w| f64::from(w)).collect();
+        assert_eq!(as_f64[..fm.dimension()], w_ref[..]);
+        assert!(w_fast[fm.dimension()..].iter().all(|&w| w == 0), "padding");
     }
 
     #[test]
     fn grad_sub_matches_scalar_update() {
         let mut rng = StdRng::seed_from_u64(4);
         let data = sample_set(9, 40, 5);
-        let packed = PlusMinusFeatures::new(9);
-        let dense = ScaledBits { n: 9 };
-        let maps: [&dyn FeatureMap; 2] = [&packed, &dense];
+        let plus_minus = PlusMinusFeatures::new(9);
+        let phi = ArbiterPhiFeatures::new(9);
+        let maps: [&dyn FeatureMap; 2] = [&plus_minus, &phi];
         for map in maps {
             let fm = FeatureMatrix::build(map, &data);
             let mut rows: Vec<usize> = (0..data.len()).collect();

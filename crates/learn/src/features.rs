@@ -1,4 +1,4 @@
-//! Feature maps: how a challenge becomes a real vector for the linear
+//! Feature maps: how a challenge becomes a ±1 vector for the linear
 //! learners.
 //!
 //! The *representation* axis of the adversary model (paper, Section V)
@@ -11,7 +11,15 @@
 
 use mlam_boolean::{BitVec, SubsetsUpTo};
 
-/// Maps a Boolean input to a real feature vector.
+/// Maps a Boolean input to a feature vector whose every value is exactly
+/// `±1.0`.
+///
+/// Because each feature is a sign, a
+/// [`FeatureMatrix`](crate::feature_matrix::FeatureMatrix) stores it as
+/// one bit ([`sign_words_into`](FeatureMap::sign_words_into)), and the
+/// Perceptron, whose weights start at `0` and move by `t · φ_j = ±1`,
+/// trains on exact integer weights. A map with any other value (a
+/// scaled or real-valued feature) does not fit this trait.
 pub trait FeatureMap {
     /// Input length the map accepts.
     fn num_inputs(&self) -> usize;
@@ -20,7 +28,7 @@ pub trait FeatureMap {
     /// feature).
     fn dimension(&self) -> usize;
 
-    /// Computes the features of `x`.
+    /// Computes the features of `x`, each `+1.0` or `−1.0`.
     ///
     /// # Panics
     ///
@@ -37,27 +45,23 @@ pub trait FeatureMap {
         out.extend(self.features(x));
     }
 
-    /// Packs the signs of `x`'s features into `out`, for a map whose
-    /// every feature value is exactly `±1.0`: bit `j % 64` of
+    /// Packs the signs of `x`'s features into `out`: bit `j % 64` of
     /// `out[j / 64]` is set ⇔ feature `j` is `−1.0`, and the bits past
     /// [`dimension`](FeatureMap::dimension) are zero. `out` holds
     /// `dimension().div_ceil(64)` words, all of which are overwritten.
-    /// Returns `false`, leaving `out` alone, when the map is not
-    /// sign-valued; a map gives the same answer for every input.
     ///
-    /// Sign-valued maps let [`crate::feature_matrix::FeatureMatrix`]
-    /// store one sign *bit* per feature instead of an `f64`, which is
-    /// what makes the cached-matrix learners cache-resident. The
-    /// built-in maps derive the words from the input's words, with no
-    /// `f64` features in between.
+    /// This is the one form in which
+    /// [`FeatureMatrix`](crate::feature_matrix::FeatureMatrix) stores
+    /// features: one bit instead of an `f64` each, which is what makes
+    /// the cached-matrix learners cache-resident. The built-in maps
+    /// derive the words from the input's words, with no `f64` features
+    /// in between.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `x.len() != self.num_inputs()` or
     /// `out` has the wrong length.
-    fn sign_words_into(&self, _x: &BitVec, _out: &mut [u64]) -> bool {
-        false
-    }
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]);
 }
 
 /// Writes `words` to the front of `out` and zeroes the rest.
@@ -107,11 +111,10 @@ impl FeatureMap for PlusMinusFeatures {
         out.push(1.0);
     }
 
-    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) -> bool {
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) {
         assert_eq!(x.len(), self.n, "input length mismatch");
         // Feature i < n is −1 ⇔ bit i is set; the constant is +1.
         copy_words(x.words(), out);
-        true
     }
 }
 
@@ -159,11 +162,10 @@ impl FeatureMap for ArbiterPhiFeatures {
         }
     }
 
-    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) -> bool {
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) {
         assert_eq!(x.len(), self.n, "input length mismatch");
         // Φ_i is −1 ⇔ the parity of bits i..n is odd; the constant is +1.
         copy_words(&x.suffix_parity_words(), out);
-        true
     }
 }
 
@@ -228,7 +230,7 @@ impl FeatureMap for LowDegreeFeatures {
         }));
     }
 
-    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) -> bool {
+    fn sign_words_into(&self, x: &BitVec, out: &mut [u64]) {
         assert_eq!(x.len(), self.n, "input length mismatch");
         assert_eq!(out.len(), self.masks.len().div_ceil(64), "sign word count");
         let xm = x.to_u64();
@@ -237,7 +239,6 @@ impl FeatureMap for LowDegreeFeatures {
                 acc | (u64::from((xm & m).count_ones() & 1) << b)
             });
         }
-        true
     }
 }
 
@@ -304,13 +305,11 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for map in &maps {
-            let mut words = vec![0; map.dimension().div_ceil(64)];
             for _ in 0..20 {
                 let x = BitVec::random(n, &mut rng);
                 map.features_into(&x, &mut buf);
                 assert_eq!(buf, map.features(&x));
                 assert_eq!(buf.len(), map.dimension());
-                assert!(map.sign_words_into(&x, &mut words), "sign-valued");
             }
         }
     }

@@ -6,6 +6,18 @@
 //! mistakes against the analytic bound. The pocket variant keeps the
 //! best-so-far weights, which is what makes the algorithm usable on the
 //! non-separable data of Table II.
+//!
+//! Every feature is `±1` and every weight starts at `0`, so the update
+//! `w += t·φ(x)` moves each weight by exactly `±1`: every weight,
+//! partial sum and score is an integer. The trainer keeps its weights as
+//! `i32` and scores each example with an integer lane sum
+//! ([`FeatureMatrix`]'s `margin`), which is exact in any term order.
+//! The result is the one the `f64` loop gives, bit for bit: that loop's
+//! sums are exact too (integers far below `2^53`), a weight `x + (−x)`
+//! rounds to `+0.0` and never to `−0.0`, and so no score is ever `−0.0`
+//! either. The pocket scan converts the weights to `f64` once per epoch
+//! and runs [`FeatureMatrix::error_count`], whose count is therefore the
+//! `f64` loop's count, and the returned model holds those `f64` weights.
 
 use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
@@ -123,8 +135,10 @@ impl Perceptron {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or the map's arity differs from the
-    /// data's.
+    /// Panics if `data` is empty, the map's arity differs from the
+    /// data's, or `dimension × max_epochs × examples` exceeds `i32::MAX`,
+    /// the bound that keeps every integer weight and partial sum inside
+    /// `i32`.
     pub fn train_with<M: FeatureMap + Clone>(
         &self,
         map: M,
@@ -133,13 +147,24 @@ impl Perceptron {
         assert!(!data.is_empty(), "cannot train on an empty set");
         assert_eq!(map.num_inputs(), data.num_inputs(), "feature map arity");
         let d = map.dimension();
+        // A weight moves by at most 1 per example visited, so a partial
+        // sum of `d` weights stays within `d × max_epochs × examples`.
+        let bound = d
+            .checked_mul(self.max_epochs)
+            .and_then(|b| b.checked_mul(data.len()));
+        assert!(
+            bound.is_some_and(|b| i32::try_from(b).is_ok()),
+            "dimension {d} × {} epochs × {} examples exceeds i32::MAX",
+            self.max_epochs,
+            data.len()
+        );
         // Compute the feature matrix once, shared by every epoch and by
-        // the pocket error scans (bit-identical to the former
-        // per-example Vec<f64> path).
+        // the pocket error scans.
         let fm = FeatureMatrix::build(&map, data);
 
-        let mut w = vec![0.0f64; d];
-        let mut pocket = w.clone();
+        let mut w = vec![0i32; fm.padded_dimension()];
+        let mut epoch_w = vec![0.0f64; d];
+        let mut pocket = epoch_w.clone();
         let mut pocket_err = usize::MAX;
         let mut mistakes = 0usize;
         let mut epochs_run = 0usize;
@@ -149,18 +174,21 @@ impl Perceptron {
             epochs_run += 1;
             let mut epoch_mistakes = 0usize;
             for row in 0..fm.examples() {
-                let t = fm.label(row);
-                let s = fm.dot(row, &w);
-                if s * t <= 0.0 {
+                // Labels are exactly ±1.0.
+                let t = fm.label(row) as i32;
+                if fm.margin(row, &w) * t <= 0 {
                     fm.add_signed(row, t, &mut w);
                     epoch_mistakes += 1;
                 }
             }
             mistakes += epoch_mistakes;
-            let err = fm.error_count(&w);
+            for (wf, &wi) in epoch_w.iter_mut().zip(&w) {
+                *wf = f64::from(wi);
+            }
+            let err = fm.error_count(&epoch_w);
             if err < pocket_err {
                 pocket_err = err;
-                pocket.copy_from_slice(&w);
+                pocket.copy_from_slice(&epoch_w);
             }
             // Learning-curve checkpoint: the pocket error is already
             // computed every epoch, so the accuracy here is free and
@@ -285,6 +313,18 @@ mod tests {
         let hard = LabeledSet::sample(&hard_target, 500, &mut rng);
         let out_hard = Perceptron::new(100).train(&hard);
         assert!(out_hard.mistakes >= out_easy.mistakes);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds i32::MAX")]
+    fn refuses_runs_whose_sums_could_leave_i32() {
+        // 5 features × 2^40 epochs × 3 rows is past i32::MAX. The rows
+        // are separable, so without the check the run would converge
+        // within a few epochs instead of panicking.
+        let mut rng = StdRng::seed_from_u64(6);
+        let target = LinearThreshold::random(4, &mut rng);
+        let train = LabeledSet::sample(&target, 3, &mut rng);
+        Perceptron::new(1 << 40).train(&train);
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! The one-row loops that the multi-row packed kernels replaced, kept
-//! as the bit-identity reference for them.
+//! The one-row `f64` loops that the packed and integer kernels
+//! replaced, kept as the bit-identity reference for them.
 //!
 //! [`Rows`] is the earlier `FeatureMatrix`: sign bits packed one
 //! feature at a time from [`FeatureMap::features_into`], and a one-row
 //! `dot`, `add_signed` and `grad_sub` that read one bit per term.
 //! [`perceptron`] and [`logistic`] are the earlier training loops over
-//! it, one row per score. The tests compare the trainers with them by
-//! `to_bits()` for the three built-in maps and one dense map, over
-//! input lengths on both sides of the 64-bit word boundary, sample
-//! sizes on both sides of the 8-row score tile, batch sizes on both
-//! sides of it, and separable and 50%-flipped labels.
+//! it, one `f64` row per score. The tests compare the trainers with them
+//! by `to_bits()` for the three built-in maps, over dimensions on both
+//! sides of the 8-feature tile and the 64-bit word, sample sizes on
+//! both sides of the 8-row score tile, batch sizes on both sides of it,
+//! and separable and 50%-flipped labels. The Perceptron, which trains on
+//! `i32` weights, is also held to the reference on rows that score
+//! exactly 0, and on runs whose weights pass the `i8` range and whose
+//! scores pass the `i16` range.
 
 use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
@@ -28,94 +31,62 @@ fn pack_signs(map: &dyn FeatureMap, x: &BitVec) -> Vec<u64> {
     map.features_into(x, &mut buf);
     let mut words = vec![0u64; buf.len().div_ceil(64)];
     for (j, &v) in buf.iter().enumerate() {
-        assert!(v == 1.0 || v == -1.0, "sign-valued map produced {v}");
+        assert!(v == 1.0 || v == -1.0, "feature map produced {v}");
         words[j / 64] |= (v.to_bits() >> 63) << (j % 64);
     }
     words
 }
 
-/// The earlier `FeatureMatrix`: packed sign rows for a sign-valued map,
-/// dense rows otherwise.
+/// The earlier `FeatureMatrix`: packed sign rows.
 struct Rows {
     dim: usize,
     labels: Vec<f64>,
-    /// `(words_per_row, words)` for packed rows.
-    signs: Option<(usize, Vec<u64>)>,
-    /// Row-major values for dense rows.
-    values: Vec<f64>,
+    words_per_row: usize,
+    words: Vec<u64>,
 }
 
 impl Rows {
-    fn build(map: &dyn FeatureMap, data: &LabeledSet, sign_valued: bool) -> Rows {
+    fn build(map: &dyn FeatureMap, data: &LabeledSet) -> Rows {
         let dim = map.dimension();
-        let labels = data.pairs().iter().map(|(_, y)| to_pm(*y)).collect();
-        let mut rows = Rows {
+        Rows {
             dim,
-            labels,
-            signs: None,
-            values: Vec::new(),
-        };
-        if sign_valued {
-            let words = data.pairs().iter().flat_map(|(x, _)| pack_signs(map, x));
-            rows.signs = Some((dim.div_ceil(64), words.collect()));
-        } else {
-            for (x, _) in data.pairs() {
-                rows.values.extend(map.features(x));
-            }
+            labels: data.pairs().iter().map(|(_, y)| to_pm(*y)).collect(),
+            words_per_row: dim.div_ceil(64),
+            words: data
+                .pairs()
+                .iter()
+                .flat_map(|(x, _)| pack_signs(map, x))
+                .collect(),
         }
-        rows
     }
 
     fn examples(&self) -> usize {
         self.labels.len()
     }
 
-    /// The sign bit of feature `j` of packed row `row`.
+    /// The sign bit of feature `j` of row `row`.
     fn bit(&self, row: usize, j: usize) -> u64 {
-        let (words_per_row, words) = self.signs.as_ref().expect("packed rows");
-        (words[row * words_per_row + j / 64] >> (j % 64)) & 1
-    }
-
-    fn dense(&self, row: usize) -> &[f64] {
-        &self.values[row * self.dim..(row + 1) * self.dim]
+        (self.words[row * self.words_per_row + j / 64] >> (j % 64)) & 1
     }
 
     fn dot(&self, row: usize, w: &[f64]) -> f64 {
         let mut s = 0.0f64;
-        if self.signs.is_some() {
-            for (j, &wj) in w.iter().enumerate() {
-                s += sign_select(wj, self.bit(row, j));
-            }
-        } else {
-            for (&fj, &wj) in self.dense(row).iter().zip(w) {
-                s += fj * wj;
-            }
+        for (j, &wj) in w.iter().enumerate() {
+            s += sign_select(wj, self.bit(row, j));
         }
         s
     }
 
     fn add_signed(&self, row: usize, t: f64, w: &mut [f64]) {
-        if self.signs.is_some() {
-            for (j, wj) in w.iter_mut().enumerate() {
-                *wj += sign_select(t, self.bit(row, j));
-            }
-        } else {
-            for (wj, &fj) in w.iter_mut().zip(self.dense(row)) {
-                *wj += t * fj;
-            }
+        for (j, wj) in w.iter_mut().enumerate() {
+            *wj += sign_select(t, self.bit(row, j));
         }
     }
 
     fn grad_sub(&self, row: usize, t: f64, sigma: f64, g: &mut [f64]) {
-        if self.signs.is_some() {
-            let c = t * sigma;
-            for (j, gj) in g.iter_mut().enumerate() {
-                *gj -= sign_select(c, self.bit(row, j));
-            }
-        } else {
-            for (gj, &fj) in g.iter_mut().zip(self.dense(row)) {
-                *gj -= t * fj * sigma;
-            }
+        let c = t * sigma;
+        for (j, gj) in g.iter_mut().enumerate() {
+            *gj -= sign_select(c, self.bit(row, j));
         }
     }
 
@@ -136,23 +107,52 @@ struct PerceptronRun {
     training_accuracy: u64,
 }
 
-/// `Perceptron::train_with`: one-row scores in the update pass and the
-/// pocket scan.
-fn perceptron(rows: &Rows, max_epochs: usize) -> PerceptronRun {
+/// How far a reference run went into the integer trainer's edge cases.
+#[derive(Clone, Copy, Debug, Default)]
+struct Reach {
+    /// Update-pass rows that scored exactly 0 under nonzero weights.
+    zero_scores: usize,
+    /// The largest `|w_j|` after any update.
+    max_weight: f64,
+    /// The largest `|score|` of the update pass.
+    max_score: f64,
+}
+
+impl Reach {
+    fn merge(self, other: Reach) -> Reach {
+        Reach {
+            zero_scores: self.zero_scores + other.zero_scores,
+            max_weight: self.max_weight.max(other.max_weight),
+            max_score: self.max_score.max(other.max_score),
+        }
+    }
+}
+
+/// `Perceptron::train_with` on `f64` weights: one-row scores in the
+/// update pass and the pocket scan.
+fn perceptron(rows: &Rows, max_epochs: usize) -> (PerceptronRun, Reach) {
     let mut w = vec![0.0f64; rows.dim];
     let mut pocket = w.clone();
     let mut pocket_err = usize::MAX;
     let mut mistakes = 0usize;
     let mut epochs_run = 0usize;
     let mut converged = false;
+    let mut reach = Reach::default();
     for _ in 0..max_epochs {
         epochs_run += 1;
         let mut epoch_mistakes = 0usize;
         for row in 0..rows.examples() {
             let t = rows.labels[row];
-            if rows.dot(row, &w) * t <= 0.0 {
+            let s = rows.dot(row, &w);
+            reach.max_score = reach.max_score.max(s.abs());
+            if s == 0.0 && w.iter().any(|&wj| wj != 0.0) {
+                reach.zero_scores += 1;
+            }
+            if s * t <= 0.0 {
                 rows.add_signed(row, t, &mut w);
                 epoch_mistakes += 1;
+                let largest = w.iter().fold(0.0f64, |m, wj| m.max(wj.abs()));
+                reach.max_weight = reach.max_weight.max(largest);
             }
         }
         mistakes += epoch_mistakes;
@@ -166,13 +166,35 @@ fn perceptron(rows: &Rows, max_epochs: usize) -> PerceptronRun {
             break;
         }
     }
-    PerceptronRun {
+    let run = PerceptronRun {
         weights: bits(&pocket),
         mistakes,
         epochs_run,
         converged,
         training_accuracy: (1.0 - pocket_err as f64 / rows.examples() as f64).to_bits(),
-    }
+    };
+    (run, reach)
+}
+
+/// Trains the Perceptron over `map` on `data` and compares the outcome
+/// with the reference loop; returns how far the reference went.
+fn assert_perceptron_matches<M: FeatureMap + Clone>(
+    map: M,
+    data: &LabeledSet,
+    epochs: usize,
+    label: &str,
+) -> Reach {
+    let out = Perceptron::new(epochs).train_with(map.clone(), data);
+    let fast = PerceptronRun {
+        weights: bits(out.model.weights()),
+        mistakes: out.mistakes,
+        epochs_run: out.epochs_run,
+        converged: out.converged,
+        training_accuracy: out.training_accuracy.to_bits(),
+    };
+    let (expected, reach) = perceptron(&Rows::build(&map, data), epochs);
+    assert_eq!(fast, expected, "perceptron {label}");
+    reach
 }
 
 /// `LogisticOutcome` with the model reduced to its weights.
@@ -246,8 +268,10 @@ fn logistic<R: Rng + ?Sized>(rows: &Rows, config: LogisticConfig, rng: &mut R) -
     }
 }
 
-/// Input lengths on both sides of the 64-bit word boundary.
-const LENGTHS: [usize; 6] = [1, 7, 63, 64, 65, 130];
+/// Input lengths whose ±1 and Φ maps have `d = n + 1` features, on
+/// both sides of the 8-feature tile and the 64-bit word:
+/// `d = 1, 2, 7, 8, 9, 16, 64, 65, 66, 130`.
+const LENGTHS: [usize; 10] = [0, 1, 6, 7, 8, 15, 63, 64, 65, 129];
 /// Sample sizes on both sides of the 8-row score tile.
 const SIZES: [usize; 7] = [1, 7, 8, 9, 33, 65, 1000];
 /// Minibatch sizes on both sides of the 8-row score tile.
@@ -256,15 +280,15 @@ const BATCHES: [usize; 5] = [1, 5, 8, 32, 33];
 /// labels that carry no signal, so every epoch keeps making mistakes.
 const FLIPS: [f64; 2] = [0.0, 0.5];
 
-/// Labels of a random LTF over the raw bits, each flipped with
-/// probability `flip`.
+/// Labels of a random LTF over the raw bits (logic 0 when `n = 0`),
+/// each flipped with probability `flip`.
 fn sample(n: usize, m: usize, flip: f64, seed: u64) -> LabeledSet {
     let mut rng = StdRng::seed_from_u64(seed);
-    let ltf = LinearThreshold::random(n, &mut rng);
+    let ltf = (n > 0).then(|| LinearThreshold::random(n, &mut rng));
     let pairs = (0..m)
         .map(|_| {
             let x = BitVec::random(n, &mut rng);
-            let y = ltf.eval(&x) ^ rng.gen_bool(flip);
+            let y = ltf.as_ref().is_some_and(|f| f.eval(&x)) ^ rng.gen_bool(flip);
             (x, y)
         })
         .collect();
@@ -275,47 +299,19 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// A map that is not sign-valued (halved bits and a `0.25` constant),
-/// so its matrix stays dense.
-#[derive(Clone)]
-struct Halved {
-    n: usize,
-}
-
-impl FeatureMap for Halved {
-    fn num_inputs(&self) -> usize {
-        self.n
-    }
-    fn dimension(&self) -> usize {
-        self.n + 1
-    }
-    fn features(&self, x: &BitVec) -> Vec<f64> {
-        let mut v: Vec<f64> = (0..self.n).map(|i| 0.5 * x.pm(i)).collect();
-        v.push(0.25);
-        v
-    }
-}
-
 /// Trains both learners over `map` on every sample size and flip rate
 /// (the logistic learner at every batch size) and compares each
 /// outcome, and the caller's next RNG draw, with the reference loops.
-fn assert_trainers_match<M: FeatureMap + Clone>(map: M, sign_valued: bool) {
+/// Returns how far the reference Perceptron runs went.
+fn assert_trainers_match<M: FeatureMap + Clone>(map: M) -> Reach {
     let n = map.num_inputs();
+    let mut reach = Reach::default();
     for m in SIZES {
         for flip in FLIPS {
             let data = sample(n, m, flip, (n * 1000 + m) as u64);
-            let rows = Rows::build(&map, &data, sign_valued);
+            let rows = Rows::build(&map, &data);
             let label = format!("n={n} d={} m={m} flip={flip}", map.dimension());
-
-            let out = Perceptron::new(12).train_with(map.clone(), &data);
-            let fast = PerceptronRun {
-                weights: bits(out.model.weights()),
-                mistakes: out.mistakes,
-                epochs_run: out.epochs_run,
-                converged: out.converged,
-                training_accuracy: out.training_accuracy.to_bits(),
-            };
-            assert_eq!(fast, perceptron(&rows, 12), "perceptron {label}");
+            reach = reach.merge(assert_perceptron_matches(map.clone(), &data, 12, &label));
 
             for batch_size in BATCHES {
                 let config = LogisticConfig {
@@ -341,18 +337,17 @@ fn assert_trainers_match<M: FeatureMap + Clone>(map: M, sign_valued: bool) {
             }
         }
     }
+    reach
 }
 
-/// The three built-in maps and the dense one over `n`-bit inputs, each
-/// with whether the reference packs it.
-fn maps(n: usize) -> Vec<(Box<dyn FeatureMap>, bool)> {
-    let mut maps: Vec<(Box<dyn FeatureMap>, bool)> = vec![
-        (Box::new(PlusMinusFeatures::new(n)), true),
-        (Box::new(ArbiterPhiFeatures::new(n)), true),
-        (Box::new(Halved { n }), false),
+/// The three built-in maps over `n`-bit inputs.
+fn maps(n: usize) -> Vec<Box<dyn FeatureMap>> {
+    let mut maps: Vec<Box<dyn FeatureMap>> = vec![
+        Box::new(PlusMinusFeatures::new(n)),
+        Box::new(ArbiterPhiFeatures::new(n)),
     ];
     if n <= 63 {
-        maps.push((Box::new(LowDegreeFeatures::new(n, 2)), true));
+        maps.push(Box::new(LowDegreeFeatures::new(n, 2)));
     }
     maps
 }
@@ -361,13 +356,12 @@ fn maps(n: usize) -> Vec<(Box<dyn FeatureMap>, bool)> {
 fn kernels_match_one_row_loops() {
     let mut rng = StdRng::seed_from_u64(12);
     for n in LENGTHS {
-        for (map, sign_valued) in maps(n) {
+        for map in maps(n) {
             let d = map.dimension();
             for m in SIZES {
                 let data = sample(n, m, 0.5, (n + m) as u64);
                 let fm = FeatureMatrix::build(map.as_ref(), &data);
-                let rows = Rows::build(map.as_ref(), &data, sign_valued);
-                assert_eq!(fm.is_packed(), sign_valued);
+                let rows = Rows::build(map.as_ref(), &data);
                 let label = format!("n={n} d={d} m={m}");
                 // Signed zeros: an all-`-0.0` sum stays `-0.0` only from
                 // a `-0.0` start, so these pin the lanes' `0.0` start.
@@ -389,13 +383,25 @@ fn kernels_match_one_row_loops() {
                     assert_eq!(fm.error_count(&w), rows.error_count(&w), "{label}");
                 }
 
-                let t = to_pm(rng.gen());
+                // Integer weights with zero padding, as the Perceptron
+                // keeps them: the margin is the `f64` dot of the same
+                // values, and an update leaves the padding at zero.
+                let mut w_int = vec![0i32; fm.padded_dimension()];
+                for wj in &mut w_int[..d] {
+                    *wj = rng.gen_range(-1000..=1000);
+                }
+                let mut w_ref: Vec<f64> = w_int[..d].iter().map(|&wj| f64::from(wj)).collect();
+                for r in 0..m {
+                    let margin = f64::from(fm.margin(r, &w_int));
+                    assert_eq!(margin.to_bits(), rows.dot(r, &w_ref).to_bits(), "{label}");
+                }
                 let r = rng.gen_range(0..m);
-                let mut w_fast: Vec<f64> = (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                let mut w_ref = w_fast.clone();
-                fm.add_signed(r, t, &mut w_fast);
+                let t = to_pm(rng.gen());
+                fm.add_signed(r, t as i32, &mut w_int);
                 rows.add_signed(r, t, &mut w_ref);
+                let w_fast: Vec<f64> = w_int[..d].iter().map(|&wj| f64::from(wj)).collect();
                 assert_eq!(bits(&w_fast), bits(&w_ref), "add_signed {label}");
+                assert!(w_int[d..].iter().all(|&wj| wj == 0), "padding {label}");
 
                 for batch_size in BATCHES {
                     let batch: Vec<usize> = (0..batch_size).map(|_| rng.gen_range(0..m)).collect();
@@ -419,51 +425,75 @@ fn kernels_match_one_row_loops() {
 
 #[test]
 fn plus_minus_trainers_are_bit_identical() {
-    for n in LENGTHS {
-        assert_trainers_match(PlusMinusFeatures::new(n), true);
-    }
+    let reach = LENGTHS
+        .into_iter()
+        .map(|n| assert_trainers_match(PlusMinusFeatures::new(n)))
+        .fold(Reach::default(), Reach::merge);
+    assert!(reach.zero_scores > 0, "no row scored exactly 0: {reach:?}");
 }
 
 #[test]
 fn arbiter_phi_trainers_are_bit_identical() {
-    for n in LENGTHS {
-        assert_trainers_match(ArbiterPhiFeatures::new(n), true);
-    }
+    let reach = LENGTHS
+        .into_iter()
+        .map(|n| assert_trainers_match(ArbiterPhiFeatures::new(n)))
+        .fold(Reach::default(), Reach::merge);
+    assert!(reach.zero_scores > 0, "no row scored exactly 0: {reach:?}");
 }
 
 #[test]
 fn low_degree_trainers_are_bit_identical() {
     // The masks address at most 63 input bits; degree 2 takes the
-    // dimension to 2, 29 and 2017.
-    for n in LENGTHS.into_iter().filter(|&n| n <= 63) {
-        assert_trainers_match(LowDegreeFeatures::new(n, 2), true);
-    }
+    // dimension to 1, 2, 22, 29, 37, 121 and 2017.
+    let reach = LENGTHS
+        .into_iter()
+        .filter(|&n| n <= 63)
+        .map(|n| assert_trainers_match(LowDegreeFeatures::new(n, 2)))
+        .fold(Reach::default(), Reach::merge);
+    assert!(reach.zero_scores > 0, "no row scored exactly 0: {reach:?}");
 }
 
 #[test]
-fn dense_trainers_are_bit_identical() {
-    for n in LENGTHS {
-        assert_trainers_match(Halved { n }, false);
-    }
+fn perceptron_is_bit_identical_past_narrow_integers() {
+    // Labels that carry no signal keep the Perceptron's weights small:
+    // it cycles. Separable labels with thin margins make it climb, so a
+    // long separable run takes some weight past the `i8` range.
+    let data = sample(64, 4000, 0.0, 64);
+    let reach = assert_perceptron_matches(PlusMinusFeatures::new(64), &data, 40, "long run");
+    assert!(reach.max_weight > 128.0, "weights stayed small: {reach:?}");
+
+    // Scores past the `i16` range: all 41,728 degree-≤3 parities of the
+    // all-zeros input are +1, and those of the all-ones input have the
+    // sign of (−1)^|S|, so each score is 0, ±41,728, ±37,820 or
+    // ±3,908; the labels are fair coins.
+    let map = LowDegreeFeatures::new(63, 3);
+    let mut rng = StdRng::seed_from_u64(63);
+    let pairs = (0..48)
+        .map(|_| {
+            let x = if rng.gen() {
+                BitVec::ones(63)
+            } else {
+                BitVec::zeros(63)
+            };
+            (x, rng.gen())
+        })
+        .collect();
+    let data = LabeledSet::from_pairs(63, pairs);
+    let reach = assert_perceptron_matches(map, &data, 6, "wide rows");
+    assert!(reach.max_score > 32_768.0, "scores stayed small: {reach:?}");
 }
 
 #[test]
 fn sign_words_match_per_feature_packing() {
     let mut rng = StdRng::seed_from_u64(11);
     for n in LENGTHS {
-        for (map, sign_valued) in maps(n) {
+        for map in maps(n) {
             let d = map.dimension();
             for _ in 0..50 {
                 let x = BitVec::random(n, &mut rng);
                 // Stale contents must not leak into the packed row.
                 let mut words = vec![u64::MAX; d.div_ceil(64)];
-                if !sign_valued {
-                    // A dense map declines and leaves the words alone.
-                    assert!(!map.sign_words_into(&x, &mut words));
-                    assert!(words.iter().all(|&w| w == u64::MAX));
-                    continue;
-                }
-                assert!(map.sign_words_into(&x, &mut words), "n={n} d={d}");
+                map.sign_words_into(&x, &mut words);
                 assert_eq!(words, pack_signs(map.as_ref(), &x), "n={n} d={d}");
                 if d % 64 != 0 {
                     let last = words.last().expect("d > 0");

@@ -17,11 +17,12 @@
 //! `baselines/quick`, the checked-in record of a 1-thread quick run: the
 //! same seed and parameter set, the same `(name, degraded, counters)`
 //! experiment records in the same order, and the same `curves.jsonl`
-//! byte for byte. [`check_cell`] then holds every other cell's run
-//! directory against the reference's, and the observability cell's
-//! stderr must hold one `--progress` line per experiment, in count
-//! order. Wall clock is the one thing no cell compares. That `--only` reproduces its experiments of the full
-//! run is checked in `cli.rs`, against `baselines/quick`.
+//! and stdout (`stdout.txt`, the tables' numbers) byte for byte.
+//! [`check_cell`] then holds every other cell's run directory against
+//! the reference's, and the observability cell's stderr must hold one
+//! `--progress` line per experiment, in count order. Wall clock is the
+//! one thing no cell compares. That `--only` reproduces its experiments
+//! of the full run is checked in `cli.rs`, against `baselines/quick`.
 
 use mlam::telemetry::{EventKind, RunManifest, CURVES_FILE};
 use mlam_bench::{ExperimentJson, EXPERIMENTS, REPRO_SEED};
@@ -29,6 +30,9 @@ use mlam_trace::run::{load_events, load_manifest, load_metrics};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// The reference run's stdout, the paper's tables, in `baselines/quick`.
+const STDOUT_FILE: &str = "stdout.txt";
 
 /// The experiments the resume cell's kill left without a usable
 /// checkpoint: three never written, `lockdown.json` cut mid-write.
@@ -84,22 +88,18 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Asserts `got` holds the same bytes as `want`. On a difference the
-/// message names the first line that differs instead of printing both
-/// files (`curves.jsonl` is about 65 KB at `--quick`).
-fn assert_same_bytes(got: &Path, want: &Path, context: &str) {
-    let (got_text, want_text) = (read(got), read(want));
-    if got_text == want_text {
+/// Asserts `got` and `want` hold the same text. On a difference the
+/// message names `what` and the first line that differs instead of
+/// printing both texts (`curves.jsonl` is about 65 KB at `--quick`).
+fn assert_same_bytes(got: &str, want: &str, what: &str) {
+    if got == want {
         return;
     }
-    let (mut got_lines, mut want_lines) = (got_text.lines(), want_text.lines());
+    let (mut got_lines, mut want_lines) = (got.lines(), want.lines());
     for line in 1.. {
         let (a, b) = (got_lines.next(), want_lines.next());
         if a != b || a.is_none() {
-            panic!(
-                "{} {context} at line {line}:\n  got: {a:?}\n want: {b:?}",
-                got.display()
-            );
+            panic!("{what} at line {line}:\n  got: {a:?}\n want: {b:?}");
         }
     }
 }
@@ -256,9 +256,17 @@ fn check_reference(run: &Run) {
         );
     }
     assert_same_bytes(
-        &run.file(CURVES_FILE),
-        &baseline.join(CURVES_FILE),
-        "differs from baselines/quick",
+        &read(&run.file(CURVES_FILE)),
+        &read(&baseline.join(CURVES_FILE)),
+        &format!(
+            "{} differs from baselines/quick",
+            run.file(CURVES_FILE).display()
+        ),
+    );
+    assert_same_bytes(
+        &run.stdout,
+        &read(&baseline.join(STDOUT_FILE)),
+        &format!("the reference run's stdout differs from baselines/quick/{STDOUT_FILE}"),
     );
 }
 
@@ -317,15 +325,22 @@ fn check_cell(reference: &Run, run: &Run, cell: Cell) {
         assert!(!run.file(CURVES_FILE).exists(), "{label} wrote curves");
     } else {
         assert_same_bytes(
-            &run.file(CURVES_FILE),
-            &reference.file(CURVES_FILE),
-            "differs from the reference run's",
+            &read(&run.file(CURVES_FILE)),
+            &read(&reference.file(CURVES_FILE)),
+            &format!(
+                "{} differs from the reference run's",
+                run.file(CURVES_FILE).display()
+            ),
         );
     }
 
     match cell {
         Cell::Full | Cell::CurvesOff => {
-            assert!(run.stdout == reference.stdout, "stdout differs in {label}");
+            assert_same_bytes(
+                &run.stdout,
+                &reference.stdout,
+                &format!("stdout differs in {label}"),
+            );
             let metrics = read(&run.file("metrics.jsonl"));
             assert_eq!(
                 split_metrics(&metrics),

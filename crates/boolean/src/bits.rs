@@ -4,14 +4,16 @@
 //! words. It is the universal input type of the workspace: PUF challenges,
 //! netlist input assignments and learning examples are all `BitVec`s.
 //!
-//! Kernels sit next to it. [`sign_select`] and [`NIBBLE_SIGNS`] are the
-//! exact ±1 arithmetic every packed kernel in the workspace shares with
-//! the per-bit loops it replaced (`mlam-learn`'s feature matrices use
-//! them too). Crate-internal: `Columns` packs a labeled sample into
+//! Kernels sit next to it. [`sign_select`], [`NIBBLE_SIGNS`] and the
+//! 8-feature tiles of [`row_bytes`] and [`byte_signs`] are the exact ±1
+//! arithmetic every packed kernel in the workspace shares with the
+//! per-bit loops it replaced (`mlam-learn`'s feature matrices use them
+//! too). Crate-internal: `Columns` packs a labeled sample into
 //! 64-example column blocks for the word-parallel Boolean-analysis
 //! kernels, `row_sum` and `nonpositive_lanes` add ±1 terms one example
-//! or 64 examples at a time, and `transpose64` is the 64×64 block
-//! transpose `Columns` is built with.
+//! or 64 examples at a time, `row_sum_nonpositive` gives `row_sum`'s
+//! sign from 8 lanes under a rounding bound, and `transpose64` is the
+//! 64×64 block transpose `Columns` is built with.
 
 use rand::Rng;
 use std::fmt;
@@ -351,6 +353,123 @@ pub(crate) fn row_sum(start: f64, weights: &[f64], row: &[u64]) -> f64 {
     s
 }
 
+/// Upper bound `B` on how far any two summation orders of [`row_sum`]'s
+/// terms can land apart, for every row: `2(n + 2)·ε·T̂`, where `n` is
+/// the number of weights, `ε` is [`f64::EPSILON`] and `T̂` is
+/// `|start| + Σᵢ |wᵢ|` computed in floating point (in 8 lanes, since
+/// the proof in [`row_sum_nonpositive`] holds for any order). It is
+/// `+∞` once `T̂` passes `f64::MAX / 2` (`2·T̂` overflows), and NaN when
+/// a weight is NaN.
+pub(crate) fn row_sum_bound(start: f64, weights: &[f64]) -> f64 {
+    let (tiles, tail) = weights.as_chunks::<8>();
+    let mut lanes = [0.0f64; 8];
+    for ws in tiles {
+        for k in 0..8 {
+            lanes[k] += ws[k].abs();
+        }
+    }
+    let total = tail
+        .iter()
+        .fold(start.abs() + lanes.iter().sum::<f64>(), |t, w| t + w.abs());
+    (2.0 * total) * ((weights.len() + 2) as f64 * f64::EPSILON)
+}
+
+/// `start + Σᵢ ±wᵢ` over [`row_sum`]'s terms in another order: the full
+/// 8-feature tiles in 8 independent lanes, lane `k` adding feature
+/// `8t + k` of every tile `t` with its sign mask from [`NIBBLE_SIGNS`],
+/// then `start` plus the lanes' sum, then the features past the last
+/// full tile in index order.
+#[inline]
+fn lane_sum(start: f64, weights: &[f64], row: &[u64]) -> f64 {
+    debug_assert!(row.len() * 64 >= weights.len(), "row shorter than weights");
+    let (tiles, tail) = weights.as_chunks::<8>();
+    let mut lanes = [0.0f64; 8];
+    for (ws, byte) in tiles.iter().zip(row_bytes(row)) {
+        let masks = byte_signs(byte);
+        for k in 0..8 {
+            lanes[k] += f64::from_bits(ws[k].to_bits() ^ masks[k]);
+        }
+    }
+    let mut s = start
+        + (((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
+            + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])));
+    let done = 8 * tiles.len();
+    for (i, &w) in (done..).zip(tail) {
+        s += sign_select(w, row[i / 64] >> (i % 64));
+    }
+    s
+}
+
+/// Exactly `row_sum(start, weights, row) <= 0.0`. The margin is summed
+/// in 8 lanes ([`lane_sum`]), and that sum, `fast`, is trusted only when
+/// it is further from 0 than `bound`, which must be at least
+/// [`row_sum_bound`]`(start, weights)`; otherwise the answer is
+/// [`row_sum`]'s.
+///
+/// # Why the answer is exact
+///
+/// Write `s` for the exact sum of the `n + 1` terms (`start` and the
+/// `n` signed weights), `T` for the exact `|start| + Σᵢ |wᵢ|`, `u =
+/// ε/2` for the unit roundoff and `γₖ = k·u / (1 − k·u)`. [`row_sum`]
+/// and [`lane_sum`] each add the same `n + 1` terms along a binary tree
+/// (a lane's `0.0` start adds exactly), so each lands within `γₙ·T` of
+/// `s` as long as nothing overflows (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, §4.2; the model holds for addition under
+/// gradual underflow, whose subnormal results are exact). The two are
+/// then at most `2·γₙ·T ≤ 2·γₙ₊₄·T` apart.
+///
+/// `T̂`, the computed `T`, is a sum of the same `n + 1` magnitudes in
+/// some order, so `T ≤ T̂ / (1 − γₙ)`. With `2·T̂ ≤ f64::MAX`, every
+/// partial sum of either order stays below `T·(1 + γₙ) < f64::MAX`, so
+/// nothing overflows. For `n ≥ 8`, `B = 2(n + 2)·ε·T̂ = 4(n + 2)·u·T̂`
+/// is then at least `2(n + 2)/(n + 4) ≥ 1.6` times `2·γₙ₊₄·T`, after
+/// the factors `1 − γₙ` and `1 − (n + 4)·u` and the one rounding of
+/// `B`'s product have taken their share. Where that product is
+/// subnormal, its rounding error is at most `2⁻¹⁰⁷⁵`. Then either
+/// `2·γₙ₊₄·T ≥ 2⁻¹⁰⁷⁴`, and the headroom still covers it, or every
+/// rounding error in both sums is a multiple of `2⁻¹⁰⁷⁴` no larger
+/// than `u·T·(1 + γₙ) < 2⁻¹⁰⁷⁴`, so it is 0 and the two sums are equal.
+///
+/// So whenever `|fast| > B`, the sequential sum is nonzero and has
+/// `fast`'s sign, and `fast < 0.0` is `row_sum(..) <= 0.0`. Below 8
+/// features every term is in the sequential tail, and the two sums
+/// differ at most in the sign of an exact 0 (`start + 0.0` turns a
+/// `−0.0` start into `+0.0`). Every other case falls back to
+/// [`row_sum`]: `|fast| ≤ B`, an exact 0 included, and a `B` that is
+/// `+∞` (`2·T̂` overflows) or NaN (a NaN weight), which no `|fast|`
+/// exceeds.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if `row` is too short for `weights`.
+#[inline]
+pub(crate) fn row_sum_nonpositive(start: f64, weights: &[f64], row: &[u64], bound: f64) -> bool {
+    let fast = lane_sum(start, weights, row);
+    if fast.abs() > bound {
+        fast < 0.0
+    } else {
+        row_sum(start, weights, row) <= 0.0
+    }
+}
+
+/// The bytes of a packed row ([`BitVec::words`] layout) in feature
+/// order: byte `i` holds the bits of features `8i .. 8i + 8`.
+#[inline(always)]
+pub fn row_bytes(row: &[u64]) -> impl Iterator<Item = u8> + '_ {
+    row.iter().flat_map(|word| word.to_le_bytes())
+}
+
+/// The IEEE sign masks of the 8 features one byte of a packed row
+/// holds, lane `k` for bit `k`, from the two [`NIBBLE_SIGNS`] entries
+/// of its nibbles: `f64::from_bits(w.to_bits() ^ byte_signs(b)[k])` is
+/// [`sign_select`]`(w, b >> k)`.
+#[inline(always)]
+pub fn byte_signs(byte: u8) -> [u64; 8] {
+    let lo = NIBBLE_SIGNS[usize::from(byte & 15)];
+    let hi = NIBBLE_SIGNS[usize::from(byte >> 4)];
+    [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
+}
+
 /// IEEE sign masks of four lanes, indexed by a nibble of a packed sign
 /// word: entry `v`, lane `k` is `1 << 63` iff bit `k` of `v` is set, so
 /// `f64::from_bits(w.to_bits() ^ NIBBLE_SIGNS[v][k])` is
@@ -619,6 +738,7 @@ impl FromIterator<bool> for BitVec {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     #[test]
@@ -865,6 +985,106 @@ mod tests {
         // No terms: every lane is `start`, and -0.0 counts as <= 0.
         assert_eq!(nonpositive_lanes(-0.0, &[], &[]), u64::MAX);
         assert_eq!(nonpositive_lanes(1.0, &[], &[]), 0);
+    }
+
+    /// Weight vectors of length `n` that stress the sign kernel, each
+    /// with its start: magnitudes spread over 2^±60, tenths whose
+    /// balanced rows cancel to a rounding residue, units whose balanced
+    /// rows cancel exactly, and zeros of either sign.
+    fn hard_weights(n: usize, rng: &mut StdRng) -> Vec<(f64, Vec<f64>)> {
+        let spread = |rng: &mut StdRng| {
+            let w: f64 = rng.gen_range(0.5..1.0) * 2f64.powi(rng.gen_range(-60..=60));
+            if rng.gen() {
+                -w
+            } else {
+                w
+            }
+        };
+        let start = spread(rng);
+        let tenths = vec![0.1; n];
+        let units = vec![1.0; n];
+        vec![
+            (start, (0..n).map(|_| spread(rng)).collect()),
+            (0.0, tenths.clone()),
+            (0.1 * (n % 3) as f64, tenths),
+            (0.0, units.clone()),
+            (-0.0, units),
+            (0.0, vec![0.0; n]),
+            (-0.0, vec![-0.0; n]),
+            (0.0, vec![-0.0; n]),
+            (-0.0, vec![0.0; n]),
+        ]
+    }
+
+    /// Rows of `n` bits: random ones, both constants, and rows with as
+    /// many ones as zeros, on which tenths and units cancel.
+    fn hard_rows(n: usize, rng: &mut StdRng) -> Vec<BitVec> {
+        let mut rows = vec![BitVec::zeros(n), BitVec::ones(n)];
+        for _ in 0..40 {
+            rows.push(BitVec::random(n, rng));
+            let mut balanced = BitVec::zeros(n);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(rng);
+            for &i in &order[..n / 2] {
+                balanced.set(i, true);
+            }
+            rows.push(balanced);
+        }
+        rows
+    }
+
+    #[test]
+    fn row_sum_nonpositive_is_row_sums_sign() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut fallbacks, mut reordered) = (0, 0);
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 130] {
+            for (start, w) in hard_weights(n, &mut rng) {
+                let bound = row_sum_bound(start, &w);
+                for row in hard_rows(n, &mut rng) {
+                    let (seq, lanes) = (
+                        row_sum(start, &w, row.words()),
+                        lane_sum(start, &w, row.words()),
+                    );
+                    assert_eq!(
+                        row_sum_nonpositive(start, &w, row.words(), bound),
+                        seq <= 0.0,
+                        "n={n} start={start} row={row}"
+                    );
+                    assert!((lanes - seq).abs() <= bound, "n={n} {lanes} vs {seq}");
+                    fallbacks += usize::from(lanes.abs() <= bound);
+                    reordered += usize::from(lanes != seq);
+                }
+            }
+        }
+        assert!(fallbacks > 0 && reordered > 0, "{fallbacks} {reordered}");
+    }
+
+    #[test]
+    fn the_fallback_decides_when_the_lanes_get_the_sign_wrong() {
+        // 1, then 62 × 0.75 ulp(1), then −(1 + k ulp(1)), all with sign
+        // +1; the exact sum is (46.5 − k) ulp < 0. Each of the 62 small
+        // steps of the sequential sum rounds up by a quarter ulp, so
+        // `row_sum` ends at (62 − k) ulp > 0. The lanes round only 8
+        // adds and end at (48 − k) ulp < 0, the other sign. B is about
+        // 264 ulp, so the fallback decides and gives `row_sum`'s
+        // answer; a hundredth of B would trust the lanes' sign.
+        let ulp = f64::EPSILON;
+        let row = BitVec::zeros(64);
+        for k in 51..=61 {
+            let mut w = vec![1.0];
+            w.extend([0.75 * ulp; 62]);
+            w.push(-(1.0 + f64::from(k) * ulp));
+            let (seq, lanes) = (
+                row_sum(0.0, &w, row.words()),
+                lane_sum(0.0, &w, row.words()),
+            );
+            assert_eq!(seq, f64::from(62 - k) * ulp, "k={k}");
+            assert_eq!(lanes, f64::from(48 - k) * ulp, "k={k}");
+            let bound = row_sum_bound(0.0, &w);
+            assert!((bound / ulp - 264.0).abs() < 1.0, "k={k}: B = {bound}");
+            assert!(lanes.abs() <= bound && lanes.abs() > 0.01 * bound, "k={k}");
+            assert!(!row_sum_nonpositive(0.0, &w, row.words(), bound), "k={k}");
+        }
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! one challenge bit per multiply through [`BitVec::pm`]. The tests
 //! compare the packed kernels with them by `to_bits()`, over input
 //! lengths on both sides of the 64-bit word boundary and sample sizes
-//! on both sides of the 64-example block boundary.
+//! on both sides of the 64-example block boundary. The pocket
+//! perceptron's grid also counts the update-pass margins that are
+//! exactly 0 or within the rounding bound of 0, where another
+//! summation order could give another sign, and requires both to
+//! occur.
 
-use crate::bits::BitVec;
+use crate::bits::{row_sum_bound, BitVec};
 use crate::fourier::{estimate_coefficients_from_data, SparseFourier};
 use crate::function::BooleanFunction;
 use crate::ltf::{ChowParameters, LinearThreshold};
@@ -105,6 +109,16 @@ fn eval_real(h: &SparseFourier, x: &BitVec) -> f64 {
         .sum()
 }
 
+/// Margins of a reference [`pocket`] run that land near 0.
+#[derive(Clone, Copy, Debug, Default)]
+struct NearZero {
+    /// Update-pass margins that are exactly ±0.0.
+    exact: usize,
+    /// Update-pass margins that are nonzero but no further from 0 than
+    /// the rounding bound, so another summation order could flip them.
+    within_bound: usize,
+}
+
 /// `testing::pocket_perceptron`: per-example error passes and a
 /// per-bit update pass.
 fn pocket(
@@ -112,7 +126,7 @@ fn pocket(
     data: &[(BitVec, bool)],
     init: Option<LinearThreshold>,
     epochs: usize,
-) -> (Vec<f64>, f64) {
+) -> (Vec<f64>, f64, NearZero) {
     let (mut w, mut theta) = match init {
         Some(ltf) => {
             let mut w = ltf.weights().to_vec();
@@ -129,15 +143,18 @@ fn pocket(
     let mut best_err = err_of(&w, theta);
     let mut best_w = w.clone();
     let mut best_theta = theta;
+    let mut near = NearZero::default();
     for _ in 0..epochs {
         let mut updated = false;
         for (x, y) in data {
             let target = crate::to_pm(*y);
-            let predicted = if margin(&w, theta, x) <= 0.0 {
-                -1.0
-            } else {
-                1.0
-            };
+            let s = margin(&w, theta, x);
+            if s == 0.0 {
+                near.exact += 1;
+            } else if s.abs() <= row_sum_bound(-theta, &w) {
+                near.within_bound += 1;
+            }
+            let predicted = if s <= 0.0 { -1.0 } else { 1.0 };
             if predicted != target {
                 for (i, wi) in w.iter_mut().enumerate() {
                     *wi += target * x.pm(i);
@@ -156,7 +173,7 @@ fn pocket(
             break;
         }
     }
-    (best_w, best_theta)
+    (best_w, best_theta, near)
 }
 
 /// `HalfspaceTester::run` with its five splits and 30 polish
@@ -184,7 +201,7 @@ fn tester_run<R: Rng + ?Sized>(
             degree_one,
         };
         w1_sum += chow.level_one_weight();
-        let (w, theta) = pocket(n, &fit_owned, Some(chow.to_ltf()), 30);
+        let (w, theta, _) = pocket(n, &fit_owned, Some(chow.to_ltf()), 30);
         let wrong = held
             .iter()
             .filter(|(x, y)| crate::to_bool(margin(&w, theta, x)) != *y)
@@ -277,18 +294,26 @@ fn estimate_coefficients_from_data_is_bit_identical() {
 
 #[test]
 fn pocket_perceptron_is_bit_identical() {
+    let mut near = NearZero::default();
     for n in LENGTHS {
         for m in SIZES {
             let data = sample(n, m, 5);
             let chow = ChowParameters::from_data(n, &data).to_ltf();
-            for (init, epochs) in [(None, 7), (Some(chow), 30)] {
+            // Tenths: rows with as many ones as zeros cancel to a
+            // rounding residue, whose sign depends on the summation
+            // order. A `None` start scores its first example exactly 0.
+            let tenths = LinearThreshold::new(vec![0.1; n], 0.0);
+            for (init, epochs) in [(None, 7), (Some(chow), 30), (Some(tenths), 7)] {
                 let fit = pocket_perceptron(n, &data, init.clone(), epochs);
-                let (w, theta) = pocket(n, &data, init, epochs);
+                let (w, theta, seen) = pocket(n, &data, init, epochs);
                 assert_eq!(bits(fit.weights()), bits(&w), "n={n} m={m}");
                 assert_eq!(fit.threshold().to_bits(), theta.to_bits(), "n={n} m={m}");
+                near.exact += seen.exact;
+                near.within_bound += seen.within_bound;
             }
         }
     }
+    assert!(near.exact > 0 && near.within_bound > 0, "{near:?}");
 }
 
 #[test]

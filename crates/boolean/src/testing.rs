@@ -24,15 +24,21 @@
 //! Chow statistic is one popcount per column (its sums are exact
 //! integers, see [`ChowParameters::from_data`]), and each of the pocket
 //! perceptron's error passes — plus the held-out disagreement — sums 64
-//! margins side by side. The update pass stays sequential, because
-//! every example sees the weights the previous one left; it reads each
-//! example's row words ([`BitVec::words`]) and applies `±wᵢ` as a flip
-//! of the IEEE sign bit. Every margin, in either layout, is summed from
-//! `−θ` in weight order with terms equal bit for bit to `wᵢ·x.pm(i)`,
-//! so the [`TesterReport`] is bit-identical to the per-example, per-bit
-//! definition.
+//! margins side by side, each from `−θ` in weight order with terms
+//! equal bit for bit to `wᵢ·x.pm(i)`. The update pass stays
+//! sequential, because every example sees the weights the previous one
+//! left; it reads each example's row words ([`BitVec::words`]), applies
+//! `±wᵢ` as a flip of the IEEE sign bit, and reads only each margin's
+//! sign. It sums the margin in 8 lanes and trusts the lanes' sign only
+//! when it is further from 0 than a bound on the rounding error of any
+//! summation order; otherwise it sums in weight order. Each answer is
+//! therefore the weight-order sum's sign, every update adds `±1` to the
+//! same weights, and the [`TesterReport`] is bit-identical to the
+//! per-example, per-bit definition.
 
-use crate::bits::{nonpositive_lanes, row_sum, sign_select, BitVec, Columns};
+use crate::bits::{
+    byte_signs, nonpositive_lanes, row_bytes, row_sum_bound, row_sum_nonpositive, BitVec, Columns,
+};
 use crate::ltf::{ChowParameters, LinearThreshold};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -225,10 +231,13 @@ pub fn pocket_perceptron(
 /// packed for the error passes.
 ///
 /// The update pass is sequential — each example sees the weights the
-/// previous one left — and reads every example's row words with
-/// [`row_sum`]. Each epoch's error count runs over the column blocks
-/// instead; it is an integer, so it does not depend on the order the
-/// blocks hold the examples in.
+/// previous one left — and reads every example's row words. It needs
+/// only each margin's sign, which [`row_sum_nonpositive`] gives exactly
+/// under a rounding bound that depends on the weights alone, so the
+/// bound is recomputed after each update. The update adds `±1` to each
+/// weight, 8 features at a time with their sign masks. Each epoch's
+/// error count runs over the column blocks instead; it is an integer,
+/// so it does not depend on the order the blocks hold the examples in.
 fn pocket(
     fit: &[&(BitVec, bool)],
     cols: &Columns,
@@ -247,19 +256,29 @@ fn pocket(
     let mut best_err = errors(cols, &w, theta);
     let mut best_w = w.clone();
     let mut best_theta = theta;
+    let mut bound = row_sum_bound(-theta, &w);
 
     for _ in 0..epochs {
         let mut updated = false;
         for (x, y) in fit {
-            if (row_sum(-theta, &w, x.words()) <= 0.0) != *y {
+            if row_sum_nonpositive(-theta, &w, x.words(), bound) != *y {
                 // w += target·x with target = to_pm(y): a ±1 product.
                 let target = crate::to_pm(*y);
-                for (ws, &word) in w.chunks_mut(64).zip(x.words()) {
-                    for (j, wi) in ws.iter_mut().enumerate() {
-                        *wi += sign_select(target, word >> j);
+                let (tiles, tail) = w.as_chunks_mut::<8>();
+                let mut bytes = row_bytes(x.words());
+                for (ws, byte) in tiles.iter_mut().zip(&mut bytes) {
+                    let masks = byte_signs(byte);
+                    for k in 0..8 {
+                        ws[k] += f64::from_bits(target.to_bits() ^ masks[k]);
+                    }
+                }
+                if let Some(byte) = bytes.next() {
+                    for (wk, mask) in tail.iter_mut().zip(byte_signs(byte)) {
+                        *wk += f64::from_bits(target.to_bits() ^ mask);
                     }
                 }
                 theta -= target;
+                bound = row_sum_bound(-theta, &w);
                 updated = true;
             }
         }

@@ -21,10 +21,10 @@
 //! packed kernels work on several rows or features at once:
 //!
 //! * **Scores** ([`FeatureMatrix::scores`],
-//!   [`FeatureMatrix::for_each_score`], [`FeatureMatrix::error_count`])
-//!   add 8 rows side by side, one accumulator per row, each starting at
-//!   `0.0` and adding the same sign-flipped weights in the same index
-//!   order as [`FeatureMatrix::dot`], its one-row case.
+//!   [`FeatureMatrix::for_each_score`]) add 8 rows side by side, one
+//!   accumulator per row, each starting at `0.0` and adding the same
+//!   sign-flipped weights in the same index order as
+//!   [`FeatureMatrix::dot`], its one-row case.
 //! * **Minibatch gradients** ([`FeatureMatrix::grad_sub_batch`]) hold 8
 //!   gradient entries in registers while the batch's rows subtract
 //!   from them in batch order, so each entry sees the same subtractions
@@ -42,18 +42,17 @@
 
 use crate::dataset::LabeledSet;
 use crate::features::FeatureMap;
-use mlam_boolean::bits::{sign_select, NIBBLE_SIGNS};
+use mlam_boolean::bits::{byte_signs, row_bytes, sign_select};
 use mlam_boolean::to_pm;
 
 /// Rows the score kernel adds side by side, one `f64` accumulator each.
 const SCORE_ROWS: usize = 8;
 
 /// Features per tile of the gradient and Perceptron kernels: one byte
-/// of a sign word, which indexes [`BYTE_LANES`] (its two nibbles index
-/// [`NIBBLE_SIGNS`]).
+/// of a sign word, which indexes [`BYTE_LANES`] and [`byte_signs`].
 const TILE_FEATURES: usize = 8;
 
-/// The integer twin of [`NIBBLE_SIGNS`], one entry per byte of a sign
+/// The integer twin of [`byte_signs`], one entry per byte of a sign
 /// word: lane `k` of entry `b` is `−1` (all bits set) ⇔ bit `k` of `b`
 /// is set, and `0` otherwise. For such a mask `m`, `(v ^ m) − m` is `v`
 /// times the feature's sign, `v` or `−v`. 256 × 32 bytes = 8 KiB.
@@ -249,7 +248,7 @@ impl FeatureMatrix {
         assert_eq!(w.len(), self.padded_dimension(), "padded weight length");
         let (tiles, _) = w.as_chunks::<TILE_FEATURES>();
         let mut acc = [0i32; TILE_FEATURES];
-        for (ws, byte) in tiles.iter().zip(tile_bytes(self.signs(row))) {
+        for (ws, byte) in tiles.iter().zip(row_bytes(self.signs(row))) {
             let masks = &BYTE_LANES[usize::from(byte)];
             for k in 0..TILE_FEATURES {
                 acc[k] += (ws[k] ^ masks[k]) - masks[k];
@@ -271,7 +270,7 @@ impl FeatureMatrix {
     pub(crate) fn add_signed(&self, row: usize, t: i32, w: &mut [i32]) {
         assert_eq!(w.len(), self.padded_dimension(), "padded weight length");
         let (tiles, tail) = w[..self.dim].as_chunks_mut::<TILE_FEATURES>();
-        let mut bytes = tile_bytes(self.signs(row));
+        let mut bytes = row_bytes(self.signs(row));
         for (ws, byte) in tiles.iter_mut().zip(&mut bytes) {
             let masks = &BYTE_LANES[usize::from(byte)];
             for k in 0..TILE_FEATURES {
@@ -314,16 +313,6 @@ impl FeatureMatrix {
             gs.copy_from_slice(&acc[..gs.len()]);
         }
     }
-
-    /// Number of examples `w` misclassifies (`score · label ≤ 0`), the
-    /// Perceptron's pocket criterion.
-    pub fn error_count(&self, w: &[f64]) -> usize {
-        let mut errors = 0usize;
-        self.for_each_score(w, |row, s| {
-            errors += usize::from(s * self.labels[row] <= 0.0);
-        });
-        errors
-    }
 }
 
 /// `w · φ(x)` for `R` packed rows side by side. Lane `k` starts at
@@ -347,22 +336,12 @@ fn sign_scores<const R: usize>(rows: [&[u64]; R], w: &[f64]) -> [f64; R] {
     acc
 }
 
-/// The bytes of one packed row in feature order: byte `i` holds the
-/// sign bits of features `8 * i .. 8 * i + 8`.
-#[inline(always)]
-fn tile_bytes(signs: &[u64]) -> impl Iterator<Item = u8> + '_ {
-    signs.iter().flat_map(|word| word.to_le_bytes())
-}
-
 /// The IEEE sign masks of features `8 * tile .. 8 * tile + 8` of one
-/// packed row, from the two [`NIBBLE_SIGNS`] entries of their byte.
+/// packed row.
 #[inline(always)]
 fn tile_signs(signs: &[u64], tile: usize) -> [u64; TILE_FEATURES] {
     // Eight tiles per word; a tile never straddles two words.
-    let byte = signs[tile / 8] >> (8 * (tile % 8));
-    let lo = NIBBLE_SIGNS[(byte & 15) as usize];
-    let hi = NIBBLE_SIGNS[((byte >> 4) & 15) as usize];
-    [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
+    byte_signs((signs[tile / 8] >> (8 * (tile % 8))) as u8)
 }
 
 #[cfg(test)]
@@ -486,23 +465,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn error_count_matches_scalar_filter() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let data = sample_set(12, 70, 6);
-        let map = PlusMinusFeatures::new(12);
-        let fm = FeatureMatrix::build(&map, &data);
-        let w = random_weights(fm.dimension(), &mut rng);
-        let scalar = data
-            .pairs()
-            .iter()
-            .filter(|(x, y)| {
-                let s: f64 = map.features(x).iter().zip(&w).map(|(f, w)| f * w).sum();
-                s * to_pm(*y) <= 0.0
-            })
-            .count();
-        assert_eq!(fm.error_count(&w), scalar);
     }
 }

@@ -15,9 +15,10 @@
 //! The result is the one the `f64` loop gives, bit for bit: that loop's
 //! sums are exact too (integers far below `2^53`), a weight `x + (−x)`
 //! rounds to `+0.0` and never to `−0.0`, and so no score is ever `−0.0`
-//! either. The pocket scan converts the weights to `f64` once per epoch
-//! and runs [`FeatureMatrix::error_count`], whose count is therefore the
-//! `f64` loop's count, and the returned model holds those `f64` weights.
+//! either. The pocket scan counts the rows with `margin · t ≤ 0` over
+//! the same integer weights, the `f64` loop's count, and converts the
+//! weights to `f64` only when the pocket improves; the returned model
+//! holds those `f64` weights.
 
 use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
@@ -163,8 +164,7 @@ impl Perceptron {
         let fm = FeatureMatrix::build(&map, data);
 
         let mut w = vec![0i32; fm.padded_dimension()];
-        let mut epoch_w = vec![0.0f64; d];
-        let mut pocket = epoch_w.clone();
+        let mut pocket = vec![0.0f64; d];
         let mut pocket_err = usize::MAX;
         let mut mistakes = 0usize;
         let mut epochs_run = 0usize;
@@ -182,13 +182,14 @@ impl Perceptron {
                 }
             }
             mistakes += epoch_mistakes;
-            for (wf, &wi) in epoch_w.iter_mut().zip(&w) {
-                *wf = f64::from(wi);
-            }
-            let err = fm.error_count(&epoch_w);
+            let err = (0..fm.examples())
+                .filter(|&row| fm.margin(row, &w) * fm.label(row) as i32 <= 0)
+                .count();
             if err < pocket_err {
                 pocket_err = err;
-                pocket.copy_from_slice(&epoch_w);
+                for (p, &wi) in pocket.iter_mut().zip(&w) {
+                    *p = f64::from(wi);
+                }
             }
             // Learning-curve checkpoint: the pocket error is already
             // computed every epoch, so the accuracy here is free and

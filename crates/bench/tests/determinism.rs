@@ -1,28 +1,31 @@
 //! The determinism contract, end to end: the same seed gives the same
 //! tables, counters and curves under every run knob.
 //!
-//! One fresh `repro_all --quick` process runs per cell of a knob
-//! matrix, each with every inherited `MLAM_*` variable removed and only
-//! its cell's settings given:
+//! One fresh `repro_all` process runs per cell of a knob matrix, each
+//! with every inherited `MLAM_*` variable removed and only its cell's
+//! settings given:
 //!
 //! | cell | settings |
 //! |---|---|
-//! | reference | `MLAM_THREADS=1` |
-//! | threads | `MLAM_THREADS=4` |
-//! | observability | t4, `--monitor 127.0.0.1:0 --progress`, `MLAM_LOG=debug` |
-//! | curves off | t4, `MLAM_CURVES=0` |
-//! | resume | t4, `--resume` on a copy of the reference directory cut as a kill would leave it |
+//! | reference | `--quick`, `MLAM_THREADS=1` |
+//! | threads | `--quick`, `MLAM_THREADS=4` |
+//! | observability | quick t4, `--monitor 127.0.0.1:0 --progress`, `MLAM_LOG=debug` |
+//! | curves off | quick t4, `MLAM_CURVES=0` |
+//! | resume | quick t4, `--resume` on a copy of the reference directory cut as a kill would leave it |
+//! | paper | paper scale (no `--quick`), `MLAM_THREADS=4` |
 //!
 //! The reference run must parse into its schema types and agree with
-//! `baselines/quick`, the checked-in record of a 1-thread quick run: the
-//! same seed and parameter set, the same `(name, degraded, counters)`
-//! experiment records in the same order, and the same `curves.jsonl`
-//! and stdout (`stdout.txt`, the tables' numbers) byte for byte.
-//! [`check_cell`] then holds every other cell's run directory against
-//! the reference's, and the observability cell's stderr must hold one
-//! `--progress` line per experiment, in count order. Wall clock is the
-//! one thing no cell compares. That `--only` reproduces its experiments
-//! of the full run is checked in `cli.rs`, against `baselines/quick`.
+//! `baselines/quick`, the checked-in record of a 1-thread quick run
+//! ([`check_baseline`]): the same seed and parameter set, the same
+//! `(name, degraded, counters)` experiment records in the same order,
+//! and the same `curves.jsonl` and stdout (`stdout.txt`, the tables'
+//! numbers) byte for byte. [`check_cell`] then holds every other quick
+//! cell's run directory against the reference's, and the observability
+//! cell's stderr must hold one `--progress` line per experiment, in
+//! count order. The paper cell, a test of its own, is held against
+//! `baselines/paper` in the same way. Wall clock is the one thing no
+//! cell compares. That `--only` reproduces its experiments of the full
+//! run is checked in `cli.rs`, against `baselines/quick`.
 
 use mlam::telemetry::{EventKind, RunManifest, CURVES_FILE};
 use mlam_bench::{ExperimentJson, EXPERIMENTS, REPRO_SEED};
@@ -31,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The reference run's stdout, the paper's tables, in `baselines/quick`.
+/// A baseline run's stdout, the paper's tables, in `baselines/<scale>`.
 const STDOUT_FILE: &str = "stdout.txt";
 
 /// The experiments the resume cell's kill left without a usable
@@ -55,8 +58,8 @@ impl Run {
     }
 }
 
-/// Runs `repro_all --quick <args> <dir>` with every inherited `MLAM_*`
-/// variable removed and only `env` set.
+/// Runs `repro_all <args> <dir>` with every inherited `MLAM_*` variable
+/// removed and only `env` set.
 fn repro_all(env: &[(&str, &str)], args: &[&str], dir: PathBuf) -> Run {
     let mut command = Command::new(env!("CARGO_BIN_EXE_repro_all"));
     for (name, _) in std::env::vars_os() {
@@ -66,7 +69,6 @@ fn repro_all(env: &[(&str, &str)], args: &[&str], dir: PathBuf) -> Run {
     }
     let output = command
         .envs(env.iter().copied())
-        .arg("--quick")
         .args(args)
         .arg(&dir)
         .output()
@@ -206,8 +208,6 @@ fn check_reference(run: &Run) {
     assert_eq!(manifest.threads, 1);
     assert!(manifest.total_seconds > 0.0);
     assert!(!manifest.crate_versions.is_empty());
-    let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name()).collect();
-    assert_eq!(experiment_names(&manifest), registry);
     assert!(manifest.experiments.iter().all(|e| e.seconds >= 0.0));
     let totals = manifest.counter_totals();
     for layer in ["oracle.", "sat."] {
@@ -231,27 +231,40 @@ fn check_reference(run: &Run) {
     let (counters, _) = load_metrics(&run.file("metrics.jsonl")).unwrap_or_else(|e| panic!("{e}"));
     assert!(!counters.is_empty(), "metrics.jsonl holds no counters");
     let spans = check_events(run);
-    for name in &registry {
+    for experiment in EXPERIMENTS {
+        let name = experiment.name();
         assert!(spans.contains(&format!("experiment.{name}")), "{name}");
     }
+    check_baseline(run, "reference", "quick");
+}
 
-    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/quick");
+/// Holds the `cell` run against the checked-in `baselines/<scale>`:
+/// the same seed and parameter set, the same `(name, degraded,
+/// counters)` experiment records in registry order, and the same
+/// `curves.jsonl` and stdout byte for byte.
+fn check_baseline(run: &Run, cell: &str, scale: &str) {
+    let manifest = run.manifest();
+    let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name()).collect();
+    assert_eq!(experiment_names(&manifest), registry, "the {cell} run");
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../baselines")
+        .join(scale);
     let recorded = load_manifest(&baseline.join("manifest.json")).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         (manifest.seed, manifest.quick),
         (recorded.seed, recorded.quick),
-        "the reference run's seed or parameter set differs from baselines/quick"
+        "the {cell} run's seed or parameter set differs from baselines/{scale}"
     );
     assert_eq!(
         experiment_names(&recorded),
         registry,
-        "baselines/quick records other experiments than the registry"
+        "baselines/{scale} records other experiments than the registry"
     );
     for (want, record) in recorded.experiments.iter().zip(&manifest.experiments) {
         assert_eq!(
             (record.degraded, &record.counters),
             (want.degraded, &want.counters),
-            "{}: the reference run drifts from baselines/quick",
+            "{}: the {cell} run drifts from baselines/{scale}",
             want.name
         );
     }
@@ -259,14 +272,14 @@ fn check_reference(run: &Run) {
         &read(&run.file(CURVES_FILE)),
         &read(&baseline.join(CURVES_FILE)),
         &format!(
-            "{} differs from baselines/quick",
+            "{} differs from baselines/{scale}",
             run.file(CURVES_FILE).display()
         ),
     );
     assert_same_bytes(
         &run.stdout,
         &read(&baseline.join(STDOUT_FILE)),
-        &format!("the reference run's stdout differs from baselines/quick/{STDOUT_FILE}"),
+        &format!("the {cell} run's stdout differs from baselines/{scale}/{STDOUT_FILE}"),
     );
 }
 
@@ -363,15 +376,21 @@ fn every_knob_reproduces_the_reference_run() {
     let t1 = [("MLAM_THREADS", "1")];
     let t4 = ("MLAM_THREADS", "4");
 
-    let reference = repro_all(&t1, &["--json"], base.join("reference"));
+    let reference = repro_all(&t1, &["--quick", "--json"], base.join("reference"));
     check_reference(&reference);
 
-    let threads = repro_all(&[t4], &["--json"], base.join("threads"));
+    let threads = repro_all(&[t4], &["--quick", "--json"], base.join("threads"));
     check_cell(&reference, &threads, Cell::Full);
 
     let observability = repro_all(
         &[t4, ("MLAM_LOG", "debug")],
-        &["--monitor", "127.0.0.1:0", "--progress", "--json"],
+        &[
+            "--quick",
+            "--monitor",
+            "127.0.0.1:0",
+            "--progress",
+            "--json",
+        ],
         base.join("observability"),
     );
     check_cell(&reference, &observability, Cell::Full);
@@ -399,7 +418,7 @@ fn every_knob_reproduces_the_reference_run() {
 
     let curves_off = repro_all(
         &[t4, ("MLAM_CURVES", "0")],
-        &["--json"],
+        &["--quick", "--json"],
         base.join("no_curves"),
     );
     check_cell(&reference, &curves_off, Cell::CurvesOff);
@@ -422,8 +441,20 @@ fn every_knob_reproduces_the_reference_run() {
     let cut = killed.join(format!("{}.json", RERUN[3]));
     let bytes = std::fs::read(&cut).unwrap();
     std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
-    let resumed = repro_all(&[t4], &["--resume"], killed);
+    let resumed = repro_all(&[t4], &["--quick", "--resume"], killed);
     check_cell(&reference, &resumed, Cell::Resumed);
 
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The paper cell: one paper-scale run at 4 threads, held against
+/// `baselines/paper` as the reference is held against `baselines/quick`.
+#[test]
+fn the_paper_scale_run_reproduces_baselines_paper() {
+    let dir = std::env::temp_dir().join(format!("mlam_determinism_paper_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let paper = repro_all(&[("MLAM_THREADS", "4")], &["--json"], dir.clone());
+    assert_eq!(paper.manifest().threads, 4);
+    check_baseline(&paper, "paper", "paper");
+    let _ = std::fs::remove_dir_all(&dir);
 }

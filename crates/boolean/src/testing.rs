@@ -20,21 +20,23 @@
 //! # Kernels
 //!
 //! Each fit/hold-out split is packed once into 64-example column blocks
-//! (`bits::Columns`); nothing else is copied. On the fitting split, the
-//! Chow statistic is one popcount per column (its sums are exact
-//! integers, see [`ChowParameters::from_data`]), and each of the pocket
-//! perceptron's error passes — plus the held-out disagreement — sums 64
-//! margins side by side, each from `−θ` in weight order with terms
-//! equal bit for bit to `wᵢ·x.pm(i)`. The update pass stays
-//! sequential, because every example sees the weights the previous one
-//! left; it reads each example's row words ([`BitVec::words`]), applies
-//! `±wᵢ` as a flip of the IEEE sign bit, and reads only each margin's
-//! sign. It sums the margin in 8 lanes and trusts the lanes' sign only
-//! when it is further from 0 than a bound on the rounding error of any
-//! summation order; otherwise it sums in weight order. Each answer is
-//! therefore the weight-order sum's sign, every update adds `±1` to the
-//! same weights, and the [`TesterReport`] is bit-identical to the
-//! per-example, per-bit definition.
+//! (`bits::Columns`), and the fitting split once more into one row
+//! buffer for the update pass. On the fitting split, the Chow statistic
+//! is one popcount per column (its sums are exact integers, see
+//! [`ChowParameters::from_data`]), and each of the pocket perceptron's
+//! error passes — plus the held-out disagreement — sums 64 margins side
+//! by side, each from `−θ` in weight order with terms equal bit for bit
+//! to `wᵢ·x.pm(i)`. The update pass stays sequential, because every
+//! example sees the weights the previous one left. It walks the row
+//! buffer, which holds the split's row words ([`BitVec::words`]),
+//! `n.div_ceil(64)` per example in the split's shuffled order, with the
+//! labels beside it; it applies `±wᵢ` as a flip of the IEEE sign bit,
+//! and reads only each margin's sign. It sums the margin in 8 lanes and
+//! trusts the lanes' sign only when it is further from 0 than a bound
+//! on the rounding error of any summation order; otherwise it sums in
+//! weight order. Each answer is therefore the weight-order sum's sign,
+//! every update adds `±1` to the same weights, and the [`TesterReport`]
+//! is bit-identical to the per-example, per-bit definition.
 
 use crate::bits::{
     byte_signs, nonpositive_lanes, row_bytes, row_sum_bound, row_sum_nonpositive, BitVec, Columns,
@@ -81,7 +83,9 @@ pub struct TesterReport {
 ///
 /// Given `poly(1/ε)` uniformly distributed labeled examples it
 /// distinguishes halfspaces from functions ε-far from every halfspace,
-/// with confidence `δ`.
+/// with confidence `δ`. [`HalfspaceTester::run`] never reads `δ`: it
+/// uses the sample it is given, and only
+/// [`HalfspaceTester::examples_needed`] sizes a sample from `δ`.
 ///
 /// # Example
 ///
@@ -231,13 +235,15 @@ pub fn pocket_perceptron(
 /// packed for the error passes.
 ///
 /// The update pass is sequential — each example sees the weights the
-/// previous one left — and reads every example's row words. It needs
-/// only each margin's sign, which [`row_sum_nonpositive`] gives exactly
-/// under a rounding bound that depends on the weights alone, so the
-/// bound is recomputed after each update. The update adds `±1` to each
-/// weight, 8 features at a time with their sign masks. Each epoch's
-/// error count runs over the column blocks instead; it is an integer,
-/// so it does not depend on the order the blocks hold the examples in.
+/// previous one left — so it reads `fit`'s row words ([`BitVec::words`])
+/// copied once into one buffer, `n.div_ceil(64)` words per example in
+/// `fit`'s order, with the labels beside it. It needs only each
+/// margin's sign, which [`row_sum_nonpositive`] gives exactly under a
+/// rounding bound that depends on the weights alone, so the bound is
+/// recomputed after each update. The update adds `±1` to each weight, 8
+/// features at a time with their sign masks. Each epoch's error count
+/// runs over the column blocks instead; it is an integer, so it does
+/// not depend on the order the blocks hold the examples in.
 fn pocket(
     fit: &[&(BitVec, bool)],
     cols: &Columns,
@@ -257,15 +263,19 @@ fn pocket(
     let mut best_w = w.clone();
     let mut best_theta = theta;
     let mut bound = row_sum_bound(-theta, &w);
+    let stride = n.div_ceil(64);
+    let rows: Vec<u64> = fit.iter().flat_map(|(x, _)| x.words()).copied().collect();
+    let labels: Vec<bool> = fit.iter().map(|(_, y)| *y).collect();
 
     for _ in 0..epochs {
         let mut updated = false;
-        for (x, y) in fit {
-            if row_sum_nonpositive(-theta, &w, x.words(), bound) != *y {
+        for (k, &y) in labels.iter().enumerate() {
+            let row = &rows[k * stride..][..stride];
+            if row_sum_nonpositive(-theta, &w, row, bound) != y {
                 // w += target·x with target = to_pm(y): a ±1 product.
-                let target = crate::to_pm(*y);
+                let target = crate::to_pm(y);
                 let (tiles, tail) = w.as_chunks_mut::<8>();
-                let mut bytes = row_bytes(x.words());
+                let mut bytes = row_bytes(row);
                 for (ws, byte) in tiles.iter_mut().zip(&mut bytes) {
                     let masks = byte_signs(byte);
                     for k in 0..8 {

@@ -27,6 +27,7 @@
 
 use crate::arbiter::gaussian;
 use crate::PufModel;
+use mlam_boolean::bits::sign_select;
 use mlam_boolean::{BitVec, BooleanFunction};
 use rand::Rng;
 
@@ -194,25 +195,71 @@ impl BistableRingPuf {
     /// folded into β, γ at manufacture), so they carry pure degree-2/3
     /// Fourier weight — the ingredient that takes the device outside
     /// the LTF class.
+    ///
+    /// The sum reads the challenge a word at a time
+    /// ([`BitVec::words`]). Bit `i` picks stage `i`'s strength. With
+    /// `b` the challenge bits and `rot_k` the ring rotation (bit `i` ←
+    /// bit `(i + k) mod n`, wrapping across the last word), bit `i` of
+    /// the neighbour parities `b ⊕ rot₁(b)` is set iff `xᵢ·xᵢ₊₁ = −1`,
+    /// and bit `i` of the triple parities `b ⊕ rot₁(b) ⊕ rot₂(b)` iff
+    /// `xᵢ·xᵢ₊₁·xᵢ₊₂ = −1`; each coupling is added as
+    /// [`sign_select`]`(βᵢ, parity bit)`. The result is bit for bit the
+    /// per-stage sum above: the terms, their order and the start value
+    /// `−E[Σ s_i]` are the same, and a product by `±1·±1` only flips
+    /// the sign bit, signed zeros included.
     pub fn potential(&self, challenge: &BitVec) -> f64 {
         let n = self.strengths.len();
         assert_eq!(challenge.len(), n, "challenge length mismatch");
-        let x = |i: usize| -> f64 { challenge.pm(i) };
+        let words = challenge.words();
         // Linear part: selected element strengths, centered.
         let mut v: f64 = -self.offset;
-        for i in 0..n {
-            v += self.strengths[i][usize::from(challenge.get(i))];
+        for (ts, &word) in self.strengths.chunks(64).zip(words) {
+            for (j, t) in ts.iter().enumerate() {
+                v += t[((word >> j) & 1) as usize];
+            }
         }
-        for i in 0..n {
-            v += self.couplings[i] * x(i) * x((i + 1) % n);
+        for (g, cs) in self.couplings.chunks(64).enumerate() {
+            let (pairs, _) = ring_parities(words, n, g);
+            for (j, &c) in cs.iter().enumerate() {
+                v += sign_select(c, pairs >> j);
+            }
         }
         if self.config.triple_strength > 0.0 {
-            for i in 0..n {
-                v += self.triples[i] * x(i) * x((i + 1) % n) * x((i + 2) % n);
+            for (g, ts) in self.triples.chunks(64).enumerate() {
+                let (_, triples) = ring_parities(words, n, g);
+                for (j, &t) in ts.iter().enumerate() {
+                    v += sign_select(t, triples >> j);
+                }
             }
         }
         v
     }
+}
+
+/// Word `g` of the neighbour parities `b ⊕ rot₁(b)` and the triple
+/// parities `b ⊕ rot₁(b) ⊕ rot₂(b)` of the `n`-bit ring `b`
+/// ([`BitVec::words`] layout, `n ≥ 3`). Bits past `n` are not
+/// meaningful.
+#[inline]
+fn ring_parities(b: &[u64], n: usize, g: usize) -> (u64, u64) {
+    let (e0, e1) = (ring_word(b, n, g), ring_word(b, n, g + 1));
+    let pairs = e0 ^ ((e0 >> 1) | (e1 << 63));
+    (pairs, pairs ^ ((e0 >> 2) | (e1 << 62)))
+}
+
+/// Word `g` of the ring `b` unrolled past its end: bits `n` and `n + 1`
+/// repeat bits 0 and 1, so bit `i + k` is ring bit `(i + k) mod n` for
+/// every `i < n` and `k ≤ 2`.
+#[inline]
+fn ring_word(b: &[u64], n: usize, g: usize) -> u64 {
+    let wrap = b[0] & 3;
+    let mut word = b.get(g).copied().unwrap_or(0);
+    if g == n / 64 {
+        word |= wrap << (n % 64);
+    } else if g == n / 64 + 1 && n % 64 == 63 {
+        word |= wrap >> 1;
+    }
+    word
 }
 
 impl BooleanFunction for BistableRingPuf {
@@ -246,6 +293,76 @@ mod tests {
     use mlam_boolean::testing::pocket_perceptron;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The per-bit potential the word-wise one replaced: one
+    /// [`BitVec::pm`] per factor, ring neighbours by `% n`.
+    fn potential_per_bit(puf: &BistableRingPuf, challenge: &BitVec) -> f64 {
+        let n = puf.strengths.len();
+        let x = |i: usize| -> f64 { challenge.pm(i) };
+        let mut v: f64 = -puf.offset;
+        for i in 0..n {
+            v += puf.strengths[i][usize::from(challenge.get(i))];
+        }
+        for i in 0..n {
+            v += puf.couplings[i] * x(i) * x((i + 1) % n);
+        }
+        if puf.config.triple_strength > 0.0 {
+            for i in 0..n {
+                v += puf.triples[i] * x(i) * x((i + 1) % n) * x((i + 2) % n);
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn potential_is_bit_identical_to_the_per_bit_sum() {
+        // Ring lengths on both sides of the 64-bit word boundaries,
+        // where the rotations wrap across the last word.
+        for n in (3..=70).chain(127..=130) {
+            let presets = [
+                BrPufConfig::linear(),
+                BrPufConfig::calibrated(n),
+                BrPufConfig::calibrated_accuracy(n),
+            ];
+            for (k, config) in presets.into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64((n * 3 + k) as u64);
+                let puf = BistableRingPuf::sample(n, config, &mut rng);
+                for _ in 0..2000 {
+                    let c = BitVec::random(n, &mut rng);
+                    assert_eq!(
+                        puf.potential(&c).to_bits(),
+                        potential_per_bit(&puf, &c).to_bits(),
+                        "n={n} {config:?} c={c}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noisy_responses_draw_as_the_per_bit_sum_did() {
+        for n in [3, 16, 17, 63, 64, 65, 130] {
+            let config = BrPufConfig {
+                noise_sigma: 2.0,
+                ..BrPufConfig::calibrated(n)
+            };
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let puf = BistableRingPuf::sample(n, config, &mut rng);
+            let mut reference = rng.clone();
+            let mut flips = 0;
+            for _ in 0..500 {
+                let c = BitVec::random(n, &mut rng);
+                let got = puf.eval_noisy(&c, &mut rng);
+                let c = BitVec::random(n, &mut reference);
+                let v = potential_per_bit(&puf, &c);
+                let want = v + config.noise_sigma * gaussian(&mut reference) < 0.0;
+                assert_eq!(got, want, "n={n} c={c}");
+                flips += usize::from(want != (v < 0.0));
+            }
+            assert!(flips > 0, "n={n}: the noise never flipped a response");
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "n={n}");
+        }
+    }
 
     fn sample_crps(puf: &BistableRingPuf, m: usize, rng: &mut StdRng) -> Vec<(BitVec, bool)> {
         (0..m)

@@ -24,11 +24,16 @@
 //!   [`FeatureMatrix::for_each_score`]) add 8 rows side by side, one
 //!   accumulator per row, each starting at `0.0` and adding the same
 //!   sign-flipped weights in the same index order as
-//!   [`FeatureMatrix::dot`], its one-row case.
-//! * **Minibatch gradients** ([`FeatureMatrix::grad_sub_batch`]) hold 8
-//!   gradient entries in registers while the batch's rows subtract
-//!   from them in batch order, so each entry sees the same subtractions
-//!   in the same order as a row-at-a-time loop.
+//!   [`FeatureMatrix::dot`], its one-row case. `LinearModel` scores a
+//!   test set with the same kernel, 8 freshly packed rows per call.
+//! * **Minibatch gradients** ([`FeatureMatrix::grad_sub_gathered`])
+//!   read the batch's row words, copied once per step into one buffer
+//!   in batch order ([`FeatureMatrix::gather`]), and the products
+//!   `c = t·σ`, one per row. Each pass holds 16 gradient entries (two
+//!   8-feature tiles) in registers while the batch's rows subtract
+//!   their sign-flipped `c` from them in batch order, so each entry
+//!   sees the same subtractions in the same order as a row-at-a-time
+//!   loop; `(t·±1)·σ` is exactly `±(t·σ)`.
 //!
 //! The Perceptron's update pass scores one row at a time, because each
 //! row's update changes the weights the next row is scored with. Its
@@ -38,7 +43,14 @@
 //! sign-flipped weights in 8 integer lanes at once. Integer sums are
 //! exact in any order, and the `f64` loop they replace never holds a
 //! `−0.0` (`x + (−x)` rounds to `+0.0`), so the weights converted back
-//! to `f64` are that loop's bit for bit ([`crate::perceptron`]).
+//! to `f64` are that loop's bit for bit ([`crate::perceptron`]). Its
+//! pocket scan (`errors`) runs under weights that stay fixed for the
+//! whole scan, so it first builds one 256-entry table per tile, the
+//! tile's margin under each sign byte, and then scores each row with
+//! one lookup per tile. The lookups add the same integers as `margin`
+//! in another order, exact in any order, and every entry and partial
+//! sum is a signed sum of a subset of the weights, inside the `i32`
+//! bound the trainer checks.
 
 use crate::dataset::LabeledSet;
 use crate::features::FeatureMap;
@@ -46,11 +58,15 @@ use mlam_boolean::bits::{byte_signs, row_bytes, sign_select};
 use mlam_boolean::to_pm;
 
 /// Rows the score kernel adds side by side, one `f64` accumulator each.
-const SCORE_ROWS: usize = 8;
+pub(crate) const SCORE_ROWS: usize = 8;
 
 /// Features per tile of the gradient and Perceptron kernels: one byte
 /// of a sign word, which indexes [`BYTE_LANES`] and [`byte_signs`].
 const TILE_FEATURES: usize = 8;
+
+/// Tiles per pass of the gradient kernel: the 16 bits of a quarter sign
+/// word, whose 16 gradient entries stay in registers for the pass.
+const GRAD_TILES: usize = 2;
 
 /// The integer twin of [`byte_signs`], one entry per byte of a sign
 /// word: lane `k` of entry `b` is `−1` (all bits set) ⇔ bit `k` of `b`
@@ -200,30 +216,18 @@ impl FeatureMatrix {
         self.scores_by(self.examples, |i| i, w, f);
     }
 
-    /// Calls `f(i, w · φ(x_{row(i)}))` for `i` in `0..count`, in order:
-    /// full tiles of [`SCORE_ROWS`] rows through the multi-row kernel,
-    /// the tail rows through its one-row case. Every score starts at
-    /// `0.0` and adds its terms in index order.
+    /// Calls `f(i, w · φ(x_{row(i)}))` for `i` in `0..count`, in order,
+    /// through [`for_each_packed_score`].
     #[inline]
     fn scores_by(
         &self,
         count: usize,
         row: impl Fn(usize) -> usize,
         w: &[f64],
-        mut f: impl FnMut(usize, f64),
+        f: impl FnMut(usize, f64),
     ) {
         assert_eq!(w.len(), self.dim, "weight dimension mismatch");
-        let signs = |i: usize| self.signs(row(i));
-        let tiled = count - count % SCORE_ROWS;
-        for base in (0..tiled).step_by(SCORE_ROWS) {
-            let tile = sign_scores::<SCORE_ROWS>(std::array::from_fn(|k| signs(base + k)), w);
-            for (k, s) in tile.into_iter().enumerate() {
-                f(base + k, s);
-            }
-        }
-        for i in tiled..count {
-            f(i, sign_scores([signs(i)], w)[0]);
-        }
+        for_each_packed_score(count, |i| self.signs(row(i)), w, f);
     }
 
     /// Length of an integer weight vector for [`margin`](Self::margin)
@@ -257,6 +261,48 @@ impl FeatureMatrix {
         acc.iter().sum()
     }
 
+    /// The number of rows with `margin(row, w) · t ≤ 0`, the
+    /// Perceptron's pocket error, over weights padded to
+    /// [`padded_dimension`](Self::padded_dimension), whose padding is
+    /// zero.
+    ///
+    /// The weights are fixed for the whole scan, so it first builds one
+    /// [`byte_table`] per 8-feature tile, and a row's margin is the sum
+    /// of its bytes' entries, one lookup per tile. A padding weight is
+    /// `0`, so it adds `0` to every entry. Integer sums are exact in any
+    /// order, so each margin is [`margin`](Self::margin)'s. Every entry
+    /// and partial sum is a signed sum of a subset of the weights, so a
+    /// caller that keeps `Σ|w_j|` inside `i32` keeps them inside too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != self.padded_dimension()`.
+    pub(crate) fn errors(&self, w: &[i32]) -> usize {
+        assert_eq!(w.len(), self.padded_dimension(), "padded weight length");
+        let (tiles, _) = w.as_chunks::<TILE_FEATURES>();
+        let tables: Vec<[i32; 256]> = tiles.iter().map(byte_table).collect();
+        // Eight tiles per sign word: the tables of the words the tiles
+        // fill, then those of the last word if they do not fill it.
+        let (full, rest) = tables.as_chunks::<8>();
+        (0..self.examples)
+            .filter(|&row| {
+                let signs = self.signs(row);
+                let mut margin = 0i32;
+                for (&word, tables) in signs.iter().zip(full) {
+                    for (table, byte) in tables.iter().zip(word.to_le_bytes()) {
+                        margin += table[usize::from(byte)];
+                    }
+                }
+                if let Some(&word) = signs.get(full.len()) {
+                    for (table, byte) in rest.iter().zip(word.to_le_bytes()) {
+                        margin += table[usize::from(byte)];
+                    }
+                }
+                margin * self.labels[row] as i32 <= 0
+            })
+            .count()
+    }
+
     /// The Perceptron update `w[j] += t * φ(x_row)[j]` for `t = ±1` over
     /// weights padded to [`padded_dimension`](Self::padded_dimension),
     /// tile by tile; the padding lanes past the dimension are left as
@@ -285,34 +331,128 @@ impl FeatureMatrix {
         }
     }
 
-    /// The minibatch logistic gradient: for each `rows[i]` in order,
-    /// `g[j] -= t * φ(x)[j] * sigmas[i]` with `t` the row's label,
-    /// bit-identical to that row-at-a-time loop (for a ±1 feature the
-    /// scalar product `(t * ±1) * sigma` is exactly `±(t * sigma)`).
-    ///
-    /// Rows are read one 8-feature tile at a time: the tile's gradient
-    /// entries stay in registers while every row of the batch, in order,
-    /// subtracts its sign-flipped `t * sigma` from them.
+    /// Copies the sign words of `rows`, in order, into `out`, one
+    /// row after another, the layout
+    /// [`grad_sub_gathered`](Self::grad_sub_gathered) reads.
     ///
     /// # Panics
     ///
-    /// Panics if `g.len() != self.dimension()`, `rows` and `sigmas`
-    /// differ in length, or a row is out of range.
-    pub fn grad_sub_batch(&self, rows: &[usize], sigmas: &[f64], g: &mut [f64]) {
-        assert_eq!(g.len(), self.dim, "gradient dimension mismatch");
-        assert_eq!(rows.len(), sigmas.len(), "one sigma per row");
-        for (tile, gs) in g.chunks_mut(TILE_FEATURES).enumerate() {
-            let mut acc = [0.0f64; TILE_FEATURES];
-            acc[..gs.len()].copy_from_slice(gs);
-            for (&row, &sigma) in rows.iter().zip(sigmas) {
-                let c = (self.labels[row] * sigma).to_bits();
-                for (a, mask) in acc.iter_mut().zip(tile_signs(self.signs(row), tile)) {
-                    *a -= f64::from_bits(c ^ mask);
-                }
-            }
-            gs.copy_from_slice(&acc[..gs.len()]);
+    /// Panics if a row is out of range.
+    pub fn gather(&self, rows: &[usize], out: &mut Vec<u64>) {
+        out.clear();
+        for &row in rows {
+            out.extend_from_slice(self.signs(row));
         }
     }
+
+    /// The minibatch logistic gradient over rows copied by
+    /// [`gather`](Self::gather): for each gathered row `i` in order,
+    /// `g[j] -= φ_i[j] * cs[i]`. With `cs[i] = t * sigma`, `t` the row's
+    /// label, this is bit-identical to the row-at-a-time loop
+    /// `g[j] -= t * φ(x)[j] * sigma`: for a ±1 feature the scalar
+    /// product `(t * ±1) * sigma` is exactly `±(t * sigma)`.
+    ///
+    /// Each pass holds 16 gradient entries, two 8-feature tiles, in
+    /// registers while every gathered row, in order, subtracts its
+    /// sign-flipped `c` from them; a last pass of at most 8 entries
+    /// holds one tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g.len() != self.dimension()` or `rows` does not hold
+    /// one row's words per entry of `cs`.
+    pub fn grad_sub_gathered(&self, rows: &[u64], cs: &[f64], g: &mut [f64]) {
+        assert_eq!(g.len(), self.dim, "gradient dimension mismatch");
+        assert_eq!(
+            rows.len(),
+            cs.len() * self.words_per_row,
+            "one gathered row per c"
+        );
+        let pass_features = GRAD_TILES * TILE_FEATURES;
+        let passes_per_word = 64 / pass_features;
+        for (pass, gs) in g.chunks_mut(pass_features).enumerate() {
+            // A pass never straddles two words, and a gradient entry
+            // implies at least one word per row.
+            let word = pass / passes_per_word;
+            let shift = pass_features * (pass % passes_per_word);
+            let bits = rows
+                .chunks_exact(self.words_per_row)
+                .map(|row| row[word] >> shift);
+            if gs.len() > TILE_FEATURES {
+                grad_tiles::<GRAD_TILES>(bits, cs, gs);
+            } else {
+                grad_tiles::<1>(bits, cs, gs);
+            }
+        }
+    }
+}
+
+/// Calls `f(i, w · φ_i)` for `i` in `0..count`, in order, where
+/// `signs(i)` is row `i`'s sign words: full tiles of [`SCORE_ROWS`] rows
+/// through the multi-row kernel, the tail rows through its one-row
+/// case. Every score starts at `0.0` and adds its terms in index order.
+///
+/// # Panics
+///
+/// Panics if a row holds fewer than `w.len().div_ceil(64)` words.
+#[inline]
+pub(crate) fn for_each_packed_score<'a>(
+    count: usize,
+    signs: impl Fn(usize) -> &'a [u64],
+    w: &[f64],
+    mut f: impl FnMut(usize, f64),
+) {
+    let tiled = count - count % SCORE_ROWS;
+    for base in (0..tiled).step_by(SCORE_ROWS) {
+        let tile = sign_scores::<SCORE_ROWS>(std::array::from_fn(|k| signs(base + k)), w);
+        for (k, s) in tile.into_iter().enumerate() {
+            f(base + k, s);
+        }
+    }
+    for i in tiled..count {
+        f(i, sign_scores([signs(i)], w)[0]);
+    }
+}
+
+/// The margins of one tile of integer weights under each sign byte:
+/// entry `b` is `Σ_k ±ws[k]`, negative where bit `k` of `b` is set.
+/// Each half byte's 16 signed sums are built by doubling, and entry `b`
+/// adds its two halves' sums, so every intermediate is a signed sum of
+/// a subset of `ws`.
+fn byte_table(ws: &[i32; TILE_FEATURES]) -> [i32; 256] {
+    let nibble_sums = |ws: &[i32]| {
+        let mut sums = [0i32; 16];
+        for (k, &wk) in ws.iter().enumerate() {
+            let half = 1 << k;
+            for v in 0..half {
+                sums[v | half] = sums[v] - wk;
+                sums[v] += wk;
+            }
+        }
+        sums
+    };
+    let (lo, hi) = (nibble_sums(&ws[..4]), nibble_sums(&ws[4..]));
+    std::array::from_fn(|b| lo[b & 15] + hi[b >> 4])
+}
+
+/// `gs[8t + k] -= ±c` for every gathered row in order, `bits` yielding
+/// each row's sign bits of the pass's features from bit 0 on. The `T`
+/// tiles' entries stay in registers for the whole batch; `gs` may be
+/// shorter than `8T`, and the lanes past it are dropped.
+#[inline(always)]
+fn grad_tiles<const T: usize>(bits: impl Iterator<Item = u64>, cs: &[f64], gs: &mut [f64]) {
+    let mut acc = [[0.0f64; TILE_FEATURES]; T];
+    acc.as_flattened_mut()[..gs.len()].copy_from_slice(gs);
+    for (bits, &c) in bits.zip(cs) {
+        let c = c.to_bits();
+        for (t, lanes) in acc.iter_mut().enumerate() {
+            let masks = byte_signs((bits >> (8 * t)) as u8);
+            for k in 0..TILE_FEATURES {
+                lanes[k] -= f64::from_bits(c ^ masks[k]);
+            }
+        }
+    }
+    gs.copy_from_slice(&acc.as_flattened()[..gs.len()]);
 }
 
 /// `w · φ(x)` for `R` packed rows side by side. Lane `k` starts at
@@ -334,14 +474,6 @@ fn sign_scores<const R: usize>(rows: [&[u64]; R], w: &[f64]) -> [f64; R] {
         }
     }
     acc
-}
-
-/// The IEEE sign masks of features `8 * tile .. 8 * tile + 8` of one
-/// packed row.
-#[inline(always)]
-fn tile_signs(signs: &[u64], tile: usize) -> [u64; TILE_FEATURES] {
-    // Eight tiles per word; a tile never straddles two words.
-    byte_signs((signs[tile / 8] >> (8 * (tile % 8))) as u8)
 }
 
 #[cfg(test)]
@@ -451,9 +583,16 @@ mod tests {
             let mut rows: Vec<usize> = (0..data.len()).collect();
             rows.shuffle(&mut rng);
             let sigmas: Vec<f64> = rows.iter().map(|_| rng.gen_range(0.0..1.0)).collect();
+            let cs: Vec<f64> = rows
+                .iter()
+                .zip(&sigmas)
+                .map(|(&r, s)| fm.label(r) * s)
+                .collect();
             let mut g_fast = random_weights(fm.dimension(), &mut rng);
             let mut g_ref = g_fast.clone();
-            fm.grad_sub_batch(&rows, &sigmas, &mut g_fast);
+            let mut gathered = Vec::new();
+            fm.gather(&rows, &mut gathered);
+            fm.grad_sub_gathered(&gathered, &cs, &mut g_fast);
             for (&row, &sigma) in rows.iter().zip(&sigmas) {
                 let (x, y) = &data.pairs()[row];
                 let t = to_pm(*y);

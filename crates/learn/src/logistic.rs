@@ -1,6 +1,23 @@
 //! Logistic regression with Adam — the workhorse of empirical PUF
 //! modeling attacks (Rührmair et al. \[8\] attacked Arbiter and XOR
 //! Arbiter PUFs with exactly this model class over Φ features).
+//!
+//! Each minibatch step does what a one-row `f64` loop does, bit for
+//! bit, with less repeated work:
+//!
+//! * the batch is scored 8 rows at a time ([`FeatureMatrix::scores`]);
+//! * each row's `c = t·σ` is computed once, beside its `σ`, and the
+//!   batch's row words are copied once into one buffer
+//!   ([`FeatureMatrix::gather`]), which the gradient kernel walks 16
+//!   entries at a time ([`FeatureMatrix::grad_sub_gathered`]). Each
+//!   `g[j]` still starts at `0.0` and subtracts `±c` in batch order, and
+//!   `(t·±1)·σ` is exactly `±(t·σ)`;
+//! * Adam divides by its bias corrections `c1 = 1 − 0.9^step` and
+//!   `c2 = 1 − 0.999^step` only while they differ from `1.0`. Both round
+//!   to exactly `1.0` for good, `c1` from step 356 and `c2` from step
+//!   37,412, and `x / 1.0 == x` for every `x`, so a skipped division
+//!   changes no bit. Both are compared at every step, so nothing rests
+//!   on `powi` being monotone.
 
 use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
@@ -116,14 +133,12 @@ impl LogisticRegression {
         let fm = FeatureMatrix::build(&map, data);
 
         let mut w = vec![0.0f64; d];
-        let mut m1 = vec![0.0f64; d];
-        let mut m2 = vec![0.0f64; d];
-        let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
-        let mut step = 0usize;
+        let mut adam = Adam::new(d);
 
         let mut order: Vec<usize> = (0..fm.examples()).collect();
         let mut grad = vec![0.0f64; d];
-        let mut sigmas = vec![0.0f64; self.config.batch_size];
+        let mut cs = vec![0.0f64; self.config.batch_size];
+        let mut batch_words = Vec::new();
         for epoch in 1..=self.config.epochs {
             // Shuffle the visit order each epoch.
             for i in (1..order.len()).rev() {
@@ -131,32 +146,21 @@ impl LogisticRegression {
                 order.swap(i, j);
             }
             for batch in order.chunks(self.config.batch_size) {
-                step += 1;
                 // The weights are fixed for the whole batch: score it
                 // with the multi-row kernel, then turn each score into
-                // its σ in place.
-                let sigmas = &mut sigmas[..batch.len()];
-                fm.scores(batch, &w, sigmas);
-                for (sigma, &idx) in sigmas.iter_mut().zip(batch) {
+                // its `c = t·σ` in place.
+                let cs = &mut cs[..batch.len()];
+                fm.scores(batch, &w, cs);
+                for (c, &idx) in cs.iter_mut().zip(batch) {
                     // d/dw ln(1+e^{-t s}) = -t f σ(-t s)
-                    *sigma = 1.0 / (1.0 + (fm.label(idx) * *sigma).exp());
+                    let t = fm.label(idx);
+                    let sigma = 1.0 / (1.0 + (t * *c).exp());
+                    *c = t * sigma;
                 }
+                fm.gather(batch, &mut batch_words);
                 grad.fill(0.0);
-                fm.grad_sub_batch(batch, sigmas, &mut grad);
-                let scale = 1.0 / batch.len() as f64;
-                let (c1, c2) = (1.0 - b1.powi(step as i32), 1.0 - b2.powi(step as i32));
-                for ((wi, g), (mi, vi)) in w
-                    .iter_mut()
-                    .zip(&grad)
-                    .zip(m1.iter_mut().zip(m2.iter_mut()))
-                {
-                    let g = g * scale + self.config.l2 * *wi;
-                    *mi = b1 * *mi + (1.0 - b1) * g;
-                    *vi = b2 * *vi + (1.0 - b2) * g * g;
-                    let mhat = *mi / c1;
-                    let vhat = *vi / c2;
-                    *wi -= self.config.learning_rate * mhat / (vhat.sqrt() + eps);
-                }
+                fm.grad_sub_gathered(&batch_words, cs, &mut grad);
+                adam.step(&self.config, 1.0 / batch.len() as f64, &grad, &mut w);
             }
             // Learning-curve checkpoint at log-spaced epochs. The
             // accuracy scan is recording-only and consumes no RNG, so
@@ -192,6 +196,71 @@ impl LogisticRegression {
             model,
             final_loss: loss / fm.examples() as f64,
             training_accuracy: correct as f64 / fm.examples() as f64,
+        }
+    }
+}
+
+/// Adam's first- and second-moment decay rates.
+const B1: f64 = 0.9;
+const B2: f64 = 0.999;
+/// Adam's guard against a zero denominator.
+const EPS: f64 = 1e-8;
+
+/// Adam's state: the two moment estimates and the steps taken.
+struct Adam {
+    m1: Vec<f64>,
+    m2: Vec<f64>,
+    step: usize,
+}
+
+impl Adam {
+    fn new(d: usize) -> Self {
+        Adam {
+            m1: vec![0.0; d],
+            m2: vec![0.0; d],
+            step: 0,
+        }
+    }
+
+    /// One Adam step on `w` from the summed gradient `grad`, which is
+    /// scaled by `scale` and gets the L2 term added per weight. Divides
+    /// by a bias correction only while it is not exactly `1.0`; both are
+    /// compared at every step.
+    fn step(&mut self, config: &LogisticConfig, scale: f64, grad: &[f64], w: &mut [f64]) {
+        self.step += 1;
+        let c1 = 1.0 - B1.powi(self.step as i32);
+        let c2 = 1.0 - B2.powi(self.step as i32);
+        match (c1 == 1.0, c2 == 1.0) {
+            (false, false) => self.update::<true, true>(config, scale, (c1, c2), grad, w),
+            (true, false) => self.update::<false, true>(config, scale, (c1, c2), grad, w),
+            (false, true) => self.update::<true, false>(config, scale, (c1, c2), grad, w),
+            (true, true) => self.update::<false, false>(config, scale, (c1, c2), grad, w),
+        }
+    }
+
+    /// The update of every weight, dividing by `c1` only if `DIV1` and
+    /// by `c2` only if `DIV2`. A correction is skipped only when it is
+    /// exactly `1.0`, and `x / 1.0 == x` for every `x`.
+    #[inline(always)]
+    fn update<const DIV1: bool, const DIV2: bool>(
+        &mut self,
+        config: &LogisticConfig,
+        scale: f64,
+        (c1, c2): (f64, f64),
+        grad: &[f64],
+        w: &mut [f64],
+    ) {
+        for ((wi, g), (mi, vi)) in w
+            .iter_mut()
+            .zip(grad)
+            .zip(self.m1.iter_mut().zip(self.m2.iter_mut()))
+        {
+            let g = g * scale + config.l2 * *wi;
+            *mi = B1 * *mi + (1.0 - B1) * g;
+            *vi = B2 * *vi + (1.0 - B2) * g * g;
+            let mhat = if DIV1 { *mi / c1 } else { *mi };
+            let vhat = if DIV2 { *vi / c2 } else { *vi };
+            *wi -= config.learning_rate * mhat / (vhat.sqrt() + EPS);
         }
     }
 }
@@ -266,6 +335,16 @@ mod tests {
         let out = LogisticRegression::new(LogisticConfig::default()).train(&noisy, &mut rng);
         // Unlike the vanilla perceptron, LR still recovers the concept.
         assert!(test.accuracy_of(&out.model) > 0.9);
+    }
+
+    #[test]
+    fn bias_corrections_become_exactly_one() {
+        // The steps from which Adam skips a division.
+        let correction = |b: f64, step: i32| 1.0 - b.powi(step);
+        assert_ne!(correction(B1, 355), 1.0);
+        assert_eq!(correction(B1, 356), 1.0);
+        assert_ne!(correction(B2, 37_411), 1.0);
+        assert_eq!(correction(B2, 37_412), 1.0);
     }
 
     #[test]

@@ -18,12 +18,25 @@
 //! either. The pocket scan counts the rows with `margin · t ≤ 0` over
 //! the same integer weights, the `f64` loop's count, and converts the
 //! weights to `f64` only when the pocket improves; the returned model
-//! holds those `f64` weights.
+//! holds those `f64` weights. The weights stay fixed for the whole
+//! scan, so it reads each margin from byte tables built once per scan
+//! ([`FeatureMatrix`]'s `errors`): one 256-entry table per 8-feature
+//! tile, entry `b` the tile's signed weight sum under sign byte `b`, so
+//! a row of 65 Φ features takes 9 lookups. The lookups add the same
+//! integers as `margin` in another order, and each entry and partial
+//! sum is a signed sum of a subset of the weights, inside the `i32`
+//! bound the trainer checks.
+//!
+//! [`LinearModel`] counts its agreements with a labelled set on packed
+//! rows: it packs 8 examples at a time with
+//! [`FeatureMap::sign_words_into`] and scores them with the multi-row
+//! kernel the trainers use, so no `f64` feature vector is built. Its
+//! decisions are [`LinearModel::score`]'s (see its `count_agreements`).
 
 use crate::dataset::LabeledSet;
-use crate::feature_matrix::FeatureMatrix;
+use crate::feature_matrix::{for_each_packed_score, FeatureMatrix, SCORE_ROWS};
 use crate::features::{FeatureMap, PlusMinusFeatures};
-use mlam_boolean::{BitVec, BooleanFunction};
+use mlam_boolean::{to_bool, BitVec, BooleanFunction};
 
 /// A linear hypothesis over a feature map: logic 1 iff
 /// `w·φ(x) ≤ 0` (matching the `χ(1) = −1` encoding).
@@ -75,7 +88,33 @@ impl<M: FeatureMap> BooleanFunction for LinearModel<M> {
     }
 
     fn eval(&self, x: &BitVec) -> bool {
-        mlam_boolean::to_bool(self.score(x))
+        to_bool(self.score(x))
+    }
+
+    /// Packs 8 examples at a time with [`FeatureMap::sign_words_into`]
+    /// and scores them with the multi-row kernel of [`FeatureMatrix`].
+    /// Each decision is [`eval`](BooleanFunction::eval)'s: the kernel
+    /// adds the same `±w_j` in index order as [`score`](LinearModel::score),
+    /// but from `+0.0`, where `f64`'s `Sum` starts from `−0.0`. Adding
+    /// a zero to either start gives a zero, and adding `x ≠ 0` to either
+    /// gives `x`, so the two sums are equal from their first nonzero
+    /// term on; they can differ only in the sign of a zero score, and
+    /// [`to_bool`] maps both zeros to logic 1.
+    fn count_agreements(&self, data: &[(BitVec, bool)]) -> usize {
+        let stride = self.weights.len().div_ceil(64);
+        let row = |k: usize| k * stride..(k + 1) * stride;
+        let mut words = vec![0u64; SCORE_ROWS * stride];
+        let mut agreements = 0;
+        for chunk in data.chunks(SCORE_ROWS) {
+            for (k, (x, _)) in chunk.iter().enumerate() {
+                self.map.sign_words_into(x, &mut words[row(k)]);
+            }
+            let signs = |k: usize| &words[row(k)];
+            for_each_packed_score(chunk.len(), signs, &self.weights, |k, s| {
+                agreements += usize::from(to_bool(s) == chunk[k].1);
+            });
+        }
+        agreements
     }
 }
 
@@ -182,9 +221,7 @@ impl Perceptron {
                 }
             }
             mistakes += epoch_mistakes;
-            let err = (0..fm.examples())
-                .filter(|&row| fm.margin(row, &w) * fm.label(row) as i32 <= 0)
-                .count();
+            let err = fm.errors(&w);
             if err < pocket_err {
                 pocket_err = err;
                 for (p, &wi) in pocket.iter_mut().zip(&w) {

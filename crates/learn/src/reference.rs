@@ -18,7 +18,7 @@ use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
 use crate::features::{ArbiterPhiFeatures, FeatureMap, LowDegreeFeatures, PlusMinusFeatures};
 use crate::logistic::{LogisticConfig, LogisticRegression};
-use crate::perceptron::Perceptron;
+use crate::perceptron::{LinearModel, Perceptron};
 use mlam_boolean::bits::sign_select;
 use mlam_boolean::{to_pm, BitVec, BooleanFunction, LinearThreshold};
 use rand::rngs::StdRng;
@@ -268,6 +268,34 @@ fn logistic<R: Rng + ?Sized>(rows: &Rows, config: LogisticConfig, rng: &mut R) -
     }
 }
 
+/// Trains logistic regression over `map` on `data`, whose reference rows
+/// are `rows`, from an RNG seeded with `seed`, and compares the outcome,
+/// and the caller's next RNG draw, with the reference loop.
+fn assert_logistic_matches<M: FeatureMap + Clone>(
+    map: M,
+    data: &LabeledSet,
+    rows: &Rows,
+    config: LogisticConfig,
+    seed: u64,
+    label: &str,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut reference_rng = rng.clone();
+    let out = LogisticRegression::new(config).train_with(map, data, &mut rng);
+    let fast = LogisticRun {
+        weights: bits(out.model.weights()),
+        final_loss: out.final_loss.to_bits(),
+        training_accuracy: out.training_accuracy.to_bits(),
+    };
+    let expected = logistic(rows, config, &mut reference_rng);
+    assert_eq!(fast, expected, "logistic {label}");
+    assert_eq!(
+        rng.gen::<u64>(),
+        reference_rng.gen::<u64>(),
+        "rng stream {label}"
+    );
+}
+
 /// Input lengths whose ±1 and Φ maps have `d = n + 1` features, on
 /// both sides of the 8-feature tile and the 64-bit word:
 /// `d = 1, 2, 7, 8, 9, 16, 64, 65, 66, 130`.
@@ -319,21 +347,8 @@ fn assert_trainers_match<M: FeatureMap + Clone>(map: M) -> Reach {
                     batch_size,
                     ..LogisticConfig::default()
                 };
-                let mut rng = StdRng::seed_from_u64(m as u64);
-                let mut reference_rng = rng.clone();
-                let out = LogisticRegression::new(config).train_with(map.clone(), &data, &mut rng);
-                let fast = LogisticRun {
-                    weights: bits(out.model.weights()),
-                    final_loss: out.final_loss.to_bits(),
-                    training_accuracy: out.training_accuracy.to_bits(),
-                };
-                let expected = logistic(&rows, config, &mut reference_rng);
-                assert_eq!(fast, expected, "logistic {label} batch={batch_size}");
-                assert_eq!(
-                    rng.gen::<u64>(),
-                    reference_rng.gen::<u64>(),
-                    "rng stream {label} batch={batch_size}"
-                );
+                let label = format!("{label} batch={batch_size}");
+                assert_logistic_matches(map.clone(), &data, &rows, config, m as u64, &label);
             }
         }
     }
@@ -384,30 +399,48 @@ fn kernels_match_one_row_loops() {
 
                 // Integer weights with zero padding, as the Perceptron
                 // keeps them: the margin is the `f64` dot of the same
-                // values, and an update leaves the padding at zero.
-                let mut w_int = vec![0i32; fm.padded_dimension()];
-                for wj in &mut w_int[..d] {
-                    *wj = rng.gen_range(-1000..=1000);
+                // values, the table scan counts the rows whose margin
+                // has the wrong sign or is 0, and an update leaves the
+                // padding at zero. Weights of ±1 and 0 make margins of
+                // exactly 0.
+                for range in [-1..=1, -1000..=1000] {
+                    let mut w_int = vec![0i32; fm.padded_dimension()];
+                    for wj in &mut w_int[..d] {
+                        *wj = rng.gen_range(range.clone());
+                    }
+                    let mut w_ref: Vec<f64> = w_int[..d].iter().map(|&wj| f64::from(wj)).collect();
+                    for r in 0..m {
+                        let margin = f64::from(fm.margin(r, &w_int));
+                        assert_eq!(margin.to_bits(), rows.dot(r, &w_ref).to_bits(), "{label}");
+                    }
+                    let by_margin = (0..m)
+                        .filter(|&r| fm.margin(r, &w_int) * fm.label(r) as i32 <= 0)
+                        .count();
+                    assert_eq!(fm.errors(&w_int), by_margin, "errors {label} {range:?}");
+                    assert_eq!(by_margin, rows.error_count(&w_ref), "{label} {range:?}");
+                    let r = rng.gen_range(0..m);
+                    let t = to_pm(rng.gen());
+                    fm.add_signed(r, t as i32, &mut w_int);
+                    rows.add_signed(r, t, &mut w_ref);
+                    let w_fast: Vec<f64> = w_int[..d].iter().map(|&wj| f64::from(wj)).collect();
+                    assert_eq!(bits(&w_fast), bits(&w_ref), "add_signed {label}");
+                    assert!(w_int[d..].iter().all(|&wj| wj == 0), "padding {label}");
                 }
-                let mut w_ref: Vec<f64> = w_int[..d].iter().map(|&wj| f64::from(wj)).collect();
-                for r in 0..m {
-                    let margin = f64::from(fm.margin(r, &w_int));
-                    assert_eq!(margin.to_bits(), rows.dot(r, &w_ref).to_bits(), "{label}");
-                }
-                let r = rng.gen_range(0..m);
-                let t = to_pm(rng.gen());
-                fm.add_signed(r, t as i32, &mut w_int);
-                rows.add_signed(r, t, &mut w_ref);
-                let w_fast: Vec<f64> = w_int[..d].iter().map(|&wj| f64::from(wj)).collect();
-                assert_eq!(bits(&w_fast), bits(&w_ref), "add_signed {label}");
-                assert!(w_int[d..].iter().all(|&wj| wj == 0), "padding {label}");
 
                 for batch_size in BATCHES {
                     let batch: Vec<usize> = (0..batch_size).map(|_| rng.gen_range(0..m)).collect();
                     let sigmas: Vec<f64> = batch.iter().map(|_| rng.gen_range(0.0..1.0)).collect();
+                    let cs: Vec<f64> = batch
+                        .iter()
+                        .zip(&sigmas)
+                        .map(|(&r, sigma)| rows.labels[r] * sigma)
+                        .collect();
                     let mut g_fast: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
                     let mut g_ref = g_fast.clone();
-                    fm.grad_sub_batch(&batch, &sigmas, &mut g_fast);
+                    // Stale words must not reach the kernel.
+                    let mut gathered = vec![u64::MAX; 3];
+                    fm.gather(&batch, &mut gathered);
+                    fm.grad_sub_gathered(&gathered, &cs, &mut g_fast);
                     for (&r, &sigma) in batch.iter().zip(&sigmas) {
                         rows.grad_sub(r, rows.labels[r], sigma, &mut g_ref);
                     }
@@ -480,6 +513,62 @@ fn perceptron_is_bit_identical_past_narrow_integers() {
     let data = LabeledSet::from_pairs(63, pairs);
     let reach = assert_perceptron_matches(map, &data, 6, "wide rows");
     assert!(reach.max_score > 32_768.0, "scores stayed small: {reach:?}");
+}
+
+#[test]
+fn logistic_is_bit_identical_past_both_exact_ones() {
+    // 1,000 rows in batches of 1 for 40 epochs are 40,000 Adam steps:
+    // past step 356, from which `1 − 0.9^step` is exactly 1.0, and past
+    // step 37,412, from which `1 − 0.999^step` is. The reference divides
+    // by both corrections at every step.
+    let map = PlusMinusFeatures::new(7);
+    let data = sample(7, 1000, 0.0, 40);
+    let config = LogisticConfig {
+        epochs: 40,
+        batch_size: 1,
+        ..LogisticConfig::default()
+    };
+    let rows = Rows::build(&map, &data);
+    assert_logistic_matches(map, &data, &rows, config, 40, "d=8 40,000 steps");
+}
+
+/// `LinearModel::count_agreements`, through `accuracy_of` and
+/// `accuracy_of_par`, against the per-example `eval` count over `map`,
+/// for sample sizes on both sides of the 8-row score tile and random,
+/// all `+0.0`, all `−0.0` and mixed signed-zero weights.
+fn assert_agreements_match<M: FeatureMap + Clone + Sync>(map: M, rng: &mut StdRng) {
+    let n = map.num_inputs();
+    let d = map.dimension();
+    for m in [1, 7, 8, 9, 65, 1000] {
+        let data = sample(n, m, 0.5, (n * 1000 + m) as u64);
+        let random: Vec<f64> = (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let mixed: Vec<f64> = (0..d).map(|_| if rng.gen() { 0.0 } else { -0.0 }).collect();
+        for w in [random, vec![0.0; d], vec![-0.0; d], mixed] {
+            let model = LinearModel::new(map.clone(), w);
+            let by_eval = data
+                .pairs()
+                .iter()
+                .filter(|(x, y)| model.eval(x) == *y)
+                .count();
+            let label = format!("n={n} d={d} m={m}");
+            assert_eq!(model.count_agreements(data.pairs()), by_eval, "{label}");
+            let accuracy = by_eval as f64 / m as f64;
+            assert_eq!(data.accuracy_of(&model), accuracy, "accuracy_of {label}");
+            assert_eq!(data.accuracy_of_par(&model), accuracy, "par {label}");
+        }
+    }
+}
+
+#[test]
+fn linear_model_counts_agreements_as_eval_does() {
+    let mut rng = StdRng::seed_from_u64(13);
+    for n in LENGTHS {
+        assert_agreements_match(PlusMinusFeatures::new(n), &mut rng);
+        assert_agreements_match(ArbiterPhiFeatures::new(n), &mut rng);
+        if n <= 63 {
+            assert_agreements_match(LowDegreeFeatures::new(n, 2), &mut rng);
+        }
+    }
 }
 
 #[test]

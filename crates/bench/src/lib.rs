@@ -107,8 +107,9 @@ pub const CLI_FLAGS: &str = "accepted flags: --quick, --json <dir>, --force, --r
 /// skipped. `--only` may name the experiments of [`EXPERIMENTS`].
 ///
 /// Malformed input is an error, never a panic: an unknown argument, a
-/// flag without its value, an unknown or empty `--only` name, or
-/// `--resume` and `--json` naming different directories is printed to
+/// flag without its value, a second `--json`, `--resume` or
+/// `--monitor`, an unknown or empty `--only` name, or `--resume` and
+/// `--json` naming different directories is printed to
 /// stderr with the accepted flags ([`CLI_FLAGS`]) and the process
 /// exits with status 2, so a typo such as `--quik` never runs the
 /// paper-scale suite.
@@ -132,11 +133,18 @@ pub fn try_parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
         let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} requires {what}"));
         match arg.as_str() {
             "--quick" => options.quick = true,
-            "--json" => options.json_dir = Some(PathBuf::from(value("a directory argument")?)),
+            "--json" => {
+                let dir = PathBuf::from(value("a directory argument")?);
+                set_once(&mut options.json_dir, &arg, dir)?;
+            }
             "--force" => options.force = true,
-            "--resume" => options.resume = Some(PathBuf::from(value("a directory argument")?)),
+            "--resume" => {
+                let dir = PathBuf::from(value("a directory argument")?);
+                set_once(&mut options.resume, &arg, dir)?;
+            }
             "--monitor" => {
-                options.monitor = Some(value("an address argument (e.g. 127.0.0.1:9100)")?);
+                let addr = value("an address argument (e.g. 127.0.0.1:9100)")?;
+                set_once(&mut options.monitor, &arg, addr)?;
             }
             "--progress" => options.progress = true,
             "--only" => {
@@ -168,6 +176,18 @@ pub fn try_parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
         }
     }
     Ok(options)
+}
+
+/// Stores a flag's value, refusing a second one: `--json a --json b`
+/// would otherwise run with `b` alone and never create `a`.
+fn set_once<T: std::fmt::Debug>(slot: &mut Option<T>, flag: &str, value: T) -> Result<(), String> {
+    if let Some(first) = slot {
+        return Err(format!(
+            "{flag} given twice ({first:?} and {value:?}); give it once"
+        ));
+    }
+    *slot = Some(value);
+    Ok(())
 }
 
 /// A reproduction run in progress: wraps every experiment driver call
@@ -755,6 +775,19 @@ mod tests {
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(args[args.len() - 1]), "{err}");
+        }
+    }
+
+    #[test]
+    fn cli_rejects_a_repeated_value_flag() {
+        for args in [
+            &["bin", "--json", "a", "--json", "b"][..],
+            &["bin", "--resume", "a", "--resume", "b"],
+            &["bin", "--monitor", "a:1", "--monitor", "b:2"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(&format!("{} given twice", args[1])), "{err}");
+            assert!(err.contains(args[4]), "{err}");
         }
     }
 

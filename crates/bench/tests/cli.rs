@@ -33,8 +33,10 @@ fn read(path: &Path) -> String {
 /// Unusable input exits 2 with the offending argument and the accepted
 /// flags on stderr: a misspelled flag, an unknown `--only` name, an
 /// unbindable `--monitor` address, a `--json` directory that cannot be
-/// created, a `--resume` directory that does not exist, and a `--json`
-/// directory holding a finished run without `--force`.
+/// created, a `--resume` directory that does not exist, a `--json`
+/// directory holding a finished run without `--force`, and a second
+/// `--json`, which would otherwise write only the second directory.
+/// None of them creates a directory.
 #[test]
 fn misspelled_flag_exits_2_with_the_accepted_flags() {
     let finished = scratch("finished");
@@ -49,6 +51,7 @@ fn misspelled_flag_exits_2_with_the_accepted_flags() {
         &["--quick", "--json", "/dev/null/x"],
         &["--quick", "--resume", missing],
         &["--quick", "--json", finished],
+        &["--quick", "--json", missing, "--json", finished],
     ];
     for args in cases {
         let out = repro_all(args);
@@ -60,6 +63,7 @@ fn misspelled_flag_exits_2_with_the_accepted_flags() {
         assert!(!stderr.contains("panicked at"), "{stderr}");
     }
     assert_eq!(read(&Path::new(finished).join("manifest.json")), "{}\n");
+    assert!(!Path::new(missing).exists(), "{missing}");
     let _ = std::fs::remove_dir_all(finished);
 }
 

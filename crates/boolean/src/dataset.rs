@@ -1,21 +1,22 @@
-//! Labeled example sets.
+//! Labeled example sets: the one container for CRPs and training data.
 
-use crate::oracle::ExampleOracle;
-use mlam_boolean::{BitVec, BooleanFunction};
+use crate::{BitVec, BooleanFunction};
 use rand::Rng;
 
 /// A set of labeled examples `(x, y)` with `x ∈ {0,1}^n`, `y ∈ {0,1}`.
 ///
+/// A PUF's challenge–response pairs, a learner's training set and an
+/// evaluator's holdout set are all held in this one type.
+///
 /// # Example
 ///
 /// ```
-/// use mlam_boolean::{BitVec, FnFunction};
-/// use mlam_learn::dataset::LabeledSet;
+/// use mlam_boolean::{BitVec, FnFunction, LabeledSet};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
 /// let target = FnFunction::new(6, |x: &BitVec| x.get(0));
-/// let set = LabeledSet::sample(&target, 100, &mut rng);
+/// let set = LabeledSet::sample_par(&target, 100, &mut rng);
 /// assert_eq!(set.len(), 100);
 /// assert_eq!(set.accuracy_of(&target), 1.0);
 /// ```
@@ -47,29 +48,12 @@ impl LabeledSet {
     }
 
     /// Samples `count` uniform random examples labeled by `f`.
-    pub fn sample<F, R>(f: &F, count: usize, rng: &mut R) -> Self
-    where
-        F: BooleanFunction + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let n = f.num_inputs();
-        let items = (0..count)
-            .map(|_| {
-                let x = BitVec::random(n, rng);
-                let y = f.eval(&x);
-                (x, y)
-            })
-            .collect();
-        LabeledSet { n, items }
-    }
-
-    /// Samples `count` uniform random examples labeled by `f`, with the
-    /// labeling fanned out across `MLAM_THREADS` worker threads.
     ///
-    /// The challenges are drawn sequentially from `rng` — the stream is
-    /// identical to [`LabeledSet::sample`] — and labeling a challenge is
-    /// a pure function of `f`, so the returned set is bit-identical to
-    /// the sequential one at any thread count.
+    /// The inputs are drawn sequentially from `rng`, then labeled by
+    /// `f` fanned out across `MLAM_THREADS` worker threads. Labeling is
+    /// a pure function of `f`, so the set is bit-identical at any
+    /// thread count, and `rng` is left where a draw-then-label loop
+    /// would leave it.
     pub fn sample_par<F, R>(f: &F, count: usize, rng: &mut R) -> Self
     where
         F: BooleanFunction + Sync + ?Sized,
@@ -81,18 +65,6 @@ impl LabeledSet {
         LabeledSet {
             n,
             items: xs.into_iter().zip(labels).collect(),
-        }
-    }
-
-    /// Draws `count` examples from an [`ExampleOracle`].
-    pub fn from_oracle<O, R>(oracle: &O, count: usize, rng: &mut R) -> Self
-    where
-        O: ExampleOracle,
-        R: Rng + ?Sized,
-    {
-        LabeledSet {
-            n: oracle.num_inputs(),
-            items: oracle.examples(count, rng),
         }
     }
 
@@ -116,6 +88,11 @@ impl LabeledSet {
         &self.items
     }
 
+    /// A copy of the underlying pairs.
+    pub fn to_labeled(&self) -> Vec<(BitVec, bool)> {
+        self.items.clone()
+    }
+
     /// Appends an example.
     ///
     /// # Panics
@@ -128,24 +105,14 @@ impl LabeledSet {
 
     /// Fraction of examples a hypothesis labels correctly.
     ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty.
-    pub fn accuracy_of<H: BooleanFunction + ?Sized>(&self, h: &H) -> f64 {
-        assert!(!self.is_empty(), "accuracy over an empty set");
-        h.count_agreements(&self.items) as f64 / self.items.len() as f64
-    }
-
-    /// Fraction of examples a hypothesis labels correctly, with the
-    /// evaluation sweep fanned out across `MLAM_THREADS` workers.
-    ///
-    /// Correct-count accumulation is integer arithmetic, so the result
-    /// equals [`LabeledSet::accuracy_of`] exactly at any thread count.
+    /// The agreements are counted in chunks of `mlam_par::DEFAULT_CHUNK`
+    /// examples fanned out across `MLAM_THREADS` workers. The counts
+    /// are integers, so the result is exact at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if the set is empty.
-    pub fn accuracy_of_par<H: BooleanFunction + Sync + ?Sized>(&self, h: &H) -> f64 {
+    pub fn accuracy_of<H: BooleanFunction + Sync + ?Sized>(&self, h: &H) -> f64 {
         assert!(!self.is_empty(), "accuracy over an empty set");
         let partials = mlam_par::par_chunk_map(&self.items, mlam_par::DEFAULT_CHUNK, |_, chunk| {
             h.count_agreements(chunk)
@@ -175,7 +142,12 @@ impl LabeledSet {
         }
     }
 
-    /// Randomly splits into `(train, test)`.
+    /// Randomly splits into `(train, test)` with `train_fraction` of the
+    /// examples in the first part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train_fraction` is outside `[0, 1]`.
     pub fn split<R: Rng + ?Sized>(
         &self,
         train_fraction: f64,
@@ -203,18 +175,10 @@ impl LabeledSet {
     }
 }
 
-impl Extend<(BitVec, bool)> for LabeledSet {
-    fn extend<T: IntoIterator<Item = (BitVec, bool)>>(&mut self, iter: T) {
-        for (x, y) in iter {
-            self.push(x, y);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlam_boolean::FnFunction;
+    use crate::FnFunction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -222,7 +186,7 @@ mod tests {
     fn sample_and_accuracy() {
         let mut rng = StdRng::seed_from_u64(1);
         let f = FnFunction::new(8, |x: &BitVec| x.count_ones().is_multiple_of(2));
-        let set = LabeledSet::sample(&f, 300, &mut rng);
+        let set = LabeledSet::sample_par(&f, 300, &mut rng);
         assert_eq!(set.accuracy_of(&f), 1.0);
         let g = FnFunction::new(8, |x: &BitVec| x.count_ones() % 2 == 1);
         assert_eq!(set.accuracy_of(&g), 0.0);
@@ -233,7 +197,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let f = FnFunction::new(4, |x: &BitVec| x.get(0));
         let g = FnFunction::new(4, |x: &BitVec| !x.get(0));
-        let set = LabeledSet::sample(&f, 50, &mut rng);
+        let set = LabeledSet::sample_par(&f, 50, &mut rng);
         let relabeled = set.relabeled_by(&g);
         assert_eq!(relabeled.accuracy_of(&g), 1.0);
         assert_eq!(relabeled.accuracy_of(&f), 0.0);
@@ -246,7 +210,7 @@ mod tests {
     fn split_sizes() {
         let mut rng = StdRng::seed_from_u64(3);
         let f = FnFunction::new(4, |x: &BitVec| x.get(3));
-        let set = LabeledSet::sample(&f, 100, &mut rng);
+        let set = LabeledSet::sample_par(&f, 100, &mut rng);
         let (tr, te) = set.split(0.8, &mut rng);
         assert_eq!(tr.len(), 80);
         assert_eq!(te.len(), 20);
@@ -268,21 +232,35 @@ mod tests {
 
     #[test]
     fn sample_par_matches_sequential_sample() {
-        // Same seed -> same challenge stream -> identical sets, whatever
+        // The same examples a draw-then-label loop makes from the same
+        // seed, and the RNG left at the same next draw, whatever
         // MLAM_THREADS happens to be.
         let f = FnFunction::new(10, |x: &BitVec| x.count_ones() >= 5);
-        let seq = LabeledSet::sample(&f, 500, &mut StdRng::seed_from_u64(9));
-        let par = LabeledSet::sample_par(&f, 500, &mut StdRng::seed_from_u64(9));
-        assert_eq!(seq, par);
+        let mut rng = StdRng::seed_from_u64(9);
+        let par = LabeledSet::sample_par(&f, 500, &mut rng);
+        let mut seq_rng = StdRng::seed_from_u64(9);
+        let mut seq = LabeledSet::new(10);
+        for _ in 0..500 {
+            let x = BitVec::random(10, &mut seq_rng);
+            let y = f.eval(&x);
+            seq.push(x, y);
+        }
+        assert_eq!(par, seq);
+        assert_eq!(rng.gen::<u64>(), seq_rng.gen::<u64>());
     }
 
     #[test]
-    fn accuracy_of_par_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(10);
+    fn accuracy_of_counts_every_chunk() {
+        // Sizes on both sides of the chunk length: a chunk dropped or
+        // counted twice moves the count.
         let f = FnFunction::new(8, |x: &BitVec| x.get(2));
         let g = FnFunction::new(8, |x: &BitVec| x.get(2) ^ x.get(5));
-        let set = LabeledSet::sample(&f, 3000, &mut rng);
-        assert_eq!(set.accuracy_of(&g), set.accuracy_of_par(&g));
-        assert_eq!(set.accuracy_of_par(&f), 1.0);
+        let chunk = mlam_par::DEFAULT_CHUNK;
+        for m in [1, chunk - 1, chunk, chunk + 1, 3000] {
+            let set = LabeledSet::sample_par(&f, m, &mut StdRng::seed_from_u64(m as u64));
+            let agree = set.pairs().iter().filter(|(x, y)| g.eval(x) == *y).count();
+            assert_eq!(set.accuracy_of(&g), agree as f64 / m as f64, "m={m}");
+            assert_eq!(set.accuracy_of(&f), 1.0, "m={m}");
+        }
     }
 }

@@ -7,6 +7,8 @@
 //! - [`BitVec`]: arbitrary-length challenge/input vectors over `{0,1}^n`,
 //! - the [`BooleanFunction`] trait shared by PUF simulators, locked
 //!   circuits and learned hypotheses,
+//! - [`LabeledSet`]: labeled examples `(x, f(x))`, the one container for
+//!   CRPs, training sets and holdout sets ([`dataset`]),
 //! - dense truth tables with a fast Walsh–Hadamard transform
 //!   ([`TruthTable`], [`wht`]),
 //! - Fourier expansions, spectral weight profiles and sampled coefficient
@@ -42,6 +44,7 @@
 
 pub mod anf;
 pub mod bits;
+pub mod dataset;
 pub mod dense;
 pub mod fourier;
 pub mod function;
@@ -54,6 +57,7 @@ pub mod wht;
 
 pub use anf::Anf;
 pub use bits::BitVec;
+pub use dataset::LabeledSet;
 pub use dense::TruthTable;
 pub use fourier::{FourierExpansion, SparseFourier};
 pub use function::{BooleanFunction, FnFunction};

@@ -2,8 +2,7 @@
 //! an explicit adversary model and collect a comparable report.
 
 use crate::adversary::AdversaryModel;
-use mlam_boolean::BooleanFunction;
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::{BooleanFunction, LabeledSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -57,7 +56,7 @@ pub fn run_example_attack<F, L, H>(
 where
     F: ?Sized,
     L: FnOnce(&LabeledSet) -> H,
-    H: BooleanFunction,
+    H: BooleanFunction + Sync,
 {
     let span = mlam_telemetry::span("attack.example")
         .attr("learner", name)
@@ -91,8 +90,8 @@ mod tests {
     fn harness_reports_accuracy_and_cost() {
         let mut rng = StdRng::seed_from_u64(1);
         let target = LinearThreshold::random(16, &mut rng);
-        let train = LabeledSet::sample(&target, 1500, &mut rng);
-        let test = LabeledSet::sample(&target, 1000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 1500, &mut rng);
+        let test = LabeledSet::sample_par(&target, 1000, &mut rng);
         let report = run_example_attack::<LinearThreshold, _, _>(
             "perceptron",
             AdversaryModel::uniform_example_attack(),

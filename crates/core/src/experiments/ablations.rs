@@ -11,9 +11,8 @@
 //!    noise of the paper's footnote 1.
 
 use crate::report::{pct, Table};
-use mlam_boolean::BooleanFunction;
+use mlam_boolean::{BooleanFunction, LabeledSet};
 use mlam_learn::chow::{table_ii_procedure, ChowConfig};
-use mlam_learn::dataset::LabeledSet;
 use mlam_learn::distribution::ChallengeDistribution;
 use mlam_learn::lmn::{lmn_learn, LmnConfig};
 use mlam_learn::logistic::{LogisticConfig, LogisticRegression};
@@ -157,7 +156,7 @@ pub fn run_ablations<R: Rng + ?Sized>(params: &AblationParams, rng: &mut R) -> A
         }
         let out = Perceptron::new(60)
             .train_with(mlam_learn::features::ArbiterPhiFeatures::new(32), &train);
-        distribution_shift.push((p, uniform_test.accuracy_of_par(&out.model)));
+        distribution_shift.push((p, uniform_test.accuracy_of(&out.model)));
     }
 
     // 3. Proper vs. improper on the calibrated BR PUF.
@@ -170,7 +169,7 @@ pub fn run_ablations<R: Rng + ?Sized>(params: &AblationParams, rng: &mut R) -> A
     let improper = lmn_learn(&train, LmnConfig::new(2));
     representation.push((
         "improper: LMN degree-2 spectrum".into(),
-        test.accuracy_of_par(&improper.hypothesis),
+        test.accuracy_of(&improper.hypothesis),
     ));
 
     // 4. Noise tolerance.
@@ -179,17 +178,16 @@ pub fn run_ablations<R: Rng + ?Sized>(params: &AblationParams, rng: &mut R) -> A
     let clean_test = LabeledSet::sample_par(&base, params.test_size, rng);
     for &rate in &params.noise_rates {
         let noisy = ResponseNoise::new(base.clone(), rate);
-        let set = collect_noisy(&noisy, params.train_size, rng);
-        let train = LabeledSet::from_pairs(24, set.to_labeled());
+        let train = collect_noisy(&noisy, params.train_size, rng);
         let phi = mlam_learn::features::ArbiterPhiFeatures::new(24);
         let perc = Perceptron::new(40).train_with(phi, &train);
         let logi = LogisticRegression::new(LogisticConfig::default()).train_phi(&train, rng);
         let lmn = lmn_learn(&train, LmnConfig::new(1));
         noise.push((
             rate,
-            clean_test.accuracy_of_par(&perc.model),
-            clean_test.accuracy_of_par(&logi.model),
-            clean_test.accuracy_of_par(&lmn.hypothesis),
+            clean_test.accuracy_of(&perc.model),
+            clean_test.accuracy_of(&logi.model),
+            clean_test.accuracy_of(&lmn.hypothesis),
         ));
     }
 

@@ -14,8 +14,7 @@
 //! degree.
 
 use crate::report::{pct, Table};
-use mlam_boolean::{BitVec, BooleanFunction};
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::{BitVec, BooleanFunction, LabeledSet};
 use mlam_learn::lmn::{lmn_learn, LmnConfig};
 use mlam_netlist::generate::{ac0_circuit, parity_tree};
 use mlam_netlist::Netlist;
@@ -133,7 +132,7 @@ pub fn run_ac0<R: Rng + ?Sized>(params: &Ac0Params, rng: &mut R) -> Ac0Result {
             let train = LabeledSet::sample_par(&f, params.train_size, rng);
             let test = LabeledSet::sample_par(&f, params.test_size, rng);
             let out = lmn_learn(&train, LmnConfig::new(params.degree));
-            acc += test.accuracy_of_par(&out.hypothesis);
+            acc += test.accuracy_of(&out.hypothesis);
             weight += out.captured_weight.min(1.0);
         }
         rows.push(Ac0Row {
@@ -151,7 +150,7 @@ pub fn run_ac0<R: Rng + ?Sized>(params: &Ac0Params, rng: &mut R) -> Ac0Result {
     let out = lmn_learn(&train, LmnConfig::new(params.degree));
     rows.push(Ac0Row {
         target: format!("parity ({} bits, not AC0)", params.inputs),
-        lmn_accuracy: test.accuracy_of_par(&out.hypothesis),
+        lmn_accuracy: test.accuracy_of(&out.hypothesis),
         captured_weight: out.captured_weight.min(1.0),
     });
 

@@ -21,11 +21,10 @@
 //! state explicitly.
 
 use crate::report::{pct, Table};
-use mlam_boolean::{BitVec, BooleanFunction};
+use mlam_boolean::{BitVec, BooleanFunction, LabeledSet};
 use mlam_harness::{FaultModel, RetryPolicy};
-use mlam_learn::dataset::LabeledSet;
 use mlam_learn::features::ArbiterPhiFeatures;
-use mlam_learn::oracle::{FunctionOracle, MembershipOracle, UnreliableOracle};
+use mlam_learn::oracle::{ExampleOracle, FunctionOracle, MembershipOracle, UnreliableOracle};
 use mlam_learn::perceptron::Perceptron;
 use mlam_puf::ArbiterPuf;
 use rand::rngs::StdRng;
@@ -164,7 +163,7 @@ pub fn run_fault_sweep<R: Rng + ?Sized>(
 ) -> FaultSweepResult {
     let _span = mlam_telemetry::span("experiment.fault_sweep");
     let device = ArbiterPuf::sample(params.n, 0.0, rng);
-    let test = LabeledSet::sample(&device, params.test_size, rng);
+    let test = LabeledSet::sample_par(&device, params.test_size, rng);
     let sweep_root: u64 = rng.gen();
     let features = ArbiterPhiFeatures::new(params.n);
     let rows = params
@@ -182,7 +181,10 @@ pub fn run_fault_sweep<R: Rng + ?Sized>(
                 faults,
                 RetryPolicy::retries(params.retries),
             );
-            let train = LabeledSet::from_oracle(&example_oracle, params.train_size, &mut rate_rng);
+            let train = LabeledSet::from_pairs(
+                params.n,
+                example_oracle.examples(params.train_size, &mut rate_rng),
+            );
             let example_out = Perceptron::new(params.epochs).train_with(features, &train);
 
             // Membership access: the attacker picks challenges and

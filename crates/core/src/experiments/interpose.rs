@@ -22,8 +22,8 @@
 //! evaluation costs two dot products per CRP.
 
 use crate::report::{pct, Table};
+use mlam_boolean::LabeledSet;
 use mlam_learn::cma_es::{CmaEs, CmaEsOptions};
-use mlam_learn::dataset::LabeledSet;
 use mlam_learn::logistic::{LogisticConfig, LogisticRegression};
 use mlam_puf::challenge::phi_transform;
 use mlam_puf::InterposePuf;
@@ -168,7 +168,7 @@ pub fn run_interpose<R: Rng + ?Sized>(params: &InterposeParams, rng: &mut R) -> 
     // 1. Naive: LR over the n-bit Φ features.
     let lr = LogisticRegression::new(LogisticConfig::default());
     let naive = lr.train_phi(&train, rng);
-    let naive_accuracy = test.accuracy_of_par(&naive.model);
+    let naive_accuracy = test.accuracy_of(&naive.model);
 
     // 2. Composed: CMA-ES over the joint parameters.
     let prepare = |set: &LabeledSet| -> Vec<PreparedCrp> {

@@ -8,8 +8,7 @@
 //! an enrollment engineer reads backwards to pick the budget.
 
 use crate::report::{pct, Table};
-use mlam_boolean::BitVec;
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::{BitVec, LabeledSet};
 use mlam_learn::features::ArbiterPhiFeatures;
 use mlam_learn::perceptron::Perceptron;
 use mlam_puf::lockdown::{LockdownError, LockdownPuf};
@@ -91,7 +90,7 @@ impl LockdownResult {
 pub fn run_lockdown<R: Rng + ?Sized>(params: &LockdownParams, rng: &mut R) -> LockdownResult {
     let _span = mlam_telemetry::span("experiment.lockdown");
     let device = ArbiterPuf::sample(params.n, 0.0, rng);
-    let test = LabeledSet::sample(&device, params.test_size, rng);
+    let test = LabeledSet::sample_par(&device, params.test_size, rng);
     let rows = params
         .budgets
         .iter()

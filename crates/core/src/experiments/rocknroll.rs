@@ -14,7 +14,7 @@
 
 use crate::adversary::AdversaryModel;
 use crate::report::{pct, Table};
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::LabeledSet;
 use mlam_learn::features::ArbiterPhiFeatures;
 use mlam_learn::lmn::{lmn_learn, LmnConfig};
 use mlam_learn::perceptron::Perceptron;
@@ -137,8 +137,8 @@ pub fn run_rocknroll<R: Rng + ?Sized>(params: &RocknRollParams, rng: &mut R) -> 
             RocknRollRow {
                 deviation,
                 chain_correlation,
-                perceptron_accuracy: test.accuracy_of_par(&perc.model),
-                lmn_accuracy: test.accuracy_of_par(&lmn.hypothesis),
+                perceptron_accuracy: test.accuracy_of(&perc.model),
+                lmn_accuracy: test.accuracy_of(&lmn.hypothesis),
             }
         })
         .collect();

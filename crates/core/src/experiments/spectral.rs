@@ -9,7 +9,7 @@
 //! access axis of Section IV with the representation held fixed.
 
 use crate::report::{pct, Table};
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::LabeledSet;
 use mlam_learn::km::{km_learn, KmConfig};
 use mlam_learn::lmn::{lmn_learn, LmnConfig};
 use mlam_learn::oracle::FunctionOracle;
@@ -129,10 +129,10 @@ pub fn run_spectral<R: Rng + ?Sized>(params: &SpectralParams, rng: &mut R) -> Sp
     let km = km_learn(&oracle, KmConfig::new(params.km_theta), rng);
 
     SpectralResult {
-        lmn_accuracy: test.accuracy_of_par(&lmn.hypothesis),
+        lmn_accuracy: test.accuracy_of(&lmn.hypothesis),
         lmn_queries: params.lmn_examples as u64,
         lmn_coefficients: lmn.coefficients_estimated,
-        km_accuracy: test.accuracy_of_par(&km.hypothesis),
+        km_accuracy: test.accuracy_of(&km.hypothesis),
         km_queries: oracle.queries_used(),
         km_coefficients: km.hypothesis.len(),
     }

@@ -4,8 +4,7 @@
 
 use crate::bounds::TableOne;
 use crate::report::{eng, Table};
-use mlam_boolean::{Anf, BooleanFunction};
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::{Anf, BooleanFunction, LabeledSet};
 use mlam_learn::eval::crps_to_accuracy;
 use mlam_learn::f2poly::learn_low_degree_anf;
 use mlam_learn::features::ArbiterPhiFeatures;

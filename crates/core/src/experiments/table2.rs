@@ -3,9 +3,9 @@
 //! representation.
 
 use crate::report::{pct, Table};
+use mlam_boolean::LabeledSet;
 use mlam_learn::chow::{table_ii_procedure, ChowConfig};
-use mlam_learn::dataset::LabeledSet;
-use mlam_puf::crp::collect_stable_par;
+use mlam_puf::crp::collect_stable;
 use mlam_puf::{BistableRingPuf, BrPufConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -124,17 +124,16 @@ pub fn run_table2<R: Rng + ?Sized>(params: &Table2Params, rng: &mut R) -> Table2
     for (j, (&n, &test_size)) in params.ns.iter().zip(&params.test_sizes).enumerate() {
         let puf = BistableRingPuf::sample(n, BrPufConfig::calibrated_accuracy(n), rng);
         // "Noiseless and stable CRPs": majority-vote filtered. The
-        // parallel collector takes a root seed (drawn once from the
-        // experiment RNG) and screens candidates across MLAM_THREADS
-        // workers; the set is identical at any thread count.
-        let pool = collect_stable_par(
+        // collector takes a root seed (drawn once from the experiment
+        // RNG) and screens candidates across MLAM_THREADS workers; the
+        // set is identical at any thread count.
+        let all = collect_stable(
             &puf,
             max_budget + test_size,
             params.stability_repeats,
             1.0,
             rng.gen::<u64>(),
         );
-        let all = LabeledSet::from_pairs(n, pool.to_labeled());
         let test = LabeledSet::from_pairs(
             n,
             all.pairs()[all.len() - test_size.min(all.len())..].to_vec(),

@@ -119,9 +119,8 @@ pub fn run_table3<R: Rng + ?Sized>(params: &Table3Params, rng: &mut R) -> Table3
         .iter()
         .map(|&(n, crps)| {
             let puf = BistableRingPuf::sample(n, BrPufConfig::calibrated(n), rng);
-            let set = collect_uniform(&puf, crps, rng);
-            let data = set.to_labeled();
-            let report = tester.run(n, &data, rng);
+            let data = collect_uniform(&puf, crps, rng);
+            let report = tester.run(n, data.pairs(), rng);
             Table3Row {
                 n,
                 crps,

@@ -13,10 +13,9 @@
 //! the spirit of \[25\]), and [`table_ii_procedure`] packages the paper's
 //! full experiment step.
 
-use crate::dataset::LabeledSet;
 use crate::perceptron::{Perceptron, PerceptronOutcome};
 use mlam_boolean::ltf::{ChowParameters, LinearThreshold};
-use mlam_boolean::{BitVec, BooleanFunction};
+use mlam_boolean::{BitVec, BooleanFunction, LabeledSet};
 
 /// Configuration for Chow-parameter LTF reconstruction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -167,8 +166,8 @@ mod tests {
     fn reconstructs_a_genuine_ltf_to_high_accuracy() {
         let mut rng = StdRng::seed_from_u64(1);
         let target = LinearThreshold::random(16, &mut rng);
-        let train = LabeledSet::sample(&target, 5000, &mut rng);
-        let test = LabeledSet::sample(&target, 3000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 5000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 3000, &mut rng);
         let f_prime = ChowReconstruction::default().reconstruct(&train);
         let acc = test.accuracy_of(&f_prime);
         assert!(acc > 0.93, "accuracy {acc}");
@@ -182,8 +181,8 @@ mod tests {
             (0..16).map(|i| if i == 0 { 4.0 } else { 0.3 }).collect(),
             1.5,
         );
-        let train = LabeledSet::sample(&target, 6000, &mut rng);
-        let test = LabeledSet::sample(&target, 3000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 6000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 3000, &mut rng);
         let raw = ChowReconstruction::new(ChowConfig {
             refine_rounds: 0,
             ..Default::default()
@@ -203,8 +202,8 @@ mod tests {
     fn table_ii_cell_on_ltf_reaches_high_accuracy() {
         let mut rng = StdRng::seed_from_u64(3);
         let target = LinearThreshold::random(16, &mut rng);
-        let train = LabeledSet::sample(&target, 4000, &mut rng);
-        let test = LabeledSet::sample(&target, 3000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 4000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 3000, &mut rng);
         let cell = table_ii_procedure(&train, &test, ChowConfig::default(), 60);
         assert!(cell.test_accuracy > 0.9, "{}", cell.test_accuracy);
     }
@@ -213,9 +212,9 @@ mod tests {
     fn table_ii_cell_on_parity_plateaus_at_chance() {
         let mut rng = StdRng::seed_from_u64(4);
         let target = FnFunction::new(12, |x: &BitVec| x.count_ones() % 2 == 1);
-        let small = LabeledSet::sample(&target, 1000, &mut rng);
-        let large = LabeledSet::sample(&target, 8000, &mut rng);
-        let test = LabeledSet::sample(&target, 4000, &mut rng);
+        let small = LabeledSet::sample_par(&target, 1000, &mut rng);
+        let large = LabeledSet::sample_par(&target, 8000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 4000, &mut rng);
         let acc_small = table_ii_procedure(&small, &test, ChowConfig::default(), 30).test_accuracy;
         let acc_large = table_ii_procedure(&large, &test, ChowConfig::default(), 30).test_accuracy;
         // More CRPs do NOT unlock parity for an LTF surrogate.

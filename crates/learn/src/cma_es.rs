@@ -9,11 +9,10 @@
 //! formulation (rank-μ update, cumulation paths, step-size control) and
 //! the PUF-specific wrapper [`fit_xor_delay_model`].
 
-use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
 use crate::features::ArbiterPhiFeatures;
 use mlam_boolean::bits::sign_select;
-use mlam_boolean::{BitVec, BooleanFunction};
+use mlam_boolean::{BitVec, BooleanFunction, LabeledSet};
 use rand::Rng;
 
 /// Options for a CMA-ES run.
@@ -562,7 +561,7 @@ mod tests {
         // Target: 1-chain delay model (k=1) on 8 stages.
         let w: Vec<f64> = (0..9).map(|_| gaussian(&mut rng)).collect();
         let target = XorDelayModel::new(8, 1, w);
-        let train = LabeledSet::sample(&target, 400, &mut rng);
+        let train = LabeledSet::sample_par(&target, 400, &mut rng);
         let (model, result) = fit_xor_delay_model(
             &train,
             1,
@@ -578,7 +577,7 @@ mod tests {
             "fitness {}",
             result.best_fitness
         );
-        let test = LabeledSet::sample(&target, 500, &mut rng);
+        let test = LabeledSet::sample_par(&target, 500, &mut rng);
         assert!(test.accuracy_of(&model) > 0.9);
     }
 }

@@ -20,75 +20,15 @@ pub enum ChallengeDistribution {
     /// A product distribution: each bit is 1 independently with the
     /// given probability.
     ProductBiased(f64),
-    /// A finite weighted support: challenges drawn proportionally to
-    /// their weights. Models an adversary confined to a protocol-chosen
-    /// challenge set — an *arbitrary* (fixed) distribution in the sense
-    /// of Definition 1.
-    Weighted {
-        /// The support.
-        support: Vec<BitVec>,
-        /// Non-negative weights, same length as `support`.
-        weights: Vec<f64>,
-    },
 }
 
 impl ChallengeDistribution {
-    /// Creates a weighted finite-support distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `support` is empty, lengths differ, any weight is
-    /// negative, or all weights are zero.
-    pub fn weighted(support: Vec<BitVec>, weights: Vec<f64>) -> Self {
-        assert!(!support.is_empty(), "support must be non-empty");
-        assert_eq!(support.len(), weights.len(), "length mismatch");
-        assert!(
-            weights.iter().all(|w| *w >= 0.0),
-            "weights must be non-negative"
-        );
-        assert!(
-            weights.iter().sum::<f64>() > 0.0,
-            "at least one weight must be positive"
-        );
-        ChallengeDistribution::Weighted { support, weights }
-    }
-
     /// Samples one challenge of `n` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a weighted distribution's support entries have a
-    /// length other than `n`.
     pub fn sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> BitVec {
         match self {
             ChallengeDistribution::Uniform => BitVec::random(n, rng),
             ChallengeDistribution::ProductBiased(p) => BitVec::random_biased(n, *p, rng),
-            ChallengeDistribution::Weighted { support, weights } => {
-                let total: f64 = weights.iter().sum();
-                let mut pick = rng.gen::<f64>() * total;
-                for (c, w) in support.iter().zip(weights) {
-                    pick -= w;
-                    if pick <= 0.0 {
-                        assert_eq!(c.len(), n, "support entry length mismatch");
-                        return c.clone();
-                    }
-                }
-                let last = support.last().expect("non-empty support");
-                assert_eq!(last.len(), n, "support entry length mismatch");
-                last.clone()
-            }
         }
-    }
-
-    /// Samples `count` challenges.
-    pub fn sample_many<R: Rng + ?Sized>(&self, n: usize, count: usize, rng: &mut R) -> Vec<BitVec> {
-        (0..count).map(|_| self.sample(n, rng)).collect()
-    }
-
-    /// Whether this is the uniform distribution — the precondition for
-    /// every uniform-PAC claim in the paper.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, ChallengeDistribution::Uniform)
     }
 }
 
@@ -97,9 +37,6 @@ impl fmt::Display for ChallengeDistribution {
         match self {
             ChallengeDistribution::Uniform => write!(f, "uniform"),
             ChallengeDistribution::ProductBiased(p) => write!(f, "product(p={p})"),
-            ChallengeDistribution::Weighted { support, .. } => {
-                write!(f, "weighted(|support|={})", support.len())
-            }
         }
     }
 }
@@ -110,55 +47,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Fraction of 1 bits over `count` draws of `n` bits.
+    fn density(d: &ChallengeDistribution, n: usize, count: usize, seed: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ones: u32 = (0..count).map(|_| d.sample(n, &mut rng).count_ones()).sum();
+        ones as f64 / (n * count) as f64
+    }
+
     #[test]
     fn uniform_density() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let d = ChallengeDistribution::Uniform;
-        let cs = d.sample_many(64, 500, &mut rng);
-        let ones: u32 = cs.iter().map(|c| c.count_ones()).sum();
-        let density = ones as f64 / (64.0 * 500.0);
+        let density = density(&ChallengeDistribution::Uniform, 64, 500, 1);
         assert!((density - 0.5).abs() < 0.02);
-        assert!(d.is_uniform());
     }
 
     #[test]
     fn biased_density() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = ChallengeDistribution::ProductBiased(0.8);
-        let cs = d.sample_many(32, 500, &mut rng);
-        let ones: u32 = cs.iter().map(|c| c.count_ones()).sum();
-        let density = ones as f64 / (32.0 * 500.0);
+        let density = density(&ChallengeDistribution::ProductBiased(0.8), 32, 500, 2);
         assert!((density - 0.8).abs() < 0.03);
-        assert!(!d.is_uniform());
-    }
-
-    #[test]
-    fn weighted_respects_weights() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = BitVec::zeros(4);
-        let b = BitVec::ones(4);
-        let d = ChallengeDistribution::weighted(vec![a.clone(), b.clone()], vec![3.0, 1.0]);
-        let draws = d.sample_many(4, 4000, &mut rng);
-        let count_a = draws.iter().filter(|c| **c == a).count();
-        let frac = count_a as f64 / 4000.0;
-        assert!((frac - 0.75).abs() < 0.05, "frac {frac}");
-    }
-
-    #[test]
-    fn weighted_zero_weight_never_drawn() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = BitVec::zeros(3);
-        let b = BitVec::ones(3);
-        let d = ChallengeDistribution::weighted(vec![a, b.clone()], vec![0.0, 1.0]);
-        for _ in 0..200 {
-            assert_eq!(d.sample(3, &mut rng), b);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one weight")]
-    fn all_zero_weights_panic() {
-        ChallengeDistribution::weighted(vec![BitVec::zeros(2)], vec![0.0]);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! any learner expressible as a closure from a training set to a
 //! hypothesis.
 
-use crate::dataset::LabeledSet;
-use mlam_boolean::BooleanFunction;
+use mlam_boolean::{BooleanFunction, LabeledSet};
 use rand::Rng;
 
 /// Finds (by doubling search) the smallest training-set size at which
@@ -23,17 +22,17 @@ pub fn crps_to_accuracy<F, L, H, R>(
     rng: &mut R,
 ) -> Option<usize>
 where
-    F: BooleanFunction + ?Sized,
+    F: BooleanFunction + Sync + ?Sized,
     L: Fn(&LabeledSet) -> H,
-    H: BooleanFunction,
+    H: BooleanFunction + Sync,
     R: Rng + ?Sized,
 {
     assert!(start_size > 0 && start_size <= max_size);
     assert!((0.5..=1.0).contains(&target_accuracy));
-    let test = LabeledSet::sample(target, test_size, rng);
+    let test = LabeledSet::sample_par(target, test_size, rng);
     let mut m = start_size;
     loop {
-        let train = LabeledSet::sample(target, m, rng);
+        let train = LabeledSet::sample_par(target, m, rng);
         let h = learner(&train);
         if test.accuracy_of(&h) >= target_accuracy {
             return Some(m);

@@ -52,10 +52,9 @@
 //! sum is a signed sum of a subset of the weights, inside the `i32`
 //! bound the trainer checks.
 
-use crate::dataset::LabeledSet;
 use crate::features::FeatureMap;
 use mlam_boolean::bits::{byte_signs, row_bytes, sign_select};
-use mlam_boolean::to_pm;
+use mlam_boolean::{to_pm, LabeledSet};
 
 /// Rows the score kernel adds side by side, one `f64` accumulator each.
 pub(crate) const SCORE_ROWS: usize = 8;
@@ -92,15 +91,14 @@ static BYTE_LANES: [[i32; TILE_FEATURES]; 256] = {
 /// # Example
 ///
 /// ```
-/// use mlam_boolean::LinearThreshold;
-/// use mlam_learn::dataset::LabeledSet;
+/// use mlam_boolean::{LabeledSet, LinearThreshold};
 /// use mlam_learn::feature_matrix::FeatureMatrix;
 /// use mlam_learn::features::PlusMinusFeatures;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
 /// let target = LinearThreshold::random(8, &mut rng);
-/// let data = LabeledSet::sample(&target, 100, &mut rng);
+/// let data = LabeledSet::sample_par(&target, 100, &mut rng);
 /// let fm = FeatureMatrix::build(&PlusMinusFeatures::new(8), &data);
 /// assert_eq!(fm.examples(), 100);
 /// assert_eq!(fm.dimension(), 9);
@@ -488,7 +486,7 @@ mod tests {
     fn sample_set(n: usize, m: usize, seed: u64) -> LabeledSet {
         let mut rng = StdRng::seed_from_u64(seed);
         let target = LinearThreshold::random(n, &mut rng);
-        LabeledSet::sample(&target, m, &mut rng)
+        LabeledSet::sample_par(&target, m, &mut rng)
     }
 
     fn random_weights(d: usize, rng: &mut StdRng) -> Vec<f64> {

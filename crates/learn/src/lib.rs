@@ -23,14 +23,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use mlam_boolean::LinearThreshold;
-//! use mlam_learn::dataset::LabeledSet;
+//! use mlam_boolean::{LabeledSet, LinearThreshold};
 //! use mlam_learn::perceptron::Perceptron;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(11);
 //! let target = LinearThreshold::random(16, &mut rng);
-//! let train = LabeledSet::sample(&target, 500, &mut rng);
+//! let train = LabeledSet::sample_par(&target, 500, &mut rng);
 //! let outcome = Perceptron::new(200).train(&train);
 //! assert!(outcome.training_accuracy > 0.95);
 //! ```
@@ -40,7 +39,6 @@
 pub mod automata;
 pub mod chow;
 pub mod cma_es;
-pub mod dataset;
 pub mod distribution;
 pub mod eval;
 pub mod f2poly;
@@ -56,9 +54,11 @@ pub mod perceptron;
 mod reference;
 
 pub use automata::Dfa;
-pub use dataset::LabeledSet;
 pub use distribution::ChallengeDistribution;
 pub use feature_matrix::FeatureMatrix;
+// The training sets the learners take; the benchmark package imports
+// it from here.
+pub use mlam_boolean::LabeledSet;
 pub use oracle::{
     EquivalenceResult, ExampleOracle, FunctionOracle, MembershipOracle, UnreliableOracle,
 };

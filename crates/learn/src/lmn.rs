@@ -15,9 +15,8 @@
 //! Arbiter PUFs via their noise sensitivity `O(k√ε)`;
 //! `mlam::bounds::lmn_bound_log10` evaluates that bound for Table I.
 
-use crate::dataset::LabeledSet;
 use mlam_boolean::fourier::estimate_coefficients_from_data;
-use mlam_boolean::{SparseFourier, SubsetsUpTo};
+use mlam_boolean::{LabeledSet, SparseFourier, SubsetsUpTo};
 
 /// Configuration of an LMN run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,15 +62,14 @@ pub struct LmnOutcome {
 /// # Example
 ///
 /// ```
-/// use mlam_boolean::{BitVec, FnFunction};
-/// use mlam_learn::dataset::LabeledSet;
+/// use mlam_boolean::{BitVec, FnFunction, LabeledSet};
 /// use mlam_learn::lmn::{lmn_learn, LmnConfig};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
 /// // Majority is degree-1 concentrated.
 /// let target = FnFunction::new(9, |x: &BitVec| x.count_ones() >= 5);
-/// let train = LabeledSet::sample(&target, 4000, &mut rng);
+/// let train = LabeledSet::sample_par(&target, 4000, &mut rng);
 /// let out = lmn_learn(&train, LmnConfig::new(1));
 /// assert!(train.accuracy_of(&out.hypothesis) > 0.9);
 /// ```
@@ -120,8 +118,8 @@ mod tests {
     fn learns_majority_with_degree_one() {
         let mut rng = StdRng::seed_from_u64(1);
         let target = FnFunction::new(11, |x: &BitVec| x.count_ones() >= 6);
-        let train = LabeledSet::sample(&target, 8000, &mut rng);
-        let test = LabeledSet::sample(&target, 3000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 8000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 3000, &mut rng);
         let out = lmn_learn(&train, LmnConfig::new(1));
         let training_accuracy = train.accuracy_of(&out.hypothesis);
         assert!(training_accuracy > 0.93, "{training_accuracy}");
@@ -133,8 +131,8 @@ mod tests {
     fn learns_random_ltf_with_degree_three() {
         let mut rng = StdRng::seed_from_u64(2);
         let target = LinearThreshold::random(10, &mut rng);
-        let train = LabeledSet::sample(&target, 10_000, &mut rng);
-        let test = LabeledSet::sample(&target, 3000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 10_000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 3000, &mut rng);
         let out = lmn_learn(&train, LmnConfig::new(3));
         assert!(test.accuracy_of(&out.hypothesis) > 0.9);
         // LTFs are low-degree concentrated: the captured weight at
@@ -146,8 +144,8 @@ mod tests {
     fn fails_on_high_degree_parity_at_low_degree() {
         let mut rng = StdRng::seed_from_u64(3);
         let target = FnFunction::new(12, |x: &BitVec| x.count_ones() % 2 == 1);
-        let train = LabeledSet::sample(&target, 6000, &mut rng);
-        let test = LabeledSet::sample(&target, 2000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 6000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 2000, &mut rng);
         let out = lmn_learn(&train, LmnConfig::new(2));
         // All true weight sits at degree 12; low-degree LMN sees noise.
         let acc = test.accuracy_of(&out.hypothesis);
@@ -163,8 +161,8 @@ mod tests {
         let a = LinearThreshold::random(8, &mut rng);
         let b = LinearThreshold::random(8, &mut rng);
         let target = FnFunction::new(8, move |x: &BitVec| a.eval(x) ^ b.eval(x));
-        let train = LabeledSet::sample(&target, 20_000, &mut rng);
-        let test = LabeledSet::sample(&target, 4000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 20_000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 4000, &mut rng);
         let out = lmn_learn(&train, LmnConfig::new(4));
         let acc = test.accuracy_of(&out.hypothesis);
         assert!(acc > 0.75, "accuracy {acc}");
@@ -175,7 +173,7 @@ mod tests {
     fn guard_rejects_huge_enumerations() {
         let mut rng = StdRng::seed_from_u64(5);
         let target = LinearThreshold::random(60, &mut rng);
-        let train = LabeledSet::sample(&target, 10, &mut rng);
+        let train = LabeledSet::sample_par(&target, 10, &mut rng);
         lmn_learn(&train, LmnConfig::new(10));
     }
 }

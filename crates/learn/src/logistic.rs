@@ -19,10 +19,10 @@
 //!   changes no bit. Both are compared at every step, so nothing rests
 //!   on `powi` being monotone.
 
-use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
 use crate::features::{ArbiterPhiFeatures, FeatureMap};
 use crate::perceptron::LinearModel;
+use mlam_boolean::LabeledSet;
 use rand::Rng;
 
 /// Hyperparameters for the logistic-regression trainer.
@@ -65,14 +65,13 @@ pub struct LogisticOutcome<M> {
 /// # Example
 ///
 /// ```
-/// use mlam_learn::dataset::LabeledSet;
+/// use mlam_boolean::{LabeledSet, LinearThreshold};
 /// use mlam_learn::logistic::{LogisticConfig, LogisticRegression};
-/// use mlam_boolean::LinearThreshold;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
 /// let target = LinearThreshold::random(16, &mut rng);
-/// let train = LabeledSet::sample(&target, 800, &mut rng);
+/// let train = LabeledSet::sample_par(&target, 800, &mut rng);
 /// let out = LogisticRegression::new(LogisticConfig::default())
 ///     .train(&train, &mut rng);
 /// assert!(out.training_accuracy > 0.95);
@@ -287,8 +286,8 @@ mod tests {
     fn fits_random_ltf() {
         let mut rng = StdRng::seed_from_u64(1);
         let target = LinearThreshold::random(20, &mut rng);
-        let train = LabeledSet::sample(&target, 2000, &mut rng);
-        let test = LabeledSet::sample(&target, 1000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 2000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 1000, &mut rng);
         let out = LogisticRegression::new(LogisticConfig::default()).train(&train, &mut rng);
         assert!(out.training_accuracy > 0.97, "{}", out.training_accuracy);
         assert!(test.accuracy_of(&out.model) > 0.93);
@@ -305,8 +304,8 @@ mod tests {
             let phi = ArbiterPhiFeatures::new(n).features(x);
             phi.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>() <= 0.0
         });
-        let train = LabeledSet::sample(&target, 3000, &mut rng);
-        let test = LabeledSet::sample(&target, 1500, &mut rng);
+        let train = LabeledSet::sample_par(&target, 3000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 1500, &mut rng);
         let cfg = LogisticConfig::default();
         let phi = LogisticRegression::new(cfg).train_phi(&train, &mut rng);
         let raw = LogisticRegression::new(cfg).train(&train, &mut rng);
@@ -320,7 +319,7 @@ mod tests {
     fn tolerates_label_noise() {
         let mut rng = StdRng::seed_from_u64(3);
         let target = LinearThreshold::random(16, &mut rng);
-        let clean = LabeledSet::sample(&target, 3000, &mut rng);
+        let clean = LabeledSet::sample_par(&target, 3000, &mut rng);
         // Flip 10 % of labels.
         let noisy_pairs: Vec<(BitVec, bool)> = clean
             .pairs()
@@ -331,7 +330,7 @@ mod tests {
             })
             .collect();
         let noisy = LabeledSet::from_pairs(16, noisy_pairs);
-        let test = LabeledSet::sample(&target, 1500, &mut rng);
+        let test = LabeledSet::sample_par(&target, 1500, &mut rng);
         let out = LogisticRegression::new(LogisticConfig::default()).train(&noisy, &mut rng);
         // Unlike the vanilla perceptron, LR still recovers the concept.
         assert!(test.accuracy_of(&out.model) > 0.9);

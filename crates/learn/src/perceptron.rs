@@ -33,10 +33,9 @@
 //! kernel the trainers use, so no `f64` feature vector is built. Its
 //! decisions are [`LinearModel::score`]'s (see its `count_agreements`).
 
-use crate::dataset::LabeledSet;
 use crate::feature_matrix::{for_each_packed_score, FeatureMatrix, SCORE_ROWS};
 use crate::features::{FeatureMap, PlusMinusFeatures};
-use mlam_boolean::{to_bool, BitVec, BooleanFunction};
+use mlam_boolean::{to_bool, BitVec, BooleanFunction, LabeledSet};
 
 /// A linear hypothesis over a feature map: logic 1 iff
 /// `w·φ(x) ≤ 0` (matching the `χ(1) = −1` encoding).
@@ -138,14 +137,13 @@ pub struct PerceptronOutcome<M> {
 /// # Example
 ///
 /// ```
-/// use mlam_boolean::LinearThreshold;
-/// use mlam_learn::dataset::LabeledSet;
+/// use mlam_boolean::{LabeledSet, LinearThreshold};
 /// use mlam_learn::perceptron::Perceptron;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let target = LinearThreshold::random(12, &mut rng);
-/// let train = LabeledSet::sample(&target, 400, &mut rng);
+/// let train = LabeledSet::sample_par(&target, 400, &mut rng);
 /// let out = Perceptron::new(500).train(&train);
 /// assert!(out.training_accuracy > 0.95);
 /// ```
@@ -276,7 +274,7 @@ mod tests {
     fn learns_separable_ltf_exactly_on_train() {
         let mut rng = StdRng::seed_from_u64(1);
         let target = LinearThreshold::random(16, &mut rng);
-        let train = LabeledSet::sample(&target, 1000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 1000, &mut rng);
         let out = Perceptron::new(500).train(&train);
         assert!(out.converged, "perceptron must converge on separable data");
         assert_eq!(out.training_accuracy, 1.0);
@@ -287,8 +285,8 @@ mod tests {
     fn generalizes_to_test_data() {
         let mut rng = StdRng::seed_from_u64(2);
         let target = LinearThreshold::random(16, &mut rng);
-        let train = LabeledSet::sample(&target, 3000, &mut rng);
-        let test = LabeledSet::sample(&target, 2000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 3000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 2000, &mut rng);
         let out = Perceptron::new(200).train(&train);
         assert!(
             test.accuracy_of(&out.model) > 0.95,
@@ -312,8 +310,8 @@ mod tests {
             let phi = ArbiterPhiFeatures::new(n).features(x);
             phi.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>() <= 0.0
         });
-        let train = LabeledSet::sample(&target, 4000, &mut rng);
-        let test = LabeledSet::sample(&target, 2000, &mut rng);
+        let train = LabeledSet::sample_par(&target, 4000, &mut rng);
+        let test = LabeledSet::sample_par(&target, 2000, &mut rng);
 
         let phi_out = Perceptron::new(100).train_with(ArbiterPhiFeatures::new(n), &train);
         let raw_out = Perceptron::new(100).train(&train);
@@ -333,7 +331,7 @@ mod tests {
         // still beat chance on the training set (skewed classes).
         let mut rng = StdRng::seed_from_u64(8);
         let target = FnFunction::new(6, |x: &BitVec| x.count_ones() % 2 == 1);
-        let train = LabeledSet::sample(&target, 500, &mut rng);
+        let train = LabeledSet::sample_par(&target, 500, &mut rng);
         let out = Perceptron::new(50).train(&train);
         assert!(!out.converged);
         assert!(out.training_accuracy >= 0.5);
@@ -343,12 +341,12 @@ mod tests {
     fn mistake_count_monotone_in_difficulty() {
         let mut rng = StdRng::seed_from_u64(5);
         let easy_target = LinearThreshold::new(vec![10.0, 0.1, 0.1, 0.1], 0.0);
-        let easy = LabeledSet::sample(&easy_target, 500, &mut rng);
+        let easy = LabeledSet::sample_par(&easy_target, 500, &mut rng);
         let out_easy = Perceptron::new(100).train(&easy);
         assert!(out_easy.converged);
         // A near-degenerate margin produces more mistakes than a huge one.
         let hard_target = LinearThreshold::random(12, &mut rng);
-        let hard = LabeledSet::sample(&hard_target, 500, &mut rng);
+        let hard = LabeledSet::sample_par(&hard_target, 500, &mut rng);
         let out_hard = Perceptron::new(100).train(&hard);
         assert!(out_hard.mistakes >= out_easy.mistakes);
     }
@@ -361,7 +359,7 @@ mod tests {
         // within a few epochs instead of panicking.
         let mut rng = StdRng::seed_from_u64(6);
         let target = LinearThreshold::random(4, &mut rng);
-        let train = LabeledSet::sample(&target, 3, &mut rng);
+        let train = LabeledSet::sample_par(&target, 3, &mut rng);
         Perceptron::new(1 << 40).train(&train);
     }
 

@@ -14,13 +14,12 @@
 //! exactly 0, and on runs whose weights pass the `i8` range and whose
 //! scores pass the `i16` range.
 
-use crate::dataset::LabeledSet;
 use crate::feature_matrix::FeatureMatrix;
 use crate::features::{ArbiterPhiFeatures, FeatureMap, LowDegreeFeatures, PlusMinusFeatures};
 use crate::logistic::{LogisticConfig, LogisticRegression};
 use crate::perceptron::{LinearModel, Perceptron};
 use mlam_boolean::bits::sign_select;
-use mlam_boolean::{to_pm, BitVec, BooleanFunction, LinearThreshold};
+use mlam_boolean::{to_pm, BitVec, BooleanFunction, LabeledSet, LinearThreshold};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -532,14 +531,15 @@ fn logistic_is_bit_identical_past_both_exact_ones() {
     assert_logistic_matches(map, &data, &rows, config, 40, "d=8 40,000 steps");
 }
 
-/// `LinearModel::count_agreements`, through `accuracy_of` and
-/// `accuracy_of_par`, against the per-example `eval` count over `map`,
-/// for sample sizes on both sides of the 8-row score tile and random,
-/// all `+0.0`, all `−0.0` and mixed signed-zero weights.
+/// `LinearModel::count_agreements`, directly and through `accuracy_of`,
+/// against the per-example `eval` count over `map`, for sample sizes on
+/// both sides of the 8-row score tile and of `accuracy_of`'s chunk
+/// seams (`DEFAULT_CHUNK` = 1,024 examples), and random, all `+0.0`,
+/// all `−0.0` and mixed signed-zero weights.
 fn assert_agreements_match<M: FeatureMap + Clone + Sync>(map: M, rng: &mut StdRng) {
     let n = map.num_inputs();
     let d = map.dimension();
-    for m in [1, 7, 8, 9, 65, 1000] {
+    for m in [1, 7, 8, 9, 65, 1000, 1023, 1024, 1025, 2049] {
         let data = sample(n, m, 0.5, (n * 1000 + m) as u64);
         let random: Vec<f64> = (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let mixed: Vec<f64> = (0..d).map(|_| if rng.gen() { 0.0 } else { -0.0 }).collect();
@@ -554,7 +554,6 @@ fn assert_agreements_match<M: FeatureMap + Clone + Sync>(map: M, rng: &mut StdRn
             assert_eq!(model.count_agreements(data.pairs()), by_eval, "{label}");
             let accuracy = by_eval as f64 / m as f64;
             assert_eq!(data.accuracy_of(&model), accuracy, "accuracy_of {label}");
-            assert_eq!(data.accuracy_of_par(&model), accuracy, "par {label}");
         }
     }
 }

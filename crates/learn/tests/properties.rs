@@ -1,7 +1,6 @@
 //! Property-based tests for the learning toolkit.
 
-use mlam_boolean::{Anf, BitVec, BooleanFunction, FnFunction, LinearThreshold};
-use mlam_learn::dataset::LabeledSet;
+use mlam_boolean::{Anf, BitVec, BooleanFunction, FnFunction, LabeledSet, LinearThreshold};
 use mlam_learn::f2poly::learn_low_degree_anf;
 use mlam_learn::features::{ArbiterPhiFeatures, FeatureMap, PlusMinusFeatures};
 use mlam_learn::lstar::{lstar_learn, ExactDfaTeacher};
@@ -21,7 +20,7 @@ proptest! {
     fn perceptron_converges_on_separable_data(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let target = LinearThreshold::random(10, &mut rng);
-        let train = LabeledSet::sample(&target, 300, &mut rng);
+        let train = LabeledSet::sample_par(&target, 300, &mut rng);
         let out = Perceptron::new(500).train(&train);
         prop_assert!(out.training_accuracy >= 0.99, "{}", out.training_accuracy);
     }
@@ -86,7 +85,7 @@ proptest! {
     fn accuracy_complement(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let target = LinearThreshold::random(8, &mut rng);
-        let set = LabeledSet::sample(&target, 200, &mut rng);
+        let set = LabeledSet::sample_par(&target, 200, &mut rng);
         let h = LinearThreshold::random(8, &mut rng);
         let hw: Vec<f64> = h.weights().iter().map(|w| -w).collect();
         let h_neg = LinearThreshold::new(hw, -h.threshold());

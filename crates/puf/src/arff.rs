@@ -1,13 +1,13 @@
 //! ARFF import/export for CRP sets — Weka interoperability.
 //!
 //! The paper's Table II experiments ran "the Perceptron algorithm
-//! embedded in Weka \[27\]". This module writes [`CrpSet`]s in Weka's
-//! ARFF format (one binary attribute per challenge bit plus a binary
-//! class), so our simulated CRPs can be fed to the original tooling —
-//! and reads ARFF back for the reverse direction.
+//! embedded in Weka \[27\]". This module writes CRP sets
+//! ([`LabeledSet`]s) in Weka's ARFF format (one binary attribute per
+//! challenge bit plus a binary class), so our simulated CRPs can be fed
+//! to the original tooling — and reads ARFF back for the reverse
+//! direction.
 
-use crate::crp::{Crp, CrpSet};
-use mlam_boolean::BitVec;
+use mlam_boolean::{BitVec, LabeledSet};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -40,23 +40,23 @@ impl Error for ParseArffError {}
 ///
 /// Challenge bit `i` becomes attribute `c<i>` with domain `{0,1}`; the
 /// response becomes the `response {0,1}` class attribute.
-pub fn to_arff(set: &CrpSet, relation: &str) -> String {
+pub fn to_arff(set: &LabeledSet, relation: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "% generated by mlam-puf");
     let _ = writeln!(out, "@RELATION {relation}");
     let _ = writeln!(out);
-    for i in 0..set.challenge_bits() {
+    for i in 0..set.num_inputs() {
         let _ = writeln!(out, "@ATTRIBUTE c{i} {{0,1}}");
     }
     let _ = writeln!(out, "@ATTRIBUTE response {{0,1}}");
     let _ = writeln!(out);
     let _ = writeln!(out, "@DATA");
-    for (challenge, response) in set.iter() {
+    for (challenge, response) in set.pairs() {
         let mut row: Vec<&str> = challenge
             .iter()
             .map(|b| if b { "1" } else { "0" })
             .collect();
-        row.push(if response { "1" } else { "0" });
+        row.push(if *response { "1" } else { "0" });
         let _ = writeln!(out, "{}", row.join(","));
     }
     out
@@ -71,10 +71,10 @@ pub fn to_arff(set: &CrpSet, relation: &str) -> String {
 ///
 /// Returns an error on structural problems (no attributes, rows of the
 /// wrong width, non-binary values).
-pub fn from_arff(text: &str) -> Result<CrpSet, ParseArffError> {
+pub fn from_arff(text: &str) -> Result<LabeledSet, ParseArffError> {
     let mut num_attrs = 0usize;
     let mut in_data = false;
-    let mut crps: Vec<Crp> = Vec::new();
+    let mut crps: Vec<(BitVec, bool)> = Vec::new();
     let mut n = 0usize;
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -138,12 +138,12 @@ pub fn from_arff(text: &str) -> Result<CrpSet, ParseArffError> {
                 ))
             }
         };
-        crps.push(Crp::new(bits, response));
+        crps.push((bits, response));
     }
     if !in_data {
         return Err(ParseArffError::new(0, "missing @DATA section"));
     }
-    Ok(CrpSet::from_crps(n, crps))
+    Ok(LabeledSet::from_pairs(n, crps))
 }
 
 #[cfg(test)]
@@ -198,8 +198,9 @@ mod tests {
             "% hi\n@relation x\n@attribute c0 {0,1}\n@attribute response {0,1}\n@data\n1,0\n";
         let set = from_arff(text).expect("parse");
         assert_eq!(set.len(), 1);
-        assert_eq!(set.challenge_bits(), 1);
-        assert!(!set.crps()[0].response);
-        assert!(set.crps()[0].challenge.get(0));
+        assert_eq!(set.num_inputs(), 1);
+        let (challenge, response) = &set.pairs()[0];
+        assert!(!response);
+        assert!(challenge.get(0));
     }
 }

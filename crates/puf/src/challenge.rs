@@ -9,7 +9,6 @@
 //! III-A, after \[6\], \[8\]).
 
 use mlam_boolean::BitVec;
-use rand::Rng;
 
 /// Computes the arbiter parity-feature vector `Φ(c) ∈ {−1,+1}^{n+1}`.
 ///
@@ -89,11 +88,6 @@ pub fn phi_inverse(phi: &[f64]) -> BitVec {
         c.set(i, ratio < 0.0);
     }
     c
-}
-
-/// Draws `count` uniformly random challenges of `n` bits.
-pub fn random_challenges<R: Rng + ?Sized>(n: usize, count: usize, rng: &mut R) -> Vec<BitVec> {
-    (0..count).map(|_| BitVec::random(n, rng)).collect()
 }
 
 #[cfg(test)]

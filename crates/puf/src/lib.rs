@@ -19,9 +19,10 @@
 //!   expose;
 //! - noise models: Gaussian evaluation noise in every simulator and
 //!   response flips ([`noise`]);
-//! - CRP collection ([`crp`]): uniform sampling, majority-vote filtering
-//!   for "noiseless, stable CRPs", train/test splits;
-//! - quality metrics ([`metrics`]): reliability, uniqueness, uniformity.
+//! - CRP collection ([`crp`]): uniform, noisy single-shot and
+//!   majority-vote filtered ("noiseless, stable CRPs") draws, each
+//!   returned as a [`mlam_boolean::LabeledSet`] ready to split and
+//!   learn from.
 //!
 //! # Quickstart
 //!
@@ -45,7 +46,6 @@ pub mod correlated;
 pub mod crp;
 pub mod interpose;
 pub mod lockdown;
-pub mod metrics;
 pub mod noise;
 pub mod xor_arbiter;
 
@@ -53,7 +53,6 @@ pub use arbiter::ArbiterPuf;
 pub use bistable_ring::{BistableRingPuf, BrPufConfig};
 pub use challenge::{phi_transform, phi_transform_into};
 pub use correlated::CorrelatedXorArbiterPuf;
-pub use crp::{Crp, CrpSet};
 pub use interpose::InterposePuf;
 pub use lockdown::LockdownPuf;
 pub use xor_arbiter::XorArbiterPuf;

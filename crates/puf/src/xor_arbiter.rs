@@ -163,6 +163,26 @@ mod tests {
     }
 
     #[test]
+    fn independent_instances_disagree_on_about_half() {
+        // Uniqueness: the mean fraction of a common challenge set on
+        // which two independently sampled devices answer differently.
+        let mut rng = StdRng::seed_from_u64(4);
+        let pufs: Vec<XorArbiterPuf> = (0..4)
+            .map(|_| XorArbiterPuf::sample(64, 2, 0.0, &mut rng))
+            .collect();
+        let challenges: Vec<BitVec> = (0..1000).map(|_| BitVec::random(64, &mut rng)).collect();
+        let mut distances = Vec::new();
+        for (i, a) in pufs.iter().enumerate() {
+            for b in &pufs[i + 1..] {
+                let differ = challenges.iter().filter(|c| a.eval(c) != b.eval(c)).count();
+                distances.push(differ as f64 / challenges.len() as f64);
+            }
+        }
+        let mean = distances.iter().sum::<f64>() / distances.len() as f64;
+        assert!((mean - 0.5).abs() < 0.1, "uniqueness {mean}");
+    }
+
+    #[test]
     #[should_panic(expected = "same number of stages")]
     fn mismatched_chain_sizes_panic() {
         let mut rng = StdRng::seed_from_u64(5);

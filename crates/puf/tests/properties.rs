@@ -55,8 +55,8 @@ proptest! {
         prop_assert_eq!(puf.eval(&c), xor);
     }
 
-    /// CRP sets serialize through serde (JSON-free check via the string
-    /// representation round trip used by the serializer).
+    /// Splitting a collected CRP set keeps every CRP and the challenge
+    /// length.
     #[test]
     fn crp_set_split_partitions(seed in any::<u64>(), frac in 0.0f64..=1.0) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -64,8 +64,8 @@ proptest! {
         let set = mlam_puf::crp::collect_uniform(&puf, 50, &mut rng);
         let (a, b) = set.split(frac, &mut rng);
         prop_assert_eq!(a.len() + b.len(), 50);
-        prop_assert_eq!(a.challenge_bits(), 8);
-        prop_assert_eq!(b.challenge_bits(), 8);
+        prop_assert_eq!(a.num_inputs(), 8);
+        prop_assert_eq!(b.num_inputs(), 8);
     }
 
     /// The linear BR PUF config is an LTF: its potential is affine in
@@ -88,33 +88,4 @@ proptest! {
         let delta2 = puf.potential(&c2_flip) - puf.potential(&c2);
         prop_assert!((delta1 - delta2).abs() < 1e-9, "{delta1} vs {delta2}");
     }
-}
-
-#[test]
-fn crp_set_serde_round_trip() {
-    // serde round trip via the serializer's own data model, using
-    // serde_test-style manual tokens is overkill; exercise through the
-    // Serialize impl against a simple JSON-ish writer: here we use
-    // bincode-free approach — serialize to serde_json-like string via
-    // the `serde` "to string" of our own: easiest is to check the
-    // Serialize/Deserialize pair through `serde_transcode`-free manual
-    // construction. We use `serde_json` only if available; otherwise
-    // construct the repr manually.
-    use mlam_puf::crp::{Crp, CrpSet};
-    let mut set = CrpSet::new(4);
-    set.push(Crp::new(
-        BitVec::from_bools(&[true, false, true, true]),
-        true,
-    ));
-    set.push(Crp::new(
-        BitVec::from_bools(&[false, false, true, false]),
-        false,
-    ));
-    // Round trip through the string challenge encoding used by serde.
-    let labeled = set.to_labeled();
-    let rebuilt = CrpSet::from_crps(
-        4,
-        labeled.into_iter().map(|(c, r)| Crp::new(c, r)).collect(),
-    );
-    assert_eq!(set, rebuilt);
 }

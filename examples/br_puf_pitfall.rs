@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release -p mlam --example br_puf_pitfall`
 
 use mlam::boolean::testing::{HalfspaceTester, Verdict};
+use mlam::boolean::LabeledSet;
 use mlam::experiments::table3::spectral_distance_lower_bound;
 use mlam::learn::chow::{table_ii_procedure, ChowConfig};
-use mlam::learn::dataset::LabeledSet;
 use mlam::learn::lmn::{lmn_learn, LmnConfig};
 use mlam::puf::{BistableRingPuf, BrPufConfig};
 use rand::rngs::StdRng;
@@ -21,9 +21,9 @@ fn main() {
 
     // Table II in miniature: the Chow-LTF surrogate's accuracy vs CRPs.
     println!("Chow-parameter LTF surrogate (Table II procedure):");
-    let test = LabeledSet::sample(&puf, 8000, &mut rng);
+    let test = LabeledSet::sample_par(&puf, 8000, &mut rng);
     for budget in [1000usize, 2500, 5000, 10_000] {
-        let train = LabeledSet::sample(&puf, budget, &mut rng);
+        let train = LabeledSet::sample_par(&puf, budget, &mut rng);
         let cell = table_ii_procedure(&train, &test, ChowConfig::default(), 50);
         println!(
             "  {budget:>6} CRPs -> {:.2}% accuracy",
@@ -33,7 +33,7 @@ fn main() {
     println!("  (the plateau: more CRPs cannot fix a wrong representation)\n");
 
     // Table III in miniature: the halfspace tester's verdict.
-    let data = LabeledSet::sample(&puf, 6000, &mut rng);
+    let data = LabeledSet::sample_par(&puf, 6000, &mut rng);
     let report = HalfspaceTester::new(0.1, 0.99).run(n, data.pairs(), &mut rng);
     println!("halfspace tester (Table III procedure):");
     println!(
@@ -55,7 +55,7 @@ fn main() {
 
     // The remedy: drop the representation restriction (improper
     // learning, Section V-B).
-    let train = LabeledSet::sample(&puf, 10_000, &mut rng);
+    let train = LabeledSet::sample_par(&puf, 10_000, &mut rng);
     let improper = lmn_learn(&train, LmnConfig::new(2));
     println!(
         "\nimproper low-degree (LMN, d=2) hypothesis: {:.2}% accuracy — \

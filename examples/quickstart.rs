@@ -5,12 +5,12 @@
 
 use mlam::adversary::AdversaryModel;
 use mlam::attack::run_example_attack;
-use mlam::learn::dataset::LabeledSet;
 use mlam::learn::features::ArbiterPhiFeatures;
 use mlam::learn::perceptron::Perceptron;
+use mlam::puf::crp::collect_stable;
 use mlam::puf::ArbiterPuf;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -23,16 +23,16 @@ fn main() {
     );
 
     // 2. Collect CRPs the way a lab would: stable majority-voted reads.
-    let crps = mlam::puf::crp::collect_stable(&puf, 8000, 5, 1.0, &mut rng);
+    let crps = collect_stable(&puf, 8000, 5, 1.0, rng.gen());
+    let ones = crps.pairs().iter().filter(|(_, r)| *r).count();
     println!(
         "collected {} stable CRPs ({}% responses are 1)",
         crps.len(),
-        (crps.ones_fraction() * 100.0).round()
+        (ones as f64 / crps.len() as f64 * 100.0).round()
     );
 
     // 3. Split and attack with the classic Perceptron-over-Φ model.
-    let all = LabeledSet::from_pairs(64, crps.to_labeled());
-    let (train, test) = all.split(0.75, &mut rng);
+    let (train, test) = crps.split(0.75, &mut rng);
     let report = run_example_attack::<ArbiterPuf, _, _>(
         "Perceptron over arbiter Φ features",
         AdversaryModel::uniform_example_attack(),

@@ -8,13 +8,13 @@ use mlam::puf::arff::{from_arff, to_arff};
 use mlam::puf::crp::collect_stable;
 use mlam::puf::{BistableRingPuf, BrPufConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(27);
     // The paper's Table II device class: a BR PUF, stable CRPs only.
     let puf = BistableRingPuf::sample(16, BrPufConfig::calibrated_accuracy(16), &mut rng);
-    let crps = collect_stable(&puf, 1000, 5, 1.0, &mut rng);
+    let crps = collect_stable(&puf, 1000, 5, 1.0, rng.gen());
     let arff = to_arff(&crps, "br_puf_16_stable_crps");
 
     println!("--- ARFF header + first rows -------------------------------");
@@ -29,7 +29,7 @@ fn main() {
     println!(
         "\nround-trip check: OK ({} CRPs, {} challenge bits)",
         back.len(),
-        back.challenge_bits()
+        back.num_inputs()
     );
     println!("feed this file to `weka.classifiers.functions.Perceptron` to rerun Table II on the original tooling.");
 }

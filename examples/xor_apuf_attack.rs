@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release -p mlam --example xor_apuf_attack`
 
+use mlam::boolean::LabeledSet;
 use mlam::bounds::TableOne;
 use mlam::learn::cma_es::{fit_xor_delay_model, CmaEsOptions};
-use mlam::learn::dataset::LabeledSet;
 use mlam::learn::features::ArbiterPhiFeatures;
 use mlam::learn::logistic::{LogisticConfig, LogisticRegression};
 use mlam::learn::perceptron::Perceptron;
@@ -34,8 +34,8 @@ fn main() {
     );
 
     let puf = XorArbiterPuf::sample(n, k, 0.0, &mut rng);
-    let train = LabeledSet::sample(&puf, 6000, &mut rng);
-    let test = LabeledSet::sample(&puf, 3000, &mut rng);
+    let train = LabeledSet::sample_par(&puf, 6000, &mut rng);
+    let test = LabeledSet::sample_par(&puf, 3000, &mut rng);
 
     // 1. Perceptron over Φ — the *wrong* representation for k=2 (a
     // product of two LTFs is not one LTF in Φ space).

@@ -3,8 +3,7 @@
 //! "pitfall" made executable.
 
 use mlam::adversary::{AdversaryModel, Pitfall};
-use mlam::boolean::{BitVec, BooleanFunction, FnFunction};
-use mlam::learn::dataset::LabeledSet;
+use mlam::boolean::{BitVec, BooleanFunction, FnFunction, LabeledSet};
 use mlam::learn::f2poly::learn_anf_adaptive;
 use mlam::learn::lmn::{lmn_learn, LmnConfig};
 use mlam::learn::oracle::FunctionOracle;
@@ -24,8 +23,8 @@ fn distribution_axis_changes_the_verdict() {
         (x.get(0) as u8 + x.get(1) as u8 + x.get(2) as u8) >= 2
     });
     // Uniform examples: the perceptron nails it.
-    let train_u = LabeledSet::sample(&f, 800, &mut rng);
-    let test_u = LabeledSet::sample(&f, 2000, &mut rng);
+    let train_u = LabeledSet::sample_par(&f, 800, &mut rng);
+    let test_u = LabeledSet::sample_par(&f, 2000, &mut rng);
     let acc_uniform = test_u.accuracy_of(&Perceptron::new(60).train(&train_u).model);
     assert!(acc_uniform > 0.95, "{acc_uniform}");
 
@@ -58,8 +57,8 @@ fn access_axis_changes_the_verdict() {
     let mut rng = StdRng::seed_from_u64(2);
     let f = FnFunction::new(20, |x: &BitVec| x.get(0) ^ x.get(7) ^ x.get(13) ^ x.get(19));
     // Random examples + low-degree improper learner: chance.
-    let train = LabeledSet::sample(&f, 6000, &mut rng);
-    let test = LabeledSet::sample(&f, 2000, &mut rng);
+    let train = LabeledSet::sample_par(&f, 6000, &mut rng);
+    let test = LabeledSet::sample_par(&f, 2000, &mut rng);
     let lmn = lmn_learn(&train, LmnConfig::new(2));
     let acc_examples = test.accuracy_of(&lmn.hypothesis);
     assert!(
@@ -81,8 +80,8 @@ fn access_axis_changes_the_verdict() {
 fn representation_axis_changes_the_verdict() {
     let mut rng = StdRng::seed_from_u64(3);
     let puf = BistableRingPuf::sample(16, BrPufConfig::calibrated(16), &mut rng);
-    let train = LabeledSet::sample(&puf, 10_000, &mut rng);
-    let test = LabeledSet::sample(&puf, 4000, &mut rng);
+    let train = LabeledSet::sample_par(&puf, 10_000, &mut rng);
+    let test = LabeledSet::sample_par(&puf, 4000, &mut rng);
     let proper = test.accuracy_of(&Perceptron::new(60).train(&train).model);
     let improper = test.accuracy_of(&lmn_learn(&train, LmnConfig::new(2)).hypothesis);
     assert!(

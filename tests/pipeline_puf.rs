@@ -4,25 +4,23 @@
 use mlam::adversary::AdversaryModel;
 use mlam::attack::run_example_attack;
 use mlam::boolean::testing::{HalfspaceTester, Verdict};
-use mlam::boolean::{BitVec, BooleanFunction, LinearThreshold};
+use mlam::boolean::{BitVec, BooleanFunction, LabeledSet, LinearThreshold};
 use mlam::learn::cma_es::{fit_xor_delay_model, CmaEsOptions};
-use mlam::learn::dataset::LabeledSet;
 use mlam::learn::features::ArbiterPhiFeatures;
 use mlam::learn::lmn::{lmn_learn, LmnConfig};
 use mlam::learn::logistic::{LogisticConfig, LogisticRegression};
 use mlam::learn::perceptron::Perceptron;
-use mlam::puf::crp::{collect_stable, collect_uniform};
+use mlam::puf::crp::{collect_noisy, collect_stable, collect_uniform};
 use mlam::puf::noise::ResponseNoise;
 use mlam::puf::{ArbiterPuf, BistableRingPuf, BrPufConfig, XorArbiterPuf};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn arbiter_puf_falls_to_phi_perceptron() {
     let mut rng = StdRng::seed_from_u64(1);
     let puf = ArbiterPuf::sample(64, 0.0, &mut rng);
-    let crps = collect_uniform(&puf, 6000, &mut rng);
-    let all = LabeledSet::from_pairs(64, crps.to_labeled());
+    let all = collect_uniform(&puf, 6000, &mut rng);
     let (train, test) = all.split(0.7, &mut rng);
     let out = Perceptron::new(80).train_with(ArbiterPhiFeatures::new(64), &train);
     let acc = test.accuracy_of(&out.model);
@@ -35,9 +33,8 @@ fn arbiter_puf_falls_to_logistic_regression_under_noise() {
     let arbiter = ArbiterPuf::sample(48, 0.0, &mut rng);
     let puf = ResponseNoise::new(arbiter.clone(), 0.08);
     // Noisy single-shot collection, like a real attack trace.
-    let crps = mlam::puf::crp::collect_noisy(&puf, 8000, &mut rng);
-    let train = LabeledSet::from_pairs(48, crps.to_labeled());
-    let clean_test = LabeledSet::sample(&arbiter, 3000, &mut rng);
+    let train = collect_noisy(&puf, 8000, &mut rng);
+    let clean_test = LabeledSet::sample_par(&arbiter, 3000, &mut rng);
     let out = LogisticRegression::new(LogisticConfig::default()).train_phi(&train, &mut rng);
     let acc = clean_test.accuracy_of(&out.model);
     assert!(acc > 0.88, "LR must tolerate 8 % response noise: {acc}");
@@ -47,8 +44,8 @@ fn arbiter_puf_falls_to_logistic_regression_under_noise() {
 fn two_xor_arbiter_puf_falls_to_cma_es() {
     let mut rng = StdRng::seed_from_u64(3);
     let puf = XorArbiterPuf::sample(16, 2, 0.0, &mut rng);
-    let train = LabeledSet::sample(&puf, 3000, &mut rng);
-    let test = LabeledSet::sample(&puf, 2000, &mut rng);
+    let train = LabeledSet::sample_par(&puf, 3000, &mut rng);
+    let test = LabeledSet::sample_par(&puf, 2000, &mut rng);
     let (model, result) = fit_xor_delay_model(
         &train,
         2,
@@ -72,26 +69,26 @@ fn two_xor_arbiter_puf_falls_to_cma_es() {
 fn stable_crp_collection_denoises_the_oracle() {
     let mut rng = StdRng::seed_from_u64(4);
     let puf = ArbiterPuf::sample(32, 0.6, &mut rng);
-    let stable = collect_stable(&puf, 2000, 9, 1.0, &mut rng);
-    let wrong = stable.iter().filter(|(c, r)| puf.eval(c) != *r).count();
+    let stable = collect_stable(&puf, 2000, 9, 1.0, rng.gen());
+    let wrong = stable
+        .pairs()
+        .iter()
+        .filter(|(c, r)| puf.eval(c) != *r)
+        .count();
     assert!(
         (wrong as f64) < stable.len() as f64 * 0.03,
         "{wrong}/{} stable CRPs disagree with the ideal response",
         stable.len()
     );
     // The stable set trains a better model than a noisy set of equal size.
-    let noisy = mlam::puf::crp::collect_noisy(&puf, stable.len(), &mut rng);
-    let test = LabeledSet::sample(&puf, 3000, &mut rng);
-    let acc_stable = {
-        let train = LabeledSet::from_pairs(32, stable.to_labeled());
-        let out = Perceptron::new(60).train_with(ArbiterPhiFeatures::new(32), &train);
+    let noisy = collect_noisy(&puf, stable.len(), &mut rng);
+    let test = LabeledSet::sample_par(&puf, 3000, &mut rng);
+    let accuracy_from = |train: &LabeledSet| {
+        let out = Perceptron::new(60).train_with(ArbiterPhiFeatures::new(32), train);
         test.accuracy_of(&out.model)
     };
-    let acc_noisy = {
-        let train = LabeledSet::from_pairs(32, noisy.to_labeled());
-        let out = Perceptron::new(60).train_with(ArbiterPhiFeatures::new(32), &train);
-        test.accuracy_of(&out.model)
-    };
+    let acc_stable = accuracy_from(&stable);
+    let acc_noisy = accuracy_from(&noisy);
     assert!(
         acc_stable >= acc_noisy - 0.02,
         "stable {acc_stable} vs noisy {acc_noisy}"
@@ -103,8 +100,8 @@ fn br_puf_resists_ltf_but_not_improper_low_degree() {
     let mut rng = StdRng::seed_from_u64(5);
     let n = 16;
     let puf = BistableRingPuf::sample(n, BrPufConfig::calibrated(n), &mut rng);
-    let train = LabeledSet::sample(&puf, 12_000, &mut rng);
-    let test = LabeledSet::sample(&puf, 4000, &mut rng);
+    let train = LabeledSet::sample_par(&puf, 12_000, &mut rng);
+    let test = LabeledSet::sample_par(&puf, 4000, &mut rng);
 
     // Proper LTF learner plateaus...
     let proper = Perceptron::new(60).train(&train);
@@ -156,8 +153,8 @@ fn halfspace_tester_separates_ltf_from_br() {
 fn attack_reports_carry_their_settings() {
     let mut rng = StdRng::seed_from_u64(7);
     let puf = ArbiterPuf::sample(32, 0.0, &mut rng);
-    let train = LabeledSet::sample(&puf, 3000, &mut rng);
-    let test = LabeledSet::sample(&puf, 2000, &mut rng);
+    let train = LabeledSet::sample_par(&puf, 3000, &mut rng);
+    let test = LabeledSet::sample_par(&puf, 2000, &mut rng);
     let report = run_example_attack::<ArbiterPuf, _, _>(
         "perceptron/phi",
         AdversaryModel::uniform_example_attack(),
